@@ -10,14 +10,11 @@ from .model import (TAU0, HiddenState, ModelParams, PriceDecomposition,
                     vix_weights, y_max_for_vix, z_from_vix_given_y,
                     z_from_vix_heston)
 from .spx import (CharFnTerms, SpxOptionSpec, char_fn_G, char_fn_terms,
-                  correction_factors, price_heston_call, price_heston_call_batch,
-                  price_heston_put, price_spx, price_spx_call, price_spx_put,
+                  correction_factors, price_heston_call_batch, price_spx,
                   price_spx_strike_batch)
 from .vix import (Ncx2Params, VixOptionSpec, ncx2_pdf, payoff_h0,
-                  payoff_h1star, price_vix, price_vix_call,
-                  price_vix_call_heston, price_vix_heston_strike_batch,
-                  price_vix_put, price_vix_put_heston, price_vix_strike_batch,
-                  vix_forward)
+                  payoff_h1star, price_vix, price_vix_heston_strike_batch,
+                  price_vix_strike_batch)
 from .impvol import (ImpliedVolPoint, bs_call_price, bs_implied_vol,
                      vix_normal_implied_vol, vix_normal_price)
 from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx,
@@ -26,7 +23,7 @@ from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx,
                  spectral_coefficient)
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
                           Quote, calibrate_heston, calibrate_msv,
-                          inner_state_fit, weighted_sse)
+                          inner_state_fit, price_quotes, weighted_sse)
 from .data import (FilterRules, OptionQuote, apply_filters, error_report,
                    load_quotes, make_synthetic_quotes, split_train_test,
                    to_date_slices, write_quotes_csv)

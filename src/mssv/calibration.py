@@ -18,21 +18,24 @@ at the cost of reduction-order effects in the objective sum).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .exceptions import InfeasibleStateError, MssvError, QuadratureError
-from .model import (HiddenState, ModelParams, QuadratureConfig,
-                    vix_weights, y_max_for_vix, z_from_vix_given_y,
-                    z_from_vix_heston)
+from .exceptions import InfeasibleStateError, MssvError
+from .model import (HiddenState, ModelParams, PriceDecomposition,
+                    QuadratureConfig, vix_weights, y_max_for_vix,
+                    z_from_vix_given_y, z_from_vix_heston)
 from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
 _PENALTY = 1e8
+#: order of the fitted parameters in a CalibrationResult
+_PARAM_ORDER = ("kappa", "theta", "sigma", "rho", "epsilon", "w3_eps")
 
 
 @dataclass(frozen=True)
@@ -94,14 +97,7 @@ class CalibrationResult:
     n_skipped_dates: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "states": self.states,
-            "step_objectives": self.step_objectives,
-            "trace": self.trace,
-            "n_skipped_dates": self.n_skipped_dates,
-        }
+        return asdict(self)
 
 
 def weighted_sse(model_prices, market_prices, floor: float = 0.1) -> float:
@@ -142,8 +138,9 @@ class _Box:
 def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
     """Restarted Nelder-Mead in transformed coordinates.
 
-    Records the running-best objective per evaluation in trace (the
-    accepted-step sequence, non-increasing by construction).
+    Records the running-best objective in trace with the number of the
+    evaluation that reached it, counted within the step across restarts
+    (the accepted-step sequence, non-increasing by construction).
     """
     rng = np.random.default_rng(cfg.seed)
     best = None
@@ -152,12 +149,14 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
         starts.append(box.to_internal(x0) + rng.normal(0.0, 1.0, size=len(x0)))
 
     running = [math.inf]
+    evals = itertools.count()
 
     def wrapped(u):
+        n = next(evals)
         val = fun(box.to_external(u))
         if val < running[0]:
             running[0] = val
-            trace.append({"step": step, "eval": len(trace), "objective": val})
+            trace.append({"step": step, "eval": n, "objective": val})
         return val
 
     for u0 in starts:
@@ -170,52 +169,56 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
     return x, float(fun(x))
 
 
-def _date_wsse(prices, quotes, floor):
-    return weighted_sse(prices, [q.price for q in quotes], floor)
+def price_quotes(quotes, calls, r: float, spot: float | None = None
+                 ) -> list[PriceDecomposition]:
+    """Model prices of quotes, in their order, one pricing pass per maturity.
 
-
-def _group_by_tau(quotes):
+    calls(strikes, tau) prices calls on a strike grid in one pass and
+    returns PriceDecompositions, or plain prices (read as leading terms).
+    This is the one place puts are priced: by put-call parity, with the
+    parity shift in the leading term, against the spot for SPX and, for
+    VIX (spot None), against the zero-strike call, the discounted VIX
+    forward, added to the same batch.
+    """
     groups = {}
     for i, q in enumerate(quotes):
         groups.setdefault(q.tau, []).append(i)
-    return groups
-
-
-def _vix_quote_prices(quotes, pricer, r):
-    """Batch-price VIX quotes grouped by maturity; puts via parity
-    against the zero-strike call (the discounted forward)."""
-    prices = np.empty(len(quotes))
-    for tau, idx in _group_by_tau(quotes).items():
+    out = [None] * len(quotes)
+    for tau, idx in groups.items():
         strikes = [quotes[i].strike for i in idx]
-        need_fwd = any(not quotes[i].is_call for i in idx)
-        batch = pricer(strikes + ([0.0] if need_fwd else []), tau)
+        need_fwd = spot is None and not all(quotes[i].is_call for i in idx)
+        batch = [d if isinstance(d, PriceDecomposition)
+                 else PriceDecomposition(leading=d, correction=0.0)
+                 for d in calls(strikes + ([0.0] if need_fwd else []), tau)]
+        forward = spot if spot is not None else batch[-1].total
         disc = math.exp(-r * tau)
         for j, i in enumerate(idx):
-            call = batch[j]
-            if quotes[i].is_call:
-                prices[i] = call
-            else:
-                prices[i] = call - batch[-1] + disc * quotes[i].strike
-    return prices
+            d = batch[j]
+            if not quotes[i].is_call:
+                d = replace(d, leading=d.leading
+                            + (quotes[i].strike * disc - forward))
+            out[i] = d
+    return out
 
 
-def _spx_quote_prices(quotes, x, pricer, r):
-    """Batch-price SPX quotes grouped by maturity; puts via parity."""
-    prices = np.empty(len(quotes))
-    for tau, idx in _group_by_tau(quotes).items():
-        strikes = [quotes[i].strike for i in idx]
-        batch = pricer(strikes, tau)
-        disc = math.exp(-r * tau)
-        for j, i in enumerate(idx):
-            call = batch[j]
-            if quotes[i].is_call:
-                prices[i] = call
-            else:
-                prices[i] = call - x + disc * quotes[i].strike
-    return prices
+def _sse(quotes, calls, r, floor, spot=None):
+    """Weighted SSE of the model prices of quotes against their prices."""
+    prices = [d.total for d in price_quotes(quotes, calls, r, spot)]
+    return weighted_sse(prices, [q.price for q in quotes], floor)
 
 
-def _total_with_penalty(per_date, skipped):
+def _sum_over_dates(dates, date_sse, *args):
+    """Objective value: date_sse(date, *args) summed over dates.
+
+    A date whose pricing fails is skipped and charged ten times the
+    median of the dates that priced.
+    """
+    per_date, skipped = [], 0
+    for date in dates:
+        try:
+            per_date.append(date_sse(date, *args))
+        except MssvError:
+            skipped += 1
     if not per_date:
         return _PENALTY
     total = sum(per_date)
@@ -224,49 +227,76 @@ def _total_with_penalty(per_date, skipped):
     return total
 
 
+def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
+              step2_start, step2_objective):
+    """The two-step calibration both models share.
+
+    Step 1 searches the parameters named in start (x0 overrides their
+    starting values) with step1_objective(usable dates); date_state(sl, p)
+    then recovers each date's hidden state as a dict under the step-1
+    fit p, and step 2 searches the parameters named in step2_start with
+    step2_objective(dates, p), dates being the (slice, state) pairs of
+    the dates with a state and SPX quotes.
+    """
+    usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
+    if not usable:
+        raise MssvError("no dates with VIX quotes and a VIX close")
+    trace = []
+    b = cfg.bounds
+    x1, obj1 = _nelder_mead(step1_objective(usable),
+                            [(x0 or start)[n] for n in start],
+                            _Box([b[n] for n in start]), cfg, trace, "step1")
+    p = dict(zip(start, x1))
+
+    states, skipped = {}, 0
+    for sl in usable:
+        try:
+            states[sl.date] = date_state(sl, p)
+        except MssvError:
+            skipped += 1
+
+    dates = [(sl, states[sl.date]) for sl in slices
+             if sl.date in states and sl.spx_quotes and sl.spx_level is not None]
+    x2, obj2 = _nelder_mead(step2_objective(dates, p),
+                            list(step2_start.values()),
+                            _Box([b[n] for n in step2_start]), cfg, trace,
+                            "step2")
+    fitted = {**p, **dict(zip(step2_start, x2))}
+    return CalibrationResult(
+        model=model,
+        params={**{n: fitted[n] for n in _PARAM_ORDER if n in fitted}, "r": r},
+        states=[{"date": d, **st} for d, st in sorted(states.items())],
+        step_objectives=[obj1, obj2],
+        trace=trace,
+        n_skipped_dates=skipped,
+    )
+
+
 # ---------------------------------------------------------------------------
 # one-factor benchmark
 # ---------------------------------------------------------------------------
 
 def _heston_step1_objective(slices, r, floor, quad):
-    def fun(x):
-        kappa, theta, sigma = x
-        per_date, skipped = [], 0
-        for sl in slices:
-            try:
-                z = z_from_vix_heston(sl.vix_level, kappa, theta)
-                prices = _vix_quote_prices(
-                    sl.vix_quotes,
+    def date_sse(sl, kappa, theta, sigma):
+        z = z_from_vix_heston(sl.vix_level, kappa, theta)
+        return _sse(sl.vix_quotes,
                     lambda ks, tau: price_vix_heston_strike_batch(
                         ks, tau, z, kappa, theta, sigma, r, quad),
-                    r)
-                per_date.append(_date_wsse(prices, sl.vix_quotes, floor))
-            except (InfeasibleStateError, QuadratureError, MssvError):
-                skipped += 1
-        return _total_with_penalty(per_date, skipped)
-    return fun
+                    r, floor)
+
+    return lambda x: _sum_over_dates(slices, date_sse, *x)
 
 
-def _heston_step2_objective(slices, states, kappa, theta, sigma, r, floor, quad):
-    def fun(x):
-        rho = float(x[0])
-        per_date, skipped = [], 0
-        for sl in slices:
-            z = states.get(sl.date)
-            if z is None or not sl.spx_quotes or sl.spx_level is None:
-                continue
-            try:
-                prices = _spx_quote_prices(
-                    sl.spx_quotes, sl.spx_level,
+def _heston_step2_objective(dates, p, r, floor, quad):
+    def date_sse(date, rho):
+        sl, st = date
+        return _sse(sl.spx_quotes,
                     lambda ks, tau: price_heston_call_batch(
-                        sl.spx_level, ks, tau, r, kappa, theta, sigma, rho,
-                        z, quad),
-                    r)
-                per_date.append(_date_wsse(prices, sl.spx_quotes, floor))
-            except (QuadratureError, MssvError):
-                skipped += 1
-        return _total_with_penalty(per_date, skipped)
-    return fun
+                        sl.spx_level, ks, tau, r, p["kappa"], p["theta"],
+                        p["sigma"], rho, st["z"], quad),
+                    r, floor, sl.spx_level)
+
+    return lambda x: _sum_over_dates(dates, date_sse, float(x[0]))
 
 
 def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -275,39 +305,16 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
                      x0: dict | None = None) -> CalibrationResult:
     """Two-step benchmark calibration: (kappa, theta, sigma) on VIX
     options with z_i pinned by the VIX close, then rho on SPX options."""
-    usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
-    if not usable:
-        raise MssvError("no dates with VIX quotes and a VIX close")
-    trace = []
-    start = x0 or {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}
-    b = cfg.bounds
-    box1 = _Box([b["kappa"], b["theta"], b["sigma"]])
-    fun1 = _heston_step1_objective(usable, r, cfg.weight_floor, quad)
-    (kappa, theta, sigma), obj1 = _nelder_mead(
-        fun1, [start["kappa"], start["theta"], start["sigma"]],
-        box1, cfg, trace, "step1")
-
-    states, skipped = {}, 0
-    for sl in usable:
-        try:
-            states[sl.date] = z_from_vix_heston(sl.vix_level, kappa, theta)
-        except InfeasibleStateError:
-            skipped += 1
-
-    box2 = _Box([b["rho"]])
-    fun2 = _heston_step2_objective(slices, states, kappa, theta, sigma, r,
-                                   cfg.weight_floor, quad)
-    (rho,), obj2 = _nelder_mead(fun2, [-0.7], box2, cfg, trace, "step2")
-
-    return CalibrationResult(
-        model="heston",
-        params={"kappa": kappa, "theta": theta, "sigma": sigma, "rho": rho,
-                "r": r},
-        states=[{"date": d, "z": z} for d, z in sorted(states.items())],
-        step_objectives=[obj1, obj2],
-        trace=trace,
-        n_skipped_dates=skipped,
-    )
+    return _two_step(
+        "heston", slices, cfg, r, x0,
+        {"kappa": 3.0, "theta": 0.04, "sigma": 0.5},
+        lambda usable: _heston_step1_objective(usable, r, cfg.weight_floor,
+                                               quad),
+        lambda sl, p: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
+                                              p["theta"])},
+        {"rho": -0.7},
+        lambda dates, p: _heston_step2_objective(dates, p, r, cfg.weight_floor,
+                                                 quad))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +344,10 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
             state = HiddenState(y=y, z=z)
         except InfeasibleStateError:
             return _PENALTY
-        prices = _vix_quote_prices(
-            date_slice.vix_quotes,
-            lambda ks, tau: [d.total for d in price_vix_strike_batch(
-                ks, tau, state, params, quad)],
-            r)
-        return _date_wsse(prices, date_slice.vix_quotes, floor)
+        return _sse(date_slice.vix_quotes,
+                    lambda ks, tau: price_vix_strike_batch(ks, tau, state,
+                                                           params, quad),
+                    r, floor)
 
     res = minimize_scalar(objective, bounds=(0.0, ymax), method="bounded",
                           options={"xatol": xtol})
@@ -352,46 +357,33 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
 
 
 def _msv_step1_objective(slices, r, floor, quad, xtol):
+    def date_sse(sl, kappa, theta, sigma, epsilon):
+        return inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad,
+                               floor, xtol)[1]
+
     def fun(x):
-        kappa, theta, sigma, epsilon = x
+        kappa, epsilon = x[0], x[3]
         if kappa * epsilon >= 0.999:
             return _PENALTY * (1.0 + kappa * epsilon)
-        per_date, skipped = [], 0
-        for sl in slices:
-            try:
-                _, obj = inner_state_fit(sl, kappa, theta, sigma, epsilon, r,
-                                         quad, floor, xtol)
-                per_date.append(obj)
-            except (InfeasibleStateError, QuadratureError, MssvError):
-                skipped += 1
-        return _total_with_penalty(per_date, skipped)
+        return _sum_over_dates(slices, date_sse, *x)
     return fun
 
 
-def _msv_step2_objective(slices, states, kappa, theta, sigma, epsilon, r,
-                         floor, quad):
+def _msv_step2_objective(dates, p, r, floor, quad):
+    def date_sse(date, params):
+        sl, st = date
+        state = HiddenState(**st)
+        return _sse(sl.spx_quotes,
+                    lambda ks, tau: price_spx_strike_batch(
+                        sl.spx_level, ks, tau, state, params, quad),
+                    r, floor, sl.spx_level)
+
     def fun(x):
-        rho, w3 = float(x[0]), float(x[1])
         try:
-            params = ModelParams(kappa=kappa, theta=theta, sigma=sigma,
-                                 rho=rho, epsilon=epsilon, w3_eps=w3, r=r)
+            params = ModelParams(**p, rho=float(x[0]), w3_eps=float(x[1]), r=r)
         except ValueError:
             return _PENALTY
-        per_date, skipped = [], 0
-        for sl in slices:
-            st = states.get(sl.date)
-            if st is None or not sl.spx_quotes or sl.spx_level is None:
-                continue
-            try:
-                prices = _spx_quote_prices(
-                    sl.spx_quotes, sl.spx_level,
-                    lambda ks, tau: [d.total for d in price_spx_strike_batch(
-                        sl.spx_level, ks, tau, st, params, quad)],
-                    r)
-                per_date.append(_date_wsse(prices, sl.spx_quotes, floor))
-            except (QuadratureError, MssvError):
-                skipped += 1
-        return _total_with_penalty(per_date, skipped)
+        return _sum_over_dates(dates, date_sse, params)
     return fun
 
 
@@ -405,39 +397,17 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
     per-date fit of (y_i, z_i); step 2 searches (rho, w3_eps) on SPX
     quotes.  Step 2 never touches step-1 output.
     """
-    usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
-    if not usable:
-        raise MssvError("no dates with VIX quotes and a VIX close")
-    trace = []
-    start = x0 or {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02}
-    b = cfg.bounds
-    box1 = _Box([b["kappa"], b["theta"], b["sigma"], b["epsilon"]])
-    fun1 = _msv_step1_objective(usable, r, cfg.weight_floor, quad, cfg.inner_xtol)
-    (kappa, theta, sigma, epsilon), obj1 = _nelder_mead(
-        fun1, [start["kappa"], start["theta"], start["sigma"], start["epsilon"]],
-        box1, cfg, trace, "step1")
+    def date_state(sl, p):
+        st, _ = inner_state_fit(sl, p["kappa"], p["theta"], p["sigma"],
+                                p["epsilon"], r, quad, cfg.weight_floor,
+                                cfg.inner_xtol)
+        return {"y": st.y, "z": st.z}
 
-    states, skipped = {}, 0
-    for sl in usable:
-        try:
-            st, _ = inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad,
-                                    cfg.weight_floor, cfg.inner_xtol)
-            states[sl.date] = st
-        except (InfeasibleStateError, MssvError):
-            skipped += 1
-
-    box2 = _Box([b["rho"], b["w3_eps"]])
-    fun2 = _msv_step2_objective(slices, states, kappa, theta, sigma, epsilon,
-                                r, cfg.weight_floor, quad)
-    (rho, w3), obj2 = _nelder_mead(fun2, [-0.7, 0.01], box2, cfg, trace, "step2")
-
-    return CalibrationResult(
-        model="msv",
-        params={"kappa": kappa, "theta": theta, "sigma": sigma, "rho": rho,
-                "epsilon": epsilon, "w3_eps": w3, "r": r},
-        states=[{"date": d, "y": st.y, "z": st.z}
-                for d, st in sorted(states.items())],
-        step_objectives=[obj1, obj2],
-        trace=trace,
-        n_skipped_dates=skipped,
-    )
+    return _two_step(
+        "msv", slices, cfg, r, x0,
+        {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
+        lambda usable: _msv_step1_objective(usable, r, cfg.weight_floor, quad,
+                                            cfg.inner_xtol),
+        date_state, {"rho": -0.7, "w3_eps": 0.01},
+        lambda dates, p: _msv_step2_objective(dates, p, r, cfg.weight_floor,
+                                              quad))

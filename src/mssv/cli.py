@@ -13,21 +13,23 @@ import datetime as dt
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationConfig, calibrate_heston, calibrate_msv
+from .calibration import (CalibrationConfig, Quote, calibrate_heston,
+                          calibrate_msv, price_quotes)
 from .data import (FilterRules, apply_filters, error_report, load_quotes,
                    make_synthetic_quotes, split_train_test, to_date_slices,
                    write_error_table_csv, write_quotes_csv)
-from .exceptions import DataError, MssvError
+from .exceptions import DataError, MssvError, NoRootError
 from .impvol import bs_implied_vol, vix_normal_implied_vol, write_surface_csv
 from .mc import McConfig, McModelParams, mc_price_spx_strikes, mc_price_vix_strikes
 from .model import (HiddenState, ModelParams, QuadratureConfig,
                     vix_from_state, vix_limit_from_z)
-from .spx import SpxOptionSpec, price_heston_call, price_spx
-from .vix import VixOptionSpec, price_vix, price_vix_call_heston
+from .spx import price_heston_call_batch, price_spx_strike_batch
+from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL = 0, 1, 2, 3
 
@@ -120,6 +122,20 @@ def _floats(text) -> list[float]:
     return [float(t) for t in str(text).split(",") if t]
 
 
+def _grid(strikes, taus, is_call=True) -> list[Quote]:
+    """Unpriced quotes on a strike x maturity grid, maturity-major."""
+    return [Quote(k, tau, is_call, math.nan) for tau in taus for k in strikes]
+
+
+def _print_decomps(strikes, decomps):
+    print("strike      leading          correction       total")
+    for k, d in zip(strikes, decomps):
+        warn = "  [short-maturity: asymptotics not trusted]" \
+            if d.short_maturity_warning else ""
+        print(f"{_g(k):<11} {_g(d.leading):<16} {_g(d.correction):<16} "
+              f"{_g(d.total)}{warn}")
+
+
 def _add_param_flags(p):
     p.add_argument("--config", help="flat KEY=value config file")
     for key in _PARAM_KEYS:
@@ -137,15 +153,13 @@ def cmd_price_spx(args):
     params = _model_params(args)
     state = _state(args)
     quad = _quad_config(args)
-    print("strike      leading          correction       total")
-    for k in _floats(args.strikes):
-        spec = SpxOptionSpec(x=args.x, strike=k, tau=args.tau,
-                             is_call=not args.put)
-        d = price_spx(spec, state, params, quad)
-        warn = "  [short-maturity: asymptotics not trusted]" \
-            if d.short_maturity_warning else ""
-        print(f"{_g(k):<11} {_g(d.leading):<16} {_g(d.correction):<16} "
-              f"{_g(d.total)}{warn}")
+    strikes = _floats(args.strikes)
+    decomps = price_quotes(
+        _grid(strikes, [args.tau], not args.put),
+        lambda ks, tau: price_spx_strike_batch(args.x, ks, tau, state, params,
+                                               quad),
+        params.r, args.x)
+    _print_decomps(strikes, decomps)
     return EXIT_OK
 
 
@@ -153,16 +167,17 @@ def cmd_price_vix(args):
     params = _model_params(args)
     state = _state(args)
     quad = _quad_config(args)
-    corrected = not args.uncorrected
-    print("strike      leading          correction       total")
-    for k in _floats(args.strikes):
-        spec = VixOptionSpec(strike=k, tau=args.tau, is_call=not args.put)
-        d = price_vix(spec, state, params, quad, include_correction=corrected)
-        print(f"{_g(k):<11} {_g(d.leading):<16} {_g(d.correction):<16} {_g(d.total)}")
+    strikes = _floats(args.strikes)
+    decomps = price_quotes(
+        _grid(strikes, [args.tau], not args.put),
+        lambda ks, tau: price_vix_strike_batch(ks, tau, state, params, quad,
+                                               not args.uncorrected),
+        params.r)
+    _print_decomps(strikes, decomps)
     return EXIT_OK
 
 
-def _load_slices(args):
+def _load_quotes(args):
     quotes, rejects = load_quotes(args.quotes)
     if rejects:
         print(f"rejected {len(rejects)} malformed rows "
@@ -182,7 +197,7 @@ def _load_slices(args):
               f"({len(quotes)} quotes)", file=sys.stderr)
     if not quotes:
         raise DataError("no quotes left after filtering/splitting")
-    return to_date_slices(quotes)
+    return quotes
 
 
 def _round_floats(obj, digits=10):
@@ -196,7 +211,7 @@ def _round_floats(obj, digits=10):
 
 
 def cmd_calibrate(args):
-    slices = _load_slices(args)
+    slices = to_date_slices(_load_quotes(args))
     cfg = CalibrationConfig(
         max_iter=int(_merged(args, "max_iter", 200, int)),
         restarts=int(_merged(args, "restarts", 3, int)),
@@ -221,46 +236,72 @@ def cmd_calibrate(args):
     return EXIT_OK
 
 
+def _vols(invert, grid, prices, n_strikes):
+    """Implied vols of a maturity-major grid as a strike x maturity array;
+    nan where invert(price, strike, tau) finds no root."""
+    vols = []
+    for q, d in zip(grid, prices):
+        try:
+            vols.append(invert(d.total, q.strike, q.tau))
+        except NoRootError:
+            vols.append(math.nan)
+    return np.array(vols).reshape(-1, n_strikes).T
+
+
 def cmd_imvol_surface(args):
     params = _model_params(args)
     quad = _quad_config(args)
     state = _state(args)
     z0 = float(_merged(args, "uncorrected_z", state.z))
+    state_u = HiddenState(y=z0, z=z0)
     strikes = _floats(args.strikes)
     taus = _floats(args.taus)
-    corrected = np.empty((len(strikes), len(taus)))
-    uncorrected = np.empty_like(corrected)
+    grid = _grid(strikes, taus)
 
     if args.kind == "vix":
         level_c = vix_from_state(state, params)
         level_u = vix_limit_from_z(z0, params)
-        state_u = HiddenState(y=z0, z=z0)
-        for j, tau in enumerate(taus):
-            for i, k in enumerate(strikes):
-                pc = price_vix(VixOptionSpec(k, tau), state, params, quad).total
-                pu = price_vix(VixOptionSpec(k, tau), state_u, params, quad,
-                               include_correction=False).total
-                corrected[i, j] = vix_normal_implied_vol(pc, level_c, k, tau)
-                uncorrected[i, j] = vix_normal_implied_vol(pu, level_u, k, tau)
+        pc = price_quotes(grid, lambda ks, tau: price_vix_strike_batch(
+            ks, tau, state, params, quad), params.r)
+        pu = price_quotes(grid, lambda ks, tau: price_vix_strike_batch(
+            ks, tau, state_u, params, quad, include_correction=False), params.r)
+        corrected = _vols(lambda p, k, tau: vix_normal_implied_vol(
+            p, level_c, k, tau), grid, pc, len(strikes))
+        uncorrected = _vols(lambda p, k, tau: vix_normal_implied_vol(
+            p, level_u, k, tau), grid, pu, len(strikes))
     else:
         x = float(_merged(args, "x", 2000.0))
-        for j, tau in enumerate(taus):
-            for i, k in enumerate(strikes):
-                pc = price_spx(SpxOptionSpec(x, k, tau), state, params, quad).total
-                d0 = price_spx(SpxOptionSpec(x, k, tau),
-                               HiddenState(y=z0, z=z0),
-                               ModelParams(kappa=params.kappa, theta=params.theta,
-                                           sigma=params.sigma, rho=params.rho,
-                                           epsilon=params.epsilon, w3_eps=0.0,
-                                           r=params.r), quad)
-                corrected[i, j] = bs_implied_vol(pc, x, k, tau, params.r)
-                uncorrected[i, j] = bs_implied_vol(d0.leading, x, k, tau, params.r)
+        # the uncorrected surface is the leading term at (z0, z0)
+        params_u = replace(params, w3_eps=0.0)
+        pc = price_quotes(grid, lambda ks, tau: price_spx_strike_batch(
+            x, ks, tau, state, params, quad), params.r, x)
+        pu = price_quotes(grid, lambda ks, tau: price_spx_strike_batch(
+            x, ks, tau, state_u, params_u, quad), params.r, x)
+
+        def invert(p, k, tau):
+            return bs_implied_vol(p, x, k, tau, params.r)
+
+        corrected = _vols(invert, grid, pc, len(strikes))
+        uncorrected = _vols(invert, grid, pu, len(strikes))
 
     write_surface_csv(args.out_corrected, strikes, taus, corrected)
     write_surface_csv(args.out_uncorrected, strikes, taus, uncorrected)
     write_surface_csv(args.out_diff, strikes, taus, corrected - uncorrected)
     print(f"wrote {args.out_corrected}, {args.out_uncorrected}, {args.out_diff}")
     return EXIT_OK
+
+
+def _print_mc_rows(strikes, ests, analytic) -> int:
+    """Analytic-against-Monte-Carlo rows; returns the count outside 3 SE."""
+    print("strike      analytic         mc               se            dev/se")
+    outside = 0
+    for k, est, d in zip(strikes, ests, analytic):
+        dev = (d.total - est.mean) / est.standard_error
+        flag = "" if abs(dev) <= 3 else "  OUTSIDE 3SE"
+        outside += abs(dev) > 3
+        print(f"{_g(k):<11} {_g(d.total):<16} {_g(est.mean):<16} "
+              f"{_g(est.standard_error):<13} {dev:+.2f}{flag}")
+    return outside
 
 
 def cmd_validate(args):
@@ -276,100 +317,77 @@ def cmd_validate(args):
     if spx_strikes:
         tau = float(args.spx_tau)
         ests = mc_price_spx_strikes(mp, state, x, spx_strikes, tau, mc_cfg)
+        analytic = price_quotes(
+            _grid(spx_strikes, [tau]),
+            lambda ks, t: price_spx_strike_batch(x, ks, t, state, params, quad),
+            params.r, x)
         print(f"SPX tau={_g(tau)} x={_g(x)} paths={mc_cfg.paths} "
               f"(scheme={mc_cfg.scheme}, eta={_g(mp.eta)}, nu={_g(mp.nu)})")
-        print("strike      analytic         mc               se            dev/se")
-        for k, est in zip(spx_strikes, ests):
-            a = price_spx(SpxOptionSpec(x, k, tau), state, params, quad).total
-            dev = (a - est.mean) / est.standard_error
-            flag = "" if abs(dev) <= 3 else "  OUTSIDE 3SE"
-            failures += abs(dev) > 3
-            print(f"{_g(k):<11} {_g(a):<16} {_g(est.mean):<16} "
-                  f"{_g(est.standard_error):<13} {dev:+.2f}{flag}")
+        failures += _print_mc_rows(spx_strikes, ests, analytic)
 
     vix_strikes = _floats(args.vix_strikes)
     if vix_strikes:
         tau = float(args.vix_tau)
         ests = mc_price_vix_strikes(mp, state, vix_strikes, tau, mc_cfg)
+        analytic = price_quotes(
+            _grid(vix_strikes, [tau]),
+            lambda ks, t: price_vix_strike_batch(ks, t, state, params, quad),
+            params.r)
         print(f"VIX tau={_g(tau)} paths={mc_cfg.paths}")
-        print("strike      analytic         mc               se            dev/se")
-        for k, est in zip(vix_strikes, ests):
-            a = price_vix(VixOptionSpec(k, tau), state, params, quad).total
-            dev = (a - est.mean) / est.standard_error
-            flag = "" if abs(dev) <= 3 else "  OUTSIDE 3SE"
-            failures += abs(dev) > 3
-            print(f"{_g(k):<11} {_g(a):<16} {_g(est.mean):<16} "
-                  f"{_g(est.standard_error):<13} {dev:+.2f}{flag}")
+        failures += _print_mc_rows(vix_strikes, ests, analytic)
     print(f"points outside 3 SE: {failures}")
     return EXIT_OK
 
 
-def _price_slice_both(sl, heston_doc, msv_doc, quad):
-    """Model prices for every quote of one date slice under both fits."""
-    h_par = heston_doc["params"]
-    m_par = msv_doc["params"]
-    h_state = {s["date"]: s["z"] for s in heston_doc["states"]}.get(sl.date)
-    m_state = {s["date"]: (s["y"], s["z"]) for s in msv_doc["states"]}.get(sl.date)
-    if h_state is None or m_state is None:
-        return None
-    params = ModelParams(kappa=m_par["kappa"], theta=m_par["theta"],
-                         sigma=m_par["sigma"], rho=m_par["rho"],
-                         epsilon=m_par["epsilon"], w3_eps=m_par["w3_eps"],
-                         r=m_par["r"])
-    state = HiddenState(y=m_state[0], z=m_state[1])
-    out = []
-    for q in sl.vix_quotes:
-        spec = VixOptionSpec(q.strike, q.tau, q.is_call)
-        ph = price_vix_call_heston(spec, h_state, h_par["kappa"],
-                                   h_par["theta"], h_par["sigma"],
-                                   h_par["r"], quad)
-        pm = price_vix(spec, state, params, quad).total
-        out.append(("VIX", q, ph, pm))
-    for q in sl.spx_quotes:
-        ph = price_heston_call(sl.spx_level, q.strike, q.tau, h_par["r"],
-                               h_par["kappa"], h_par["theta"], h_par["sigma"],
-                               h_par["rho"], h_state, quad)
-        pm = price_spx(SpxOptionSpec(sl.spx_level, q.strike, q.tau, q.is_call),
-                       state, params, quad).total
-        out.append(("SPX", q, ph, pm))
-    return out
-
-
 def cmd_error_report(args):
-    slices = _load_slices(args)
+    quotes = _load_quotes(args)
     quad = _quad_config(args)
     with open(args.heston_result) as fh:
         heston_doc = json.load(fh)
     with open(args.msv_result) as fh:
         msv_doc = json.load(fh)
+    h = heston_doc["params"]
+    params = ModelParams(**msv_doc["params"])
+    h_z = {s["date"]: s["z"] for s in heston_doc["states"]}
+    m_state = {s["date"]: HiddenState(y=s["y"], z=s["z"])
+               for s in msv_doc["states"]}
 
-    rows, skipped = [], 0
+    slices = to_date_slices(quotes)
+    heston, ours, dates = [], [], set()
     for sl in slices:
-        priced = _price_slice_both(sl, heston_doc, msv_doc, quad)
-        if priced is None:
-            skipped += 1
+        z, st, x = h_z.get(sl.date), m_state.get(sl.date), sl.spx_level
+        if z is None or st is None:
             continue
-        rows.extend(priced)
-    if not rows:
+        dates.add(sl.date)
+        heston += price_quotes(sl.vix_quotes, lambda ks, tau: (
+            price_vix_heston_strike_batch(ks, tau, z, h["kappa"], h["theta"],
+                                          h["sigma"], h["r"], quad)), h["r"])
+        heston += price_quotes(sl.spx_quotes, lambda ks, tau: (
+            price_heston_call_batch(x, ks, tau, h["r"], h["kappa"], h["theta"],
+                                    h["sigma"], h["rho"], z, quad)), h["r"], x)
+        ours += price_quotes(sl.vix_quotes, lambda ks, tau: (
+            price_vix_strike_batch(ks, tau, st, params, quad)), params.r)
+        ours += price_quotes(sl.spx_quotes, lambda ks, tau: (
+            price_spx_strike_batch(x, ks, tau, st, params, quad)), params.r, x)
+    if not dates:
         raise DataError("no dates shared by both calibration results")
 
-    class _Q:  # quote shim carrying just what error_report reads
-        def __init__(self, und, q):
-            self.underlying_kind = und
-            self.tau = q.tau
-            self.mid_price = q.price
-
-    quotes = [_Q(und, q) for und, q, _, _ in rows]
-    rep_h = error_report([ph for _, _, ph, _ in rows], quotes)
-    rep_m = error_report([pm for _, _, _, pm in rows], quotes)
+    # the order of the slices' quotes: by date, VIX before SPX, each
+    # underlying in file order
+    priced = sorted((q for q in quotes if q.trade_date.isoformat() in dates),
+                    key=lambda q: (q.trade_date, q.underlying_kind == "SPX"))
+    rep_h = error_report([d.total for d in heston], priced)
+    rep_m = error_report([d.total for d in ours], priced)
     write_error_table_csv(args.out, rep_h, rep_m)
-    print(f"wrote {args.out} ({len(rows)} options, {skipped} dates skipped)")
+    print(f"wrote {args.out} ({len(priced)} options, "
+          f"{len(slices) - len(dates)} dates skipped)")
     for und in ("SPX", "VIX"):
         h = rep_h.cell(und, "total")
         m = rep_m.cell(und, "total")
         if h.count:
+            ratio = 100 * m.mean / h.mean if h.mean else math.nan
             print(f"{und}: heston mean {_g(h.mean)}, ours mean {_g(m.mean)}, "
-                  f"o/h {_g(100 * m.mean / h.mean)}%")
+                  f"o/h {_g(ratio)}%")
     return EXIT_OK
 
 

@@ -176,12 +176,28 @@ def split_train_test(quotes, split_date: dt.date):
 
 
 def to_date_slices(quotes) -> list[DateSlice]:
-    """Group quotes by trade date into calibration slices."""
+    """Group quotes by trade date into calibration slices.
+
+    Raises DataError if one date's quotes on an underlying carry
+    different closes, or if a quote repeats (same date, underlying,
+    type, strike and expiry).
+    """
     by_date = defaultdict(lambda: {"vix": [], "spx": [],
                                    "vix_level": None, "spx_level": None})
+    seen = set()
     for q in quotes:
+        key = (q.trade_date, q.underlying_kind, q.option_type, q.strike,
+               q.expiry_date)
+        if key in seen:
+            raise DataError(f"duplicate quote {q.underlying_kind} {q.option_type}"
+                            f" {q.strike:g} {q.expiry_date} on {q.trade_date}")
+        seen.add(key)
         slot = by_date[q.trade_date]
         bucket = "vix" if q.underlying_kind == "VIX" else "spx"
+        level = slot[f"{bucket}_level"]
+        if level is not None and level != q.underlying_level:
+            raise DataError(f"{q.underlying_kind} closes {level:g} and "
+                            f"{q.underlying_level:g} on {q.trade_date}")
         slot[bucket].append(Quote(q.strike, q.tau, q.is_call, q.mid_price))
         slot[f"{bucket}_level"] = q.underlying_level
     out = []
@@ -301,30 +317,23 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
     quotes = []
     for date_str, state in states:
         date = dt.date.fromisoformat(date_str)
-        vix_close = vix_from_state(state, params)
-        for tau in vix_taus:
-            expiry = date + dt.timedelta(days=round(tau * DAYS_PER_YEAR))
-            strikes = [float(round(m * vix_close)) for m in vix_moneyness]
-            decomps = price_vix_strike_batch(strikes, tau, state, params, quad)
-            for strike, d in zip(strikes, decomps):
-                price = d.total * (1.0 + noise * rng.standard_normal()
-                                   if noise else 1.0)
-                if price <= 0:
-                    continue
-                quotes.append(OptionQuote(date, "VIX", "call", strike, expiry,
-                                          price, 100.0, vix_close))
-        for tau in spx_taus:
-            expiry = date + dt.timedelta(days=round(tau * DAYS_PER_YEAR))
-            strikes = [float(round(m * spx_level)) for m in spx_moneyness]
-            decomps = price_spx_strike_batch(spx_level, strikes, tau, state,
-                                             params, quad)
-            for strike, d in zip(strikes, decomps):
-                price = d.total * (1.0 + noise * rng.standard_normal()
-                                   if noise else 1.0)
-                if price <= 0:
-                    continue
-                quotes.append(OptionQuote(date, "SPX", "call", strike, expiry,
-                                          price, 100.0, spx_level))
+        legs = (("VIX", vix_from_state(state, params), vix_taus, vix_moneyness,
+                 lambda ks, tau: price_vix_strike_batch(ks, tau, state, params,
+                                                        quad)),
+                ("SPX", spx_level, spx_taus, spx_moneyness,
+                 lambda ks, tau: price_spx_strike_batch(spx_level, ks, tau,
+                                                        state, params, quad)))
+        for und, level, taus, moneyness, calls in legs:
+            for tau in taus:
+                expiry = date + dt.timedelta(days=round(tau * DAYS_PER_YEAR))
+                strikes = [float(round(m * level)) for m in moneyness]
+                for strike, d in zip(strikes, calls(strikes, tau)):
+                    price = d.total * (1.0 + noise * rng.standard_normal()
+                                       if noise else 1.0)
+                    if price <= 0:
+                        continue
+                    quotes.append(OptionQuote(date, und, "call", strike, expiry,
+                                              price, 100.0, level))
     return quotes
 
 

@@ -78,7 +78,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
             edges = np.unique(np.concatenate([edges, inner]))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, lo, hi)
-    nodes = initial_panels * NODES_PER_PANEL
+    nodes = len(lo) * NODES_PER_PANEL
 
     while True:
         total = vals.sum(axis=1)

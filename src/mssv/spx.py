@@ -155,45 +155,15 @@ def char_fn_terms(tau: float, k: complex, params: ModelParams) -> CharFnTerms:
                        b=_b_coeff(k, params.w3_eps), f0_hat=f0, f1_hat=f1)
 
 
-def _fourier_call(x, strike, tau, r, kappa, theta_e, sigma_e, rho_e, v0,
-                  corr_scale, quad):
-    """Single-strike wrapper over the shared batch contour pass."""
-    leading, correction = _fourier_call_batch(
-        x, [strike], tau, r, kappa, theta_e, sigma_e, rho_e, v0, corr_scale,
-        quad)
-    return leading[0], correction[0]
-
-
-def price_spx_call(spec: SpxOptionSpec, state: HiddenState, params: ModelParams,
-                   quad: QuadratureConfig = QuadratureConfig()) -> PriceDecomposition:
-    """Approximate SPX call price: leading term plus fast-factor correction."""
-    leading, correction = _fourier_call(
-        spec.x, spec.strike, spec.tau, params.r,
-        *effective_heston(params), 2.0 * state.z, params.w3_eps, quad,
-    )
-    return PriceDecomposition(
-        leading=leading, correction=correction,
-        short_maturity_warning=spec.tau < SHORT_MATURITY,
-    )
-
-
-def price_spx_put(spec: SpxOptionSpec, state: HiddenState, params: ModelParams,
-                  quad: QuadratureConfig = QuadratureConfig()) -> PriceDecomposition:
-    """SPX put via put-call parity; the parity shift sits in the leading term."""
-    call = price_spx_call(spec, state, params, quad)
-    shift = -spec.x + spec.strike * math.exp(-params.r * spec.tau)
-    return PriceDecomposition(
-        leading=call.leading + shift, correction=call.correction,
-        short_maturity_warning=call.short_maturity_warning,
-    )
-
-
 def price_spx(spec: SpxOptionSpec, state: HiddenState, params: ModelParams,
               quad: QuadratureConfig = QuadratureConfig()) -> PriceDecomposition:
-    """Dispatch on spec.is_call."""
-    if spec.is_call:
-        return price_spx_call(spec, state, params, quad)
-    return price_spx_put(spec, state, params, quad)
+    """One SPX option: leading term plus fast-factor correction; a put is
+    priced by parity in `price_quotes`."""
+    from .calibration import Quote, price_quotes  # calibration imports us
+
+    quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
+    return price_quotes([quote], lambda ks, tau: price_spx_strike_batch(
+        spec.x, ks, tau, state, params, quad), params.r, spec.x)[0]
 
 
 def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
@@ -205,8 +175,8 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     single option.  Returns (leading[], correction[]).
     """
     strikes = [float(k) for k in strikes]
-    if min(strikes) <= 0:
-        raise DomainError("strikes must be positive")
+    if x <= 0 or tau <= 0 or min(strikes) <= 0 or abs(rho_e) > 1.0:
+        raise DomainError("need positive spot, strikes and tau, |rho| <= 1")
     alpha = quad.contour_shift
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])
@@ -277,25 +247,3 @@ def price_heston_call_batch(x: float, strikes, tau: float, r: float,
     leading, _ = _fourier_call_batch(x, strikes, tau, r, kappa, theta, sigma,
                                      rho, v0, 0.0, quad)
     return leading
-
-
-def price_heston_call(x: float, strike: float, tau: float, r: float,
-                      kappa: float, theta: float, sigma: float, rho: float,
-                      v0: float,
-                      quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """One-factor Heston benchmark call on the same contour machinery."""
-    if x <= 0 or strike <= 0 or tau <= 0:
-        raise DomainError("x, strike, tau must be positive")
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    leading, _ = _fourier_call(x, strike, tau, r, kappa, theta, sigma, rho,
-                               v0, 0.0, quad)
-    return leading
-
-
-def price_heston_put(x: float, strike: float, tau: float, r: float,
-                     kappa: float, theta: float, sigma: float, rho: float,
-                     v0: float,
-                     quad: QuadratureConfig = QuadratureConfig()) -> float:
-    call = price_heston_call(x, strike, tau, r, kappa, theta, sigma, rho, v0, quad)
-    return call - x + strike * math.exp(-r * tau)

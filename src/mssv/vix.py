@@ -172,8 +172,12 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
                                   breakpoints=[v / ncx2.delta for v in kinks])
     lo = zmax
     for _ in range(6):
+        if nodes >= quad.max_nodes:
+            raise QuadratureError(
+                f"node budget {quad.max_nodes} spent before the ncx2 tail",
+                estimate=total, error_estimate=err)
         tail, terr, tn = integrate(integrand, lo, 2.0 * lo, quad.abs_tol,
-                                   quad.rel_tol, max(quad.max_nodes - nodes, 1000),
+                                   quad.rel_tol, quad.max_nodes - nodes,
                                    initial_panels=4)
         nodes += tn
         total = total + tail
@@ -185,16 +189,37 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
                           estimate=total, error_estimate=err)
 
 
-def price_vix_call(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
-                   quad: QuadratureConfig = QuadratureConfig(),
-                   include_correction: bool = True) -> PriceDecomposition:
-    """VIX call: leading term plus fast-factor correction.
+def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
+                  quad, correction=None):
+    """Call decompositions for a strike grid in one density pass.
 
-    include_correction=False prices the epsilon -> 0 limit (the
-    "uncorrected" surface), which depends on z only.
+    The slow factor is the CIR (kappa, theta, sigma) process started at
+    z, and a strike K pays (100*sqrt(slope*v + intercept) - K)+ in its
+    value v; correction(v, K), if given, is K's correction payoff.  The
+    non-central chi-square density dominates the cost and is shared by
+    every strike; each strike contributes its own gated payoff rows.
     """
-    return price_vix_strike_batch([spec.strike], spec.tau, state, params,
-                                  quad, include_correction)[0]
+    strikes = [float(k) for k in strikes]
+    if not strikes:
+        return []
+    if min(strikes) < 0:
+        raise DomainError(f"strikes must be non-negative, got {min(strikes)}")
+    ncx2 = Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
+
+    def rows(v):
+        parts = [_sqrt_call_payoff(v, slope, intercept, k)[0] for k in strikes]
+        if correction is not None:
+            parts += [correction(v, k) for k in strikes]
+        return np.stack(parts)
+
+    kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
+    vals, _ = _integrate_payoff(rows, ncx2, min(kinks), quad, kinks=kinks)
+    disc = math.exp(-r * tau)
+    n = len(strikes)
+    return [PriceDecomposition(
+        leading=disc * float(vals[i]),
+        correction=disc * float(vals[n + i]) if correction is not None else 0.0)
+        for i in range(n)]
 
 
 def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
@@ -204,36 +229,18 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
                            ) -> list[PriceDecomposition]:
     """Call decompositions for a strike grid in one density pass.
 
-    The non-central chi-square density dominates the cost and is shared
-    by every strike; each strike contributes its own gated payoff rows.
+    include_correction=False prices the epsilon -> 0 limit (the
+    "uncorrected" surface), which depends on z only.
     """
-    strikes = [float(k) for k in strikes]
-    if not strikes:
-        return []
     w = vix_weights(params.kappa, params.epsilon)
-    ncx2 = Ncx2Params.from_cir(params.kappa, params.theta, params.sigma,
-                               state.z, tau)
-    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
-    vstar_min = min(((k / 100.0) ** 2 - intercept) / slope for k in strikes)
 
-    def rows(v):
-        parts = [_sqrt_call_payoff(v, slope, intercept, k)[0] for k in strikes]
-        if include_correction:
-            parts += [payoff_h1star(v, state, tau, params, k, w)
-                      for k in strikes]
-        return np.stack(parts)
+    def correction(v, strike):
+        return payoff_h1star(v, state, tau, params, strike, w)
 
-    kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
-    vals, _ = _integrate_payoff(rows, ncx2, vstar_min, quad, kinks=kinks)
-    disc = math.exp(-params.r * tau)
-    n = len(strikes)
-    out = []
-    for i in range(n):
-        out.append(PriceDecomposition(
-            leading=disc * float(vals[i]),
-            correction=disc * float(vals[n + i]) if include_correction else 0.0,
-        ))
-    return out
+    return _density_pass(strikes, tau, state.z, params.kappa, params.theta,
+                         params.sigma, params.r, w.a2_star,
+                         (1.0 + w.a4_star) * params.theta, quad,
+                         correction if include_correction else None)
 
 
 def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,
@@ -241,73 +248,17 @@ def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,
                                   quad: QuadratureConfig = QuadratureConfig()
                                   ) -> list[float]:
     """One-factor benchmark VIX calls for a strike grid in one pass."""
-    strikes = [float(k) for k in strikes]
-    if not strikes:
-        return []
     b2, b4 = heston_star_weights(kappa)
-    ncx2 = Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
-    slope, intercept = b2, b4 * theta
-    vstar_min = min(((k / 100.0) ** 2 - intercept) / slope for k in strikes)
-
-    def rows(v):
-        return np.stack([_sqrt_call_payoff(v, slope, intercept, k)[0]
-                         for k in strikes])
-
-    kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
-    vals, _ = _integrate_payoff(rows, ncx2, vstar_min, quad, kinks=kinks)
-    disc = math.exp(-r * tau)
-    return [disc * float(vals[i]) for i in range(len(strikes))]
-
-
-def vix_forward(tau: float, state: HiddenState, params: ModelParams,
-                quad: QuadratureConfig = QuadratureConfig(),
-                include_correction: bool = True) -> float:
-    """Model VIX forward at horizon tau: the K = 0 call un-discounted."""
-    zero = price_vix_call(VixOptionSpec(strike=0.0, tau=tau), state, params,
-                          quad, include_correction)
-    return zero.total * math.exp(params.r * tau)
-
-
-def price_vix_put(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
-                  quad: QuadratureConfig = QuadratureConfig(),
-                  include_correction: bool = True) -> PriceDecomposition:
-    """VIX put via parity against the model VIX forward (extension).
-
-    put = call - e^{-r tau} (F - K) with F the un-discounted K = 0 call.
-    The parity shift sits in the leading term.
-    """
-    call = price_vix_call(spec, state, params, quad, include_correction)
-    forward_level = vix_forward(spec.tau, state, params, quad, include_correction)
-    disc = math.exp(-params.r * spec.tau)
-    shift = -disc * (forward_level - spec.strike)
-    return PriceDecomposition(leading=call.leading + shift,
-                              correction=call.correction)
+    return [d.leading for d in _density_pass(strikes, tau, z, kappa, theta,
+                                             sigma, r, b2, b4 * theta, quad)]
 
 
 def price_vix(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
               quad: QuadratureConfig = QuadratureConfig(),
               include_correction: bool = True) -> PriceDecomposition:
-    """Dispatch on spec.is_call."""
-    if spec.is_call:
-        return price_vix_call(spec, state, params, quad, include_correction)
-    return price_vix_put(spec, state, params, quad, include_correction)
+    """One VIX option; a put is priced by parity in `price_quotes`."""
+    from .calibration import Quote, price_quotes  # calibration imports us
 
-
-def price_vix_call_heston(spec: VixOptionSpec, z: float, kappa: float,
-                          theta: float, sigma: float, r: float,
-                          quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """VIX call under the one-factor benchmark (exact, no expansion)."""
-    if z < 0:
-        raise DomainError(f"z must be non-negative, got {z}")
-    return price_vix_heston_strike_batch([spec.strike], spec.tau, z, kappa,
-                                         theta, sigma, r, quad)[0]
-
-
-def price_vix_put_heston(spec: VixOptionSpec, z: float, kappa: float,
-                         theta: float, sigma: float, r: float,
-                         quad: QuadratureConfig = QuadratureConfig()) -> float:
-    call = price_vix_call_heston(spec, z, kappa, theta, sigma, r, quad)
-    fwd = price_vix_call_heston(VixOptionSpec(strike=0.0, tau=spec.tau), z,
-                                kappa, theta, sigma, r, quad)
-    disc = math.exp(-r * spec.tau)
-    return call - (fwd - disc * spec.strike)
+    quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
+    return price_quotes([quote], lambda ks, tau: price_vix_strike_batch(
+        ks, tau, state, params, quad, include_correction), params.r)[0]

@@ -25,7 +25,7 @@ from mssv import (CalibrationConfig, HiddenState, McConfig, McModelParams,
                   calibrate_heston, calibrate_msv, error_report,
                   make_synthetic_quotes, mc_price_spx_strikes,
                   mc_price_vix_strikes, ncx2_pdf, price_heston_call_batch,
-                  price_spx_strike_batch, price_vix_call,
+                  price_spx_strike_batch, price_vix,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   spectral_coefficient, to_date_slices, vix_from_state,
                   vix_from_z_heston, vix_limit_from_z, vix_normal_implied_vol,
@@ -35,7 +35,7 @@ from mssv.impvol import invert_point
 from mssv.model import TAU0
 from mssv.spx import effective_heston
 
-from .conftest import FITTED, FITTED_HESTON
+from .conftest import FITTED, FITTED_HESTON, MC_JOBS
 from .oracles import heston_call_gil_pelaez_ode
 
 PARAMS = ModelParams(**FITTED)
@@ -61,7 +61,8 @@ def test_criterion_1_spx_mc_agreement():
     rows = []
     ok = True
     for tau in (TAU0, 0.25):
-        cfg = McConfig(paths=1_000_000, seed=101, steps_per_eps=10)
+        cfg = McConfig(paths=1_000_000, seed=101, steps_per_eps=10,
+                       n_jobs=MC_JOBS)
         ests = mc_price_spx_strikes(MP, STATE_1, X0, SPX_STRIKES, tau, cfg)
         decomps = price_spx_strike_batch(X0, SPX_STRIKES, tau, STATE_1,
                                          PARAMS, QUAD)
@@ -85,7 +86,8 @@ def test_criterion_2_vix_mc_agreement():
     rows = []
     ok = True
     for state, name in ((STATE_1, "y>z"), (STATE_2, "y<z")):
-        cfg = McConfig(paths=1_000_000, seed=202, steps_per_eps=10)
+        cfg = McConfig(paths=1_000_000, seed=202, steps_per_eps=10,
+                       n_jobs=MC_JOBS)
         ests = mc_price_vix_strikes(MP, state, VIX_STRIKES, TAU0, cfg)
         decomps = price_vix_strike_batch(VIX_STRIKES, TAU0, state, PARAMS, QUAD)
         for k, est, d in zip(VIX_STRIKES, ests, decomps):
@@ -155,7 +157,8 @@ def test_criterion_5a_spx_epsilon_slope():
     for i, eps in enumerate(EPS_SET):
         mp = McModelParams.from_eta_nu(
             ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5, nu=0.433)
-        cfg = McConfig(paths=1_000_000, seed=510 + i, steps_per_eps=10)
+        cfg = McConfig(paths=1_000_000, seed=510 + i, steps_per_eps=10,
+                       n_jobs=MC_JOBS)
         ests = mc_price_spx_strikes(mp, STATE_1, X0, SPX_STRIKES, 0.25, cfg)
         decomps = price_spx_strike_batch(X0, SPX_STRIKES, 0.25, STATE_1,
                                          mp.params, QUAD)
@@ -174,7 +177,8 @@ def test_criterion_5b_vix_epsilon_slope():
     for i, eps in enumerate(EPS_SET):
         mp = McModelParams.from_eta_nu(
             ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5, nu=0.433)
-        cfg = McConfig(paths=2_000_000, seed=550 + i, steps_per_eps=10)
+        cfg = McConfig(paths=2_000_000, seed=550 + i, steps_per_eps=10,
+                       n_jobs=MC_JOBS)
         ests = mc_price_vix_strikes(mp, STATE_1, [18.0, 20.0, 22.0], 0.25, cfg)
         decomps = price_vix_strike_batch([18.0, 20.0, 22.0], 0.25, STATE_1,
                                          mp.params, QUAD)
@@ -453,9 +457,9 @@ def test_criterion_10_round_trips_and_sign_reversal():
         level_c = vix_from_state(state, PARAMS)
         deltas = []
         for k in strikes:
-            pc = price_vix_call(VixOptionSpec(k, tau), state, PARAMS).total
-            pu = price_vix_call(VixOptionSpec(k, tau), uncorr_state, PARAMS,
-                                include_correction=False).total
+            pc = price_vix(VixOptionSpec(k, tau), state, PARAMS).total
+            pu = price_vix(VixOptionSpec(k, tau), uncorr_state, PARAMS,
+                           include_correction=False).total
             ic = invert_point(pc, k, tau, "vix", level_c)
             iu = invert_point(pu, k, tau, "vix", level_u)
             assert ic.converged and iu.converged

@@ -9,6 +9,7 @@ from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   Quote, QuadratureConfig, calibrate_heston, calibrate_msv,
                   inner_state_fit, price_vix_strike_batch, vix_from_state,
                   weighted_sse, y_max_for_vix)
+from mssv.calibration import _Box, _nelder_mead
 from mssv.exceptions import MssvError
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
@@ -150,6 +151,25 @@ def test_no_usable_dates_raises(params):
     empty = DateSlice(date="2016-01-05", spx_level=2000.0, vix_level=None)
     with pytest.raises(MssvError):
         calibrate_msv([empty], FAST, QUAD)
+
+
+def test_trace_numbers_evaluations_within_each_step():
+    calls = []
+
+    def logged(x):
+        calls.append(float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2))
+        return calls[-1]
+
+    cfg = CalibrationConfig(max_iter=40, restarts=2, seed=3)
+    trace = []
+    _nelder_mead(lambda x: 1.0, [0.0, 0.0], _Box([(-1, 1), (-1, 1)]), cfg,
+                 trace, "step1")
+    _nelder_mead(logged, [0.5, 0.5], _Box([(-1, 1), (-1, 1)]), cfg, trace,
+                 "step2")
+    step2 = [t for t in trace if t["step"] == "step2"]
+    assert len(step2) > 3
+    for entry in step2:
+        assert calls[entry["eval"]] == entry["objective"]
 
 
 def test_config_validation():

@@ -1,11 +1,18 @@
 """End-to-end CLI tests: every subcommand plus exit codes and the
 config-file override path."""
 
+import csv
 import json
+import math
 
 import pytest
 
+from mssv import (HiddenState, ModelParams, QuadratureConfig, SpxOptionSpec,
+                  VixOptionSpec, price_heston_call_batch, price_spx, price_vix,
+                  price_vix_heston_strike_batch)
 from mssv.cli import main
+
+from .conftest import FITTED, FITTED_HESTON
 
 PARAM_FLAGS = ["--kappa", "3.58", "--theta", "0.021", "--sigma", "0.347",
                "--rho", "-1", "--epsilon", "0.0096", "--w3-eps", "0.015",
@@ -127,3 +134,76 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "dev/se" in out
     assert "points outside 3 SE" in out
+
+
+def test_imvol_surface_writes_nan_where_inversion_fails(tmp_path, capsys):
+    # SPX K = 2200 prices at -1.84; the VIX K = 10 price has no normal vol
+    out = [tmp_path / n for n in ("c.csv", "u.csv", "d.csv")]
+    for flags, bad, good in (
+            (["--kind", "spx", "--x", "2000", "--strikes", "2000,2200",
+              "--taus", "0.0822"], "2200", "2000"),
+            (["--kind", "vix", "--strikes", "10,20", "--taus", "0.02"],
+             "10", "20")):
+        rc = main(["imvol-surface", *PARAM_FLAGS, *STATE_FLAGS, *flags,
+                   "--out-corrected", str(out[0]),
+                   "--out-uncorrected", str(out[1]),
+                   "--out-diff", str(out[2])])
+        assert rc == 0
+        rows = dict(line.split(",")
+                    for line in out[0].read_text().splitlines()[1:])
+        assert rows[bad] == "nan"
+        assert math.isfinite(float(rows[good]))
+
+
+def _parity_prices(model):
+    """Each quote's price under one model, puts by parity (abs_tol 1e-12)."""
+    quad = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    x, r, vix_tau, spx_tau = 2000.0, FITTED["r"], 30 / 365, 73 / 365
+    if model == "msv":
+        params, state = ModelParams(**FITTED), HiddenState(0.0234, 0.0194)
+        vix = [price_vix(VixOptionSpec(20.0, vix_tau, c), state, params,
+                         quad).total for c in (True, False)]
+        spx = [price_spx(SpxOptionSpec(x, 2000.0, spx_tau, c), state, params,
+                         quad).total for c in (True, False)]
+        return vix + spx
+    h = FITTED_HESTON
+    call, fwd = (price_vix_heston_strike_batch(
+        [k], vix_tau, 0.04, h["kappa"], h["theta"], h["sigma"], r, quad)[0]
+        for k in (20.0, 0.0))
+    spx = price_heston_call_batch(x, [2000.0], spx_tau, r, h["kappa"],
+                                  h["theta"], h["sigma"], h["rho"], 0.04,
+                                  quad)[0]
+    return [call, call - fwd + 20.0 * math.exp(-r * vix_tau),
+            spx, spx - x + 2000.0 * math.exp(-r * spx_tau)]
+
+
+def test_error_report_prices_puts_by_parity_for_both_models(tmp_path, capsys):
+    (tmp_path / "heston.json").write_text(json.dumps({
+        "model": "heston", "params": {**FITTED_HESTON, "r": FITTED["r"]},
+        "states": [{"date": "2016-01-05", "z": 0.04}]}))
+    (tmp_path / "msv.json").write_text(json.dumps({
+        "model": "msv", "params": FITTED,
+        "states": [{"date": "2016-01-05", "y": 0.0234, "z": 0.0194}]}))
+    for model, column in (("heston", "total:heston"), ("msv", "total:ours")):
+        prices = _parity_prices(model)
+        rows = [("VIX", "call", 20, "2016-02-04", 19.9),
+                ("VIX", "put", 20, "2016-02-04", 19.9),
+                ("SPX", "call", 2000, "2016-03-18", 2000),
+                ("SPX", "put", 2000, "2016-03-18", 2000)]
+        quotes = tmp_path / f"{model}_quotes.csv"
+        quotes.write_text(
+            "date,underlying,type,strike,expiry,price,volume,underlying_close\n"
+            + "".join(f"2016-01-05,{u},{t},{k},{e},{p!r},100,{c}\n"
+                      for (u, t, k, e, c), p in zip(rows, prices)))
+        table = tmp_path / f"{model}_errors.csv"
+        rc = main(["error-report", "--quotes", str(quotes), "--no-filters",
+                   "--heston-result", str(tmp_path / "heston.json"),
+                   "--msv-result", str(tmp_path / "msv.json"),
+                   "--out", str(table), "--abs-tol", "1e-12",
+                   "--rel-tol", "1e-12"])
+        assert rc == 0
+        lines = list(csv.reader(table.read_text().splitlines()))
+        for row in lines[1:]:
+            if row[1] == "mean":
+                total = float(row[lines[0].index(column)])
+                assert total == pytest.approx(0.0, abs=1e-9), (model, row[0])

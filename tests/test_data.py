@@ -164,6 +164,21 @@ def test_synthetic_round_trip(tmp_path, params):
     assert len(sl.vix_quotes) + len(sl.spx_quotes) == len(quotes)
 
 
+def test_date_slices_reject_disagreeing_closes():
+    quotes = [_q(), _q(strike=22.0, level=19.6)]
+    with pytest.raises(DataError):
+        to_date_slices(quotes)
+    # each underlying keeps its own close
+    assert to_date_slices([_q(), _q(und="SPX", strike=1900.0, level=2000.0)])
+
+
+def test_date_slices_reject_duplicate_quotes():
+    with pytest.raises(DataError):
+        to_date_slices([_q(), _q(price=1.6)])
+    # a put at the same strike is another quote
+    assert to_date_slices([_q(), _q(typ="put")])
+
+
 def test_quote_validation():
     with pytest.raises(ValueError):
         _q(price=-1.0)

@@ -12,7 +12,7 @@ from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
                   simulate_variance_terminal, spectral_coefficient)
 from mssv.mc import expected_y, expected_z, variance_z
 
-from .conftest import FITTED
+from .conftest import FITTED, MC_JOBS
 
 PATHS = 200_000
 
@@ -24,7 +24,7 @@ def _mp(params=None, eta=-1.0):
 def test_factor_moments_match_closed_forms(params, state_high_y):
     mp = _mp(params)
     tau = 30 / 365
-    cfg = McConfig(paths=PATHS, seed=11, steps_per_eps=10)
+    cfg = McConfig(paths=PATHS, seed=11, steps_per_eps=10, n_jobs=MC_JOBS)
     yt, zt = simulate_variance_terminal(mp, state_high_y, tau, cfg)
     n = math.sqrt(len(yt))
     assert abs(yt.mean() - expected_y(tau, state_high_y, params)) \
@@ -39,7 +39,7 @@ def test_factor_moments_match_closed_forms(params, state_high_y):
 
 def test_discounted_martingale(params, state_high_y):
     mp = _mp(params)
-    cfg = McConfig(paths=PATHS, seed=12, steps_per_eps=10)
+    cfg = McConfig(paths=PATHS, seed=12, steps_per_eps=10, n_jobs=MC_JOBS)
     xt, _, _ = simulate_terminal(mp, state_high_y, 2000.0, 0.25, cfg)
     disc = math.exp(-params.r * 0.25)
     se = disc * xt.std() / math.sqrt(len(xt))
@@ -48,7 +48,7 @@ def test_discounted_martingale(params, state_high_y):
 
 def test_zero_strike_recovers_spot(params, state_high_y):
     mp = _mp(params)
-    cfg = McConfig(paths=PATHS, seed=13, steps_per_eps=10)
+    cfg = McConfig(paths=PATHS, seed=13, steps_per_eps=10, n_jobs=MC_JOBS)
     est = mc_price_spx_strikes(mp, state_high_y, 2000.0, [0.0], 0.25, cfg)[0]
     assert est.within(2000.0, 3.0)
 
@@ -117,7 +117,8 @@ def test_split_invariance_within_tolerance(params, state_high_y):
     # two (eta, nu) splits with the same w3_eps price identically up to
     # the approximation order: 3 SE plus O(epsilon) slack
     tau = 0.25
-    cfg = McConfig(paths=150_000, seed=21, steps_per_eps=10)
+    cfg = McConfig(paths=150_000, seed=21, steps_per_eps=10,
+                   n_jobs=MC_JOBS)
     a = mc_price_spx_strikes(_mp(params, eta=-1.0), state_high_y, 2000.0,
                              [2000.0], tau, cfg)[0]
     b = mc_price_spx_strikes(_mp(params, eta=-0.5), state_high_y, 2000.0,
@@ -164,7 +165,8 @@ def test_dt_halving_stability_at_oracle_scale(params, state_high_y):
     vix = []
     spx = []
     for spe in (10, 20):
-        cfg = McConfig(paths=1_000_000, seed=31, steps_per_eps=spe)
+        cfg = McConfig(paths=1_000_000, seed=31, steps_per_eps=spe,
+                       n_jobs=MC_JOBS)
         vix.append(mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg)[0])
         spx.append(mc_price_spx_strikes(mp, state_high_y, 2000.0, [2000.0],
                                         tau, cfg)[0])

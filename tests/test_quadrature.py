@@ -71,3 +71,16 @@ def test_tail_doubling_gives_up_on_fat_tails():
         integrate_with_tail_doubling(lambda x: 1.0 / (1.0 + x * x), 1.0,
                                      abs_tol=1e-12, rel_tol=1e-10,
                                      max_nodes=1_000_000, max_doublings=3)
+
+
+def test_node_count_includes_breakpoint_panels():
+    seen = {"n": 0}
+
+    def f(x):
+        seen["n"] += len(x)
+        return np.abs(x - 0.3)
+
+    _, _, nodes = integrate(f, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12,
+                            breakpoints=np.linspace(0.01, 0.99, 50))
+    assert nodes == seen["n"]
+    assert nodes >= (8 + 50) * 15

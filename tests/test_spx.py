@@ -8,8 +8,7 @@ import pytest
 
 from mssv import (CharFnOverflowError, ModelParams,
                   QuadratureConfig, SpxOptionSpec, char_fn_G, char_fn_terms,
-                  correction_factors, price_heston_call, price_spx_call,
-                  price_spx_put)
+                  correction_factors, price_heston_call_batch, price_spx)
 from mssv.spx import effective_heston
 
 from .conftest import FITTED
@@ -69,8 +68,8 @@ def test_correction_factors_match_integral_definitions(params):
 def test_correction_eta_scaling(params, state_high_y):
     # the correction is exactly linear in w3_eps
     spec = SpxOptionSpec(x=2000.0, strike=2100.0, tau=0.25)
-    base = price_spx_call(spec, state_high_y, params)
-    doubled = price_spx_call(
+    base = price_spx(spec, state_high_y, params)
+    doubled = price_spx(
         spec, state_high_y,
         ModelParams(**{**FITTED, "w3_eps": 2 * FITTED["w3_eps"]}))
     assert doubled.correction == pytest.approx(2 * base.correction, rel=1e-9)
@@ -79,7 +78,7 @@ def test_correction_eta_scaling(params, state_high_y):
 
 def test_zero_w3_kills_correction(params, state_high_y):
     p0 = ModelParams(**{**FITTED, "w3_eps": 0.0})
-    d = price_spx_call(SpxOptionSpec(2000.0, 2000.0, 0.25), state_high_y, p0)
+    d = price_spx(SpxOptionSpec(2000.0, 2000.0, 0.25), state_high_y, p0)
     assert d.correction == 0.0
 
 
@@ -90,25 +89,25 @@ def test_heston_reduction(params, state_high_y):
     ke, te, se, re_ = effective_heston(p0)
     for strike in (1800.0, 2000.0, 2200.0):
         spec = SpxOptionSpec(2000.0, strike, 0.25)
-        mine = price_spx_call(spec, state_high_y, p0).total
-        ref = price_heston_call(2000.0, strike, 0.25, p0.r, ke, te, se, re_,
-                                2 * state_high_y.z)
+        mine = price_spx(spec, state_high_y, p0).total
+        ref = price_heston_call_batch(2000.0, [strike], 0.25, p0.r, ke, te,
+                                      se, re_, 2 * state_high_y.z)[0]
         assert mine == pytest.approx(ref, rel=1e-12)
 
 
 def test_price_homogeneity(params, state_high_y):
     lam = 2.0
-    a = price_spx_call(SpxOptionSpec(2000.0, 2100.0, 0.25), state_high_y, params)
-    b = price_spx_call(SpxOptionSpec(lam * 2000.0, lam * 2100.0, 0.25),
-                       state_high_y, params)
+    a = price_spx(SpxOptionSpec(2000.0, 2100.0, 0.25), state_high_y, params)
+    b = price_spx(SpxOptionSpec(lam * 2000.0, lam * 2100.0, 0.25),
+                  state_high_y, params)
     assert b.total == pytest.approx(lam * a.total, rel=1e-10)
 
 
 def test_put_call_parity(params, state_high_y):
     spec_c = SpxOptionSpec(2000.0, 2050.0, 0.25, is_call=True)
     spec_p = SpxOptionSpec(2000.0, 2050.0, 0.25, is_call=False)
-    call = price_spx_call(spec_c, state_high_y, params)
-    put = price_spx_put(spec_p, state_high_y, params)
+    call = price_spx(spec_c, state_high_y, params)
+    put = price_spx(spec_p, state_high_y, params)
     lhs = call.total - put.total
     rhs = 2000.0 - 2050.0 * math.exp(-params.r * 0.25)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -118,8 +117,8 @@ def test_put_call_parity(params, state_high_y):
 
 def test_deep_itm_put_asymptote(params, state_high_y):
     strike = 20000.0
-    put = price_spx_put(SpxOptionSpec(2000.0, strike, 0.25, is_call=False),
-                        state_high_y, params)
+    put = price_spx(SpxOptionSpec(2000.0, strike, 0.25, is_call=False),
+                    state_high_y, params)
     bound = strike * math.exp(-params.r * 0.25) - 2000.0
     assert put.total == pytest.approx(bound, abs=1e-4)
     assert put.total >= bound - 1e-10
@@ -128,8 +127,8 @@ def test_deep_itm_put_asymptote(params, state_high_y):
 def test_intrinsic_lower_bound(params, state_high_y):
     quad = QuadratureConfig()
     for strike in (1500.0, 1800.0, 2000.0):
-        d = price_spx_call(SpxOptionSpec(2000.0, strike, 0.25), state_high_y,
-                           params, quad)
+        d = price_spx(SpxOptionSpec(2000.0, strike, 0.25), state_high_y,
+                      params, quad)
         intrinsic = max(2000.0 - strike * math.exp(-params.r * 0.25), 0.0)
         assert d.leading >= intrinsic - quad.abs_tol * strike
 
@@ -141,8 +140,8 @@ def test_monotone_and_convex_in_strike(params, state_high_y):
     quad = QuadratureConfig()
     strikes = np.linspace(1760.0, 2240.0, 17)
     prices = np.array([
-        price_spx_call(SpxOptionSpec(2000.0, k, 0.25), state_high_y, params,
-                       quad).total
+        price_spx(SpxOptionSpec(2000.0, k, 0.25), state_high_y, params,
+                  quad).total
         for k in strikes
     ])
     tol = quad.abs_tol * strikes.max()
@@ -151,10 +150,10 @@ def test_monotone_and_convex_in_strike(params, state_high_y):
 
 
 def test_short_maturity_warning(params, state_high_y):
-    d = price_spx_call(SpxOptionSpec(2000.0, 2000.0, 0.5 / 365), state_high_y,
-                       params)
+    d = price_spx(SpxOptionSpec(2000.0, 2000.0, 0.5 / 365), state_high_y,
+                  params)
     assert d.short_maturity_warning
-    d2 = price_spx_call(SpxOptionSpec(2000.0, 2000.0, 0.1), state_high_y, params)
+    d2 = price_spx(SpxOptionSpec(2000.0, 2000.0, 0.1), state_high_y, params)
     assert not d2.short_maturity_warning
 
 

@@ -9,10 +9,11 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import ncx2 as scipy_ncx2
 
-from mssv import (HiddenState, ModelParams, Ncx2Params, VixOptionSpec,
-                  ncx2_pdf, payoff_h0, payoff_h1star, price_vix_call,
-                  price_vix_call_heston, price_vix_put, price_vix_put_heston,
-                  vix_forward, vix_weights)
+from mssv import (HiddenState, ModelParams, Ncx2Params, QuadratureConfig,
+                  QuadratureError, Quote, VixOptionSpec, ncx2_pdf, payoff_h0,
+                  payoff_h1star, price_quotes, price_vix,
+                  price_vix_heston_strike_batch, price_vix_strike_batch,
+                  vix_weights)
 from mssv.model import TAU0
 
 from .conftest import FITTED
@@ -133,7 +134,7 @@ def test_payoff_h1star_against_expansion_rederivation(params, state_high_y):
 
 
 def test_price_monotone_in_strike(params, state_high_y):
-    prices = [price_vix_call(VixOptionSpec(k, TAU0), state_high_y, params).total
+    prices = [price_vix(VixOptionSpec(k, TAU0), state_high_y, params).total
               for k in (15.0, 20.0, 25.0)]
     assert prices[0] > prices[1] > prices[2] > 0
 
@@ -141,7 +142,7 @@ def test_price_monotone_in_strike(params, state_high_y):
 def test_price_convex_nonincreasing_grid(params, state_low_y):
     strikes = np.arange(14.0, 30.0, 1.0)
     prices = np.array([
-        price_vix_call(VixOptionSpec(k, TAU0), state_low_y, params).total
+        price_vix(VixOptionSpec(k, TAU0), state_low_y, params).total
         for k in strikes
     ])
     assert np.all(np.diff(prices) <= 1e-8)
@@ -152,26 +153,33 @@ def test_correction_increases_in_y_when_transient_alive(params):
     # d P_v1 / d y > 0 while tau/eps <= 5
     tau = 5 * params.epsilon
     z = 0.02
-    lo = price_vix_call(VixOptionSpec(20.0, tau), HiddenState(y=0.015, z=z),
-                        params).correction
-    hi = price_vix_call(VixOptionSpec(20.0, tau), HiddenState(y=0.030, z=z),
-                        params).correction
+    lo = price_vix(VixOptionSpec(20.0, tau), HiddenState(y=0.015, z=z),
+                   params).correction
+    hi = price_vix(VixOptionSpec(20.0, tau), HiddenState(y=0.030, z=z),
+                   params).correction
     assert hi > lo
 
 
+def _call_put_zero(strike, calls, r):
+    """The call and put at strike and the K = 0 call, in one batch."""
+    return price_quotes([Quote(strike, TAU0, True, math.nan),
+                         Quote(strike, TAU0, False, math.nan),
+                         Quote(0.0, TAU0, True, math.nan)], calls, r)
+
+
 def test_forward_and_put_parity(params, state_high_y):
-    spec = VixOptionSpec(22.0, TAU0)
-    call = price_vix_call(spec, state_high_y, params)
-    put = price_vix_put(spec, state_high_y, params)
-    fwd = vix_forward(TAU0, state_high_y, params)
+    call, put, zero = _call_put_zero(
+        22.0, lambda ks, tau: price_vix_strike_batch(ks, tau, state_high_y,
+                                                     params), params.r)
+    fwd = zero.total * math.exp(params.r * TAU0)
     disc = math.exp(-params.r * TAU0)
     assert call.total - put.total == pytest.approx(disc * (fwd - 22.0), abs=1e-10)
     assert put.total > 0
 
 
 def test_zero_strike_call_is_discounted_forward(params, state_high_y):
-    zero = price_vix_call(VixOptionSpec(0.0, TAU0), state_high_y, params)
-    fwd = vix_forward(TAU0, state_high_y, params)
+    zero = price_vix(VixOptionSpec(0.0, TAU0), state_high_y, params)
+    fwd = zero.total * math.exp(params.r * TAU0)
     assert zero.total == pytest.approx(fwd * math.exp(-params.r * TAU0),
                                        rel=1e-12)
     # sanity: forward sits near the current VIX level
@@ -179,10 +187,10 @@ def test_zero_strike_call_is_discounted_forward(params, state_high_y):
 
 
 def test_uncorrected_price_depends_on_z_only(params):
-    a = price_vix_call(VixOptionSpec(20.0, TAU0), HiddenState(y=0.01, z=0.02),
-                       params, include_correction=False)
-    b = price_vix_call(VixOptionSpec(20.0, TAU0), HiddenState(y=0.09, z=0.02),
-                       params, include_correction=False)
+    a = price_vix(VixOptionSpec(20.0, TAU0), HiddenState(y=0.01, z=0.02),
+                  params, include_correction=False)
+    b = price_vix(VixOptionSpec(20.0, TAU0), HiddenState(y=0.09, z=0.02),
+                  params, include_correction=False)
     assert a.total == b.total
     assert a.correction == 0.0
 
@@ -190,17 +198,22 @@ def test_uncorrected_price_depends_on_z_only(params):
 def test_heston_vix_pricer_monotone_and_parity():
     kappa, theta, sigma, r = 3.43, 0.04, 0.424, 0.02
     z = 0.04
-    prices = [price_vix_call_heston(VixOptionSpec(k, TAU0), z, kappa, theta,
-                                    sigma, r) for k in (15.0, 20.0, 25.0)]
+    prices = [price_vix_heston_strike_batch([k], TAU0, z, kappa, theta, sigma,
+                                            r)[0] for k in (15.0, 20.0, 25.0)]
     assert prices[0] > prices[1] > prices[2] > 0
-    call = price_vix_call_heston(VixOptionSpec(20.0, TAU0), z, kappa, theta,
-                                 sigma, r)
-    put = price_vix_put_heston(VixOptionSpec(20.0, TAU0), z, kappa, theta,
-                               sigma, r)
-    fwd = price_vix_call_heston(VixOptionSpec(0.0, TAU0), z, kappa, theta,
-                                sigma, r)
+    call, put, fwd = (d.total for d in _call_put_zero(
+        20.0, lambda ks, tau: price_vix_heston_strike_batch(
+            ks, tau, z, kappa, theta, sigma, r), r))
     assert call - put == pytest.approx(fwd - math.exp(-r * TAU0) * 20.0,
                                        abs=1e-10)
+
+
+def test_node_budget_below_breakpoint_panels_raises(params, state_high_y):
+    # 50 strikes put 50 kinks into the core integral: 58 panels, 870 nodes
+    strikes = np.linspace(15.0, 30.0, 50)
+    with pytest.raises(QuadratureError):
+        price_vix_strike_batch(strikes, TAU0, state_high_y, params,
+                               QuadratureConfig(max_nodes=500))
 
 
 def test_spec_validation():
