@@ -60,10 +60,9 @@ class OptionQuote:
             raise ValueError(f"unknown underlying {self.underlying_kind!r}")
         if self.option_type not in ("call", "put"):
             raise ValueError(f"unknown option type {self.option_type!r}")
-        if self.mid_price <= 0:
-            raise ValueError(f"mid_price must be positive, got {self.mid_price}")
-        if self.volume < 0:
-            raise ValueError(f"volume must be non-negative, got {self.volume}")
+        nums = (self.strike, self.volume, self.mid_price, self.underlying_level)
+        if not all(map(math.isfinite, nums)) or min(nums[:2]) < 0 or min(nums[2:]) <= 0:
+            raise ValueError(f"need finite strike, volume >= 0, price, close > 0: {nums}")
         if self.expiry_date <= self.trade_date:
             raise ValueError(
                 f"expiry {self.expiry_date} not after trade date {self.trade_date}"

@@ -175,8 +175,9 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     single option.  Returns (leading[], correction[]).
     """
     strikes = [float(k) for k in strikes]
-    if x <= 0 or tau <= 0 or min(strikes) <= 0 or abs(rho_e) > 1.0:
-        raise DomainError("need positive spot, strikes and tau, |rho| <= 1")
+    if not all(map(math.isfinite, [x, tau, *strikes])) or x <= 0 or tau <= 0 \
+            or min(strikes) <= 0 or abs(rho_e) > 1.0:
+        raise DomainError("need finite positive spot, strikes and tau, |rho| <= 1")
     alpha = quad.contour_shift
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
@@ -68,6 +68,23 @@ class Ncx2Params:
                    lam=z * decay / delta, delta=delta)
 
 
+def _log_sum_exp(a):
+    """scipy 1.17's logsumexp(a, axis=0) step for step, so bit for bit;
+    overwrites a.  The sum runs down axis 0 of the C-ordered array: a
+    last-axis sum would be pairwise and round differently."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=0, keepdims=True)
+        top = a == a_max
+        m = top.sum(axis=0, keepdims=True, dtype=float)
+        a[top] = -np.inf
+        s = np.exp(a - a_max).sum(axis=0, keepdims=True)
+        out = (np.log1p(s / m) + np.log(m) + a_max)[0]
+        bad = ~np.isfinite(out)  # scipy's fallback: the direct formula
+        if bad.any():
+            out[bad] = np.log(np.exp(np.where(top, a_max, a)).sum(axis=0))[bad]
+    return out
+
+
 def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     """Non-central chi-square density via its Poisson mixture of central
     chi-square densities, each term evaluated in log space.
@@ -99,7 +116,7 @@ def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
                 - zp[None, :] / 2.0
                 - m_half[:, None] * math.log(2.0)
                 - gammaln(m_half)[:, None])
-    out[pos] = np.exp(logsumexp(log_chi2 + log_pois[:, None], axis=0))
+    out[pos] = np.exp(_log_sum_exp(log_chi2 + log_pois[:, None]))
     if np.any(zeta == 0.0):
         at0 = math.inf if params.dof < 2.0 else 0.0
         if params.dof == 2.0:
@@ -108,23 +125,44 @@ def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     return float(out[0]) if scalar else out
 
 
-def _sqrt_call_payoff(v, slope, intercept, strike):
-    """(100*sqrt(slope*v + intercept) - K)+ gated at its kink threshold."""
-    v = np.asarray(v, dtype=float)
-    vstar = ((strike / 100.0) ** 2 - intercept) / slope
-    gate = v >= vstar
-    out = np.zeros_like(v)
-    out[gate] = 100.0 * np.sqrt(slope * v[gate] + intercept) - strike
-    return np.maximum(out, 0.0), vstar
+def _payoff_block(strikes, slope, intercept, numer=None):
+    """(kinks, rows) of a strike grid: K pays (100*sqrt(slope*v + intercept) - K)+
+    once v reaches its kink; rows(v) is one block of every strike's leading
+    row, then, given the strike-free numer(v), every strike's correction row."""
+    kinks = np.array([((k / 100.0) ** 2 - intercept) / slope for k in strikes])
+    gates, ks = kinks[:, None], np.array(strikes, dtype=float)[:, None]
+
+    def rows(v):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(slope * v + intercept)
+            gate = v >= gates
+            block = np.maximum(np.where(gate, 100.0 * root - ks, 0.0), 0.0)
+            if numer is None:
+                return block
+            return np.concatenate(
+                [block, np.where(gate, 100.0 * numer(v) / (4.0 * root), 0.0)])
+    return kinks, rows
+
+
+def _correction_numer(v, state, tau, params, w):
+    transient = math.exp(-tau / params.epsilon) if tau / params.epsilon < 745 else 0.0
+    return (2.0 * transient * w.a1 * (state.y - state.z)
+            + params.kappa * params.epsilon * w.a2_star * (v - params.theta))
+
+
+def _strike_row(v, strike, params, w, numer=None):
+    """One strike's last row of the density pass's payoff block at v."""
+    _, rows = _payoff_block([float(strike)], w.a2_star,
+                            (1.0 + w.a4_star) * params.theta, numer)
+    row = rows(np.ravel(np.asarray(v, dtype=float)))[-1]
+    return row.reshape(np.shape(v)) if np.ndim(v) else float(row[0])
 
 
 def payoff_h0(v, params: ModelParams, strike: float,
               weights: VixWeights | None = None):
     """Leading VIX call payoff as a function of the slow-factor value v."""
     w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    out, _ = _sqrt_call_payoff(v, w.a2_star, (1.0 + w.a4_star) * params.theta,
-                               strike)
-    return out if np.ndim(v) else float(out)
+    return _strike_row(v, strike, params, w)
 
 
 def payoff_h1star(v, state: HiddenState, tau: float, params: ModelParams,
@@ -137,16 +175,8 @@ def payoff_h1star(v, state: HiddenState, tau: float, params: ModelParams,
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
     w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    v = np.asarray(v, dtype=float)
-    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
-    vstar = ((strike / 100.0) ** 2 - intercept) / slope
-    gate = v >= vstar
-    transient = math.exp(-tau / params.epsilon) if tau / params.epsilon < 745 else 0.0
-    numer = (2.0 * transient * w.a1 * (state.y - state.z)
-             + params.kappa * params.epsilon * w.a2_star * (v - params.theta))
-    out = np.zeros_like(v)
-    out[gate] = 100.0 * numer[gate] / (4.0 * np.sqrt(slope * v[gate] + intercept))
-    return out if np.ndim(v) else float(out)
+    return _strike_row(v, strike, params, w,
+                       lambda u: _correction_numer(u, state, tau, params, w))
 
 
 def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
@@ -190,35 +220,28 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
 
 
 def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
-                  quad, correction=None):
+                  quad, numer=None):
     """Call decompositions for a strike grid in one density pass.
 
     The slow factor is the CIR (kappa, theta, sigma) process started at
     z, and a strike K pays (100*sqrt(slope*v + intercept) - K)+ in its
-    value v; correction(v, K), if given, is K's correction payoff.  The
-    non-central chi-square density dominates the cost and is shared by
-    every strike; each strike contributes its own gated payoff rows.
+    value v; numer(v), if given, adds correction rows (`_payoff_block`).
+    The non-central chi-square density dominates the cost and is shared
+    by every strike.
     """
     strikes = [float(k) for k in strikes]
     if not strikes:
         return []
-    if min(strikes) < 0:
-        raise DomainError(f"strikes must be non-negative, got {min(strikes)}")
+    if not all(map(math.isfinite, [z, tau, *strikes])) or min(strikes) < 0:
+        raise DomainError(f"need finite z, tau and strikes >= 0 (z {z}, tau {tau})")
     ncx2 = Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
-
-    def rows(v):
-        parts = [_sqrt_call_payoff(v, slope, intercept, k)[0] for k in strikes]
-        if correction is not None:
-            parts += [correction(v, k) for k in strikes]
-        return np.stack(parts)
-
-    kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
+    kinks, rows = _payoff_block(strikes, slope, intercept, numer)
     vals, _ = _integrate_payoff(rows, ncx2, min(kinks), quad, kinks=kinks)
     disc = math.exp(-r * tau)
     n = len(strikes)
     return [PriceDecomposition(
         leading=disc * float(vals[i]),
-        correction=disc * float(vals[n + i]) if correction is not None else 0.0)
+        correction=disc * float(vals[n + i]) if numer is not None else 0.0)
         for i in range(n)]
 
 
@@ -233,14 +256,11 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
     "uncorrected" surface), which depends on z only.
     """
     w = vix_weights(params.kappa, params.epsilon)
-
-    def correction(v, strike):
-        return payoff_h1star(v, state, tau, params, strike, w)
-
+    numer = (lambda v: _correction_numer(v, state, tau, params, w)) \
+        if include_correction else None
     return _density_pass(strikes, tau, state.z, params.kappa, params.theta,
                          params.sigma, params.r, w.a2_star,
-                         (1.0 + w.a4_star) * params.theta, quad,
-                         correction if include_correction else None)
+                         (1.0 + w.a4_star) * params.theta, quad, numer)
 
 
 def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,

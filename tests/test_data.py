@@ -47,6 +47,24 @@ def test_load_rejects_with_reasons(tmp_path):
     assert rejects[0].line == 2
 
 
+def test_load_rejects_non_finite_and_out_of_range_numbers(tmp_path):
+    p = tmp_path / "q.csv"
+    good = "2016-01-05,VIX,call,20,2016-02-05,1.5,100,19.5\n"
+    bad = ["2016-01-05,VIX,call,nan,2016-02-05,1.5,100,19.5\n",   # strike
+           "2016-01-05,VIX,call,-5,2016-02-05,1.5,100,19.5\n",    # strike
+           "2016-01-05,VIX,call,inf,2016-02-05,1.5,100,19.5\n",   # strike
+           "2016-01-05,VIX,call,20,2016-02-05,nan,100,19.5\n",    # price
+           "2016-01-05,VIX,call,20,2016-02-05,1.5,nan,19.5\n",    # volume
+           "2016-01-05,VIX,call,20,2016-02-05,1.5,100,nan\n",     # close
+           "2016-01-05,VIX,call,20,2016-02-05,1.5,100,0\n",       # close
+           "2016-01-05,SPX,put,1900,2016-03-05,12.25,300,-2000\n"]  # close
+    p.write_text(HEADER + good + "".join(bad))
+    quotes, rejects = load_quotes(p)
+    assert len(quotes) == 1 and quotes[0].strike == 20.0
+    assert [r.line for r in rejects] == list(range(3, 3 + len(bad)))
+    assert all(r.reason for r in rejects)
+
+
 def test_load_empty_with_header(tmp_path):
     p = tmp_path / "q.csv"
     p.write_text(HEADER)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mssv import (CharFnOverflowError, ModelParams,
+import mssv.spx
+from mssv import (CharFnOverflowError, DomainError, ModelParams,
                   QuadratureConfig, SpxOptionSpec, char_fn_G, char_fn_terms,
-                  correction_factors, price_heston_call_batch, price_spx)
+                  correction_factors, price_heston_call_batch, price_spx,
+                  price_spx_strike_batch)
 from mssv.spx import effective_heston
 
 from .conftest import FITTED
@@ -155,6 +157,28 @@ def test_short_maturity_warning(params, state_high_y):
     assert d.short_maturity_warning
     d2 = price_spx(SpxOptionSpec(2000.0, 2000.0, 0.1), state_high_y, params)
     assert not d2.short_maturity_warning
+
+
+@pytest.mark.parametrize("strikes", ([math.nan, 2000.0], [2000.0, math.nan],
+                                     [2000.0, math.inf]))
+def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
+                                                  state_high_y, strikes):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a non-finite input")
+
+    monkeypatch.setattr(mssv.spx, "integrate_with_tail_doubling",
+                        no_quadrature)
+    two_factor = lambda x, ks, tau: price_spx_strike_batch(
+        x, ks, tau, state_high_y, params)
+    benchmark = lambda x, ks, tau: price_heston_call_batch(
+        x, ks, tau, 0.02, 3.43, 0.04, 0.424, -1.0, 0.04)
+    for price in (two_factor, benchmark):
+        with pytest.raises(DomainError):
+            price(2000.0, strikes, 0.1)
+        with pytest.raises(DomainError):
+            price(math.nan, [2000.0], 0.1)
+        with pytest.raises(DomainError):
+            price(2000.0, [2000.0], math.inf)
 
 
 def test_spec_validation():

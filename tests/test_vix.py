@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import ncx2 as scipy_ncx2
 
-from mssv import (HiddenState, ModelParams, Ncx2Params, QuadratureConfig,
-                  QuadratureError, Quote, VixOptionSpec, ncx2_pdf, payoff_h0,
-                  payoff_h1star, price_quotes, price_vix,
-                  price_vix_heston_strike_batch, price_vix_strike_batch,
-                  vix_weights)
+import mssv.vix
+from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
+                  QuadratureConfig, QuadratureError, Quote, VixOptionSpec,
+                  heston_star_weights, ncx2_pdf, payoff_h0, payoff_h1star,
+                  price_quotes, price_vix, price_vix_heston_strike_batch,
+                  price_vix_strike_batch, vix_weights)
 from mssv.model import TAU0
 
 from .conftest import FITTED
@@ -67,6 +69,39 @@ def test_ncx2_negative_and_zero_arguments():
     assert ncx2_pdf(0.0, p) == 0.0  # dof > 2
     p_low = Ncx2Params(dof=1.0, lam=3.0, delta=1.0)
     assert math.isinf(ncx2_pdf(0.0, p_low))
+
+
+def _ncx2_pdf_by_scipy(zeta, p):
+    """ncx2_pdf's log-term matrix reduced by scipy.special.logsumexp."""
+    half = p.lam / 2.0
+    n_terms = (int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
+               if half > 0 else 1)
+    j = np.arange(n_terms)
+    log_pois = (-half + j * math.log(half) - gammaln(j + 1) if half > 0
+                else np.array([0.0]))
+    m_half = p.dof / 2.0 + j
+    out = np.zeros_like(zeta)
+    zp = zeta[zeta > 0]
+    log_chi2 = ((m_half[:, None] - 1.0) * np.log(zp)[None, :]
+                - zp[None, :] / 2.0
+                - m_half[:, None] * math.log(2.0)
+                - gammaln(m_half)[:, None])
+    out[zeta > 0] = np.exp(logsumexp(log_chi2 + log_pois[:, None], axis=0))
+    return out
+
+
+@pytest.mark.parametrize("dof", (0.3, 1.7, 2.0, 7.5, 31.0, 84.2))
+@pytest.mark.parametrize("lam", (0.0, 0.4, 9.0, 120.0, 500.0))
+def test_ncx2_pdf_bitwise_equals_scipy_logsumexp(dof, lam):
+    p = Ncx2Params(dof=dof, lam=lam, delta=1.0)
+    body = np.linspace(1e-3, dof + lam + 40.0 * math.sqrt(dof + 2 * lam), 300)
+    tail = (dof + lam) * np.array([5.0, 20.0, 1e3, 1e6]) + 50.0
+    zeta = np.concatenate([[0.0, 1e-300, 1e-30], body, tail])
+    mine = ncx2_pdf(zeta, p)
+    assert np.array_equal(mine[1:], _ncx2_pdf_by_scipy(zeta, p)[1:])
+    assert mine[-1] == 0.0  # the far tail underflows on both sides
+    assert mine[0] == (math.inf if dof < 2 else
+                       0.5 * math.exp(-lam / 2) if dof == 2 else 0.0)
 
 
 def test_payoff_h0_kink_and_floor(params):
@@ -131,6 +166,91 @@ def test_payoff_h1star_against_expansion_rederivation(params, state_high_y):
         ref = eps * 100.0 * numer / (2 * TAU0 * root) * (v >= vstar)
         assert payoff_h1star(v, state_high_y, tau, params, K) == \
             pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _pass_rows(monkeypatch, price, strikes):
+    """The payoff block function a strike-batch density pass builds."""
+    seen = []
+
+    def capture(rows, *args, **kwargs):
+        seen.append(rows)
+        return np.zeros(2 * len(strikes)), 0.0
+
+    monkeypatch.setattr(mssv.vix, "_integrate_payoff", capture)
+    price(strikes)
+    return seen[0]
+
+
+def _per_strike_rows(v, slope, intercept, strike, numer=None):
+    """The per-strike leading (and correction) payoff the block replaced."""
+    vstar = ((strike / 100.0) ** 2 - intercept) / slope
+    gate = v >= vstar
+    h0, h1 = np.zeros_like(v), np.zeros_like(v)
+    h0[gate] = 100.0 * np.sqrt(slope * v[gate] + intercept) - strike
+    if numer is not None:  # K = 0 at its own kink divides by a zero root
+        with np.errstate(divide="ignore"):
+            h1[gate] = 100.0 * numer[gate] / (4.0 * np.sqrt(slope * v[gate]
+                                                            + intercept))
+    return np.maximum(h0, 0.0), h1
+
+
+@pytest.mark.parametrize("epsilon", (0.0096, 1e-4))  # tau/eps 8.6 and 822
+def test_pass_payoff_block_equals_per_strike_payoffs(monkeypatch, epsilon,
+                                                     state_high_y):
+    params = ModelParams(**{**FITTED, "epsilon": epsilon})
+    w = vix_weights(params.kappa, params.epsilon)
+    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
+    strikes = [0.0, 12.5, 15.0, 20.0, 22.0, 35.0]
+    rows = _pass_rows(monkeypatch, lambda ks: price_vix_strike_batch(
+        ks, TAU0, state_high_y, params), strikes)
+    kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
+    v = np.concatenate([np.linspace(0.0, 0.3, 301)]
+                       + [np.nextafter(k, [-np.inf, k, np.inf]) for k in kinks])
+    block = rows(v)
+    n = len(strikes)
+    assert block.shape == (2 * n, len(v))
+    for i, k in enumerate(strikes):
+        h0 = payoff_h0(v, params, k)
+        h1 = payoff_h1star(v, state_high_y, TAU0, params, k)
+        assert np.array_equal(block[i], h0)
+        assert np.array_equal(block[n + i], h1)
+        transient = math.exp(-TAU0 / epsilon) if TAU0 / epsilon < 745 else 0.0
+        numer = (2.0 * transient * w.a1 * (state_high_y.y - state_high_y.z)
+                 + params.kappa * epsilon * w.a2_star * (v - params.theta))
+        ref0, ref1 = _per_strike_rows(v, slope, intercept, k, numer)
+        assert np.array_equal(h0, ref0) and np.array_equal(h1, ref1)
+        for j in (0, len(v) - 1, len(v) // 2):
+            assert payoff_h0(float(v[j]), params, k) == h0[j]
+            assert payoff_h1star(float(v[j]), state_high_y, TAU0, params,
+                                 k) == h1[j]
+    heston = _pass_rows(monkeypatch, lambda ks: price_vix_heston_strike_batch(
+        ks, TAU0, 0.04, 3.43, 0.04, 0.424, 0.02), strikes)(v)
+    b2, b4 = heston_star_weights(3.43)
+    assert heston.shape == (n, len(v))
+    for i, k in enumerate(strikes):
+        assert np.array_equal(heston[i],
+                              _per_strike_rows(v, b2, b4 * 0.04, k)[0])
+
+
+@pytest.mark.parametrize("strikes", ([math.nan, 20.0], [20.0, math.nan],
+                                     [20.0, math.inf]))
+def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
+                                                  state_high_y, strikes):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a non-finite input")
+
+    monkeypatch.setattr(mssv.vix, "integrate", no_quadrature)
+    two_factor = [lambda ks, tau, st: price_vix_strike_batch(
+        ks, tau, st, params, include_correction=c) for c in (True, False)]
+    benchmark = lambda ks, tau, st: price_vix_heston_strike_batch(
+        ks, tau, st.z, 3.43, 0.04, 0.424, 0.02)
+    for price in two_factor + [benchmark]:
+        with pytest.raises(DomainError):
+            price(strikes, TAU0, state_high_y)
+        with pytest.raises(DomainError):
+            price([20.0], math.nan, state_high_y)
+        with pytest.raises(DomainError):
+            price([20.0], TAU0, HiddenState(y=0.02, z=math.nan))
 
 
 def test_price_monotone_in_strike(params, state_high_y):
