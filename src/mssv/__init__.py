@@ -17,10 +17,9 @@ from .vix import (Ncx2Params, VixOptionSpec, ncx2_pdf, payoff_h0,
                   price_vix_strike_batch)
 from .impvol import (ImpliedVolPoint, bs_call_price, bs_implied_vol,
                      vix_normal_implied_vol, vix_normal_price)
-from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx,
-                 mc_price_spx_strikes, mc_price_vix, mc_price_vix_strikes,
-                 simulate_terminal, simulate_variance_terminal,
-                 spectral_coefficient)
+from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx_strikes,
+                 mc_price_vix_strikes, simulate_terminal,
+                 simulate_variance_terminal, spectral_coefficient)
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
                           Quote, calibrate_heston, calibrate_msv,
                           inner_state_fit, price_quotes, weighted_sse)

@@ -46,7 +46,8 @@ def _g(x: float) -> str:
 
 
 def read_config(path) -> dict:
-    """Flat KEY=value file; blank lines and # comments ignored."""
+    """Flat KEY=value file; blank lines and # comments ignored.  A key
+    that no subcommand reads is a data error."""
     out = {}
     try:
         with open(path) as fh:
@@ -60,16 +61,24 @@ def read_config(path) -> dict:
                 out[key.strip()] = val.strip()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    unknown = sorted(set(out) - _CONFIG_KEYS)
+    if unknown:
+        raise DataError(f"unknown config keys: {', '.join(unknown)}")
     return out
 
 
 _PARAM_KEYS = ("kappa", "theta", "sigma", "rho", "epsilon", "w3_eps", "r")
 _QUAD_KEYS = ("contour_shift", "truncation", "abs_tol", "rel_tol", "max_nodes")
-_MC_KEYS = ("paths", "seed", "steps_per_eps", "scheme")
+_MC_KEYS = ("paths", "seed", "steps_per_eps")
+#: every key _merged looks up, across all subcommands (one shared file)
+_CONFIG_KEYS = frozenset(_PARAM_KEYS + _QUAD_KEYS + _MC_KEYS + (
+    "x", "y", "z", "eta", "uncorrected_z", "max_iter", "restarts",
+    "state_seed"))
 
 
 def _merged(args, key, default=None, cast=float):
     """Flag value if given, else config value, else default."""
+    assert key in _CONFIG_KEYS, key
     val = getattr(args, key.replace("-", "_"), None)
     if val is not None:
         return val
@@ -103,10 +112,9 @@ def _quad_config(args) -> QuadratureConfig:
 def _mc_config(args) -> McConfig:
     kw = {}
     for key in _MC_KEYS:
-        cast = str if key == "scheme" else int
-        v = _merged(args, key, None, cast)
+        v = _merged(args, key, None, int)
         if v is not None:
-            kw[key] = cast(v)
+            kw[key] = v
     return McConfig(**kw)
 
 
@@ -322,7 +330,7 @@ def cmd_validate(args):
             lambda ks, t: price_spx_strike_batch(x, ks, t, state, params, quad),
             params.r, x)
         print(f"SPX tau={_g(tau)} x={_g(x)} paths={mc_cfg.paths} "
-              f"(scheme={mc_cfg.scheme}, eta={_g(mp.eta)}, nu={_g(mp.nu)})")
+              f"(eta={_g(mp.eta)}, nu={_g(mp.nu)})")
         failures += _print_mc_rows(spx_strikes, ests, analytic)
 
     vix_strikes = _floats(args.vix_strikes)
@@ -479,7 +487,6 @@ def build_parser() -> _Parser:
     vl.add_argument("--paths", type=int)
     vl.add_argument("--seed", type=int)
     vl.add_argument("--steps-per-eps", type=int, dest="steps_per_eps")
-    vl.add_argument("--scheme", choices=["exact", "euler"])
     vl.set_defaults(func=cmd_validate)
 
     ep = sub.add_parser("error-report",
@@ -512,8 +519,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._config = read_config(args.config) if getattr(args, "config", None) else {}
     try:
+        args._config = read_config(args.config) \
+            if getattr(args, "config", None) else {}
         return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -119,7 +119,17 @@ def load_quotes(path, schema: dict | None = None):
                    if mapping[c] not in reader.fieldnames]
         if missing:
             raise DataError(f"missing required columns: {missing}")
+        width = len(reader.fieldnames)
         for i, row in enumerate(reader, start=2):
+            # DictReader files a long row's surplus under the key None
+            # and pads a short row with None values
+            fields = (sum(v is not None for k, v in row.items() if k is not None)
+                      + len(row.get(None, ())))
+            if fields != width:
+                rejects.append(RejectedRow(
+                    line=i, reason=f"{fields} fields, header has {width}",
+                    raw=dict(row)))
+                continue
             try:
                 quotes.append(OptionQuote(
                     trade_date=dt.date.fromisoformat(row[mapping["date"]].strip()),

@@ -32,7 +32,6 @@ class ImpliedVolPoint:
     maturity: float
     implied_vol: float
     converged: bool
-    iterations: int
 
 
 def vix_normal_price(vix_level: float, strike: float, tau: float,
@@ -152,9 +151,9 @@ def invert_point(price: float, strike: float, tau: float, kind: str,
             vol = bs_implied_vol(price, level, strike, tau, r)
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        return ImpliedVolPoint(strike, tau, vol, True, 0)
+        return ImpliedVolPoint(strike, tau, vol, True)
     except NoRootError:
-        return ImpliedVolPoint(strike, tau, math.nan, False, _MAX_ITER)
+        return ImpliedVolPoint(strike, tau, math.nan, False)
 
 
 def write_surface_csv(path, strikes, maturities, grid) -> None:

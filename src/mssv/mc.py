@@ -1,22 +1,14 @@
 """Monte Carlo simulation of the full two-factor SDE system.
 
-Provides the independent ground truth for both pricers.  Two schemes:
-
-``exact``
-    Default.  Both variance factors advance by their exact CIR transition
-    (scaled non-central chi-square draws), the fast factor against the
-    slow level frozen at the step start.  The index couples to the factor
-    shocks through the reconstructed Brownian integrals
-    int sqrt(Y) dW = (sqrt(eps)/(sqrt(2) nu)) (dY - drift dt), with
-    trapezoidal integrated variance.  This is the only scheme that meets
-    the moment contracts at practical step sizes: the fast factor
-    violates its Feller condition so badly (2 z / (2 nu^2) ~ 0.1-0.4)
-    that Euler stepping is visibly biased even at dt = eps/100.
-
-``euler``
-    Full-truncation log-Euler with four correlated normals per step,
-    dt = min(eps/20, 1/2000).  Kept for reference and benchmarking;
-    biased for the fast factor, do not use as an oracle.
+Provides the independent ground truth for both pricers.  Both variance
+factors advance by their exact CIR transition (scaled non-central
+chi-square draws), the fast factor against the slow level frozen at the
+step start.  The index couples to the factor shocks through the
+reconstructed Brownian integrals
+int sqrt(Y) dW = (sqrt(eps)/(sqrt(2) nu)) (dY - drift dt), with
+trapezoidal integrated variance.  Euler stepping is not used: the fast
+factor violates its Feller condition so badly (2 z / (2 nu^2) ~ 0.1-0.4)
+that it is visibly biased even at dt = eps/100.
 
 Paths are simulated in fixed-size chunks, each with its own
 counter-based RNG stream keyed by (seed, chunk index), and reduced in
@@ -28,15 +20,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from .exceptions import DomainError
 from .model import HiddenState, ModelParams, vix_weights
-from .spx import SpxOptionSpec
-from .vix import VixOptionSpec
 
 _CHUNK = 1 << 17
 
@@ -79,44 +69,26 @@ class McModelParams:
     def from_eta_nu(cls, params: ModelParams, eta: float, nu: float) -> "McModelParams":
         """Rebuild params with the w3_eps implied by (eta, nu)."""
         w3 = -eta * nu * math.sqrt(params.epsilon / 2.0)
-        fixed = ModelParams(kappa=params.kappa, theta=params.theta,
-                            sigma=params.sigma, rho=params.rho,
-                            epsilon=params.epsilon, w3_eps=w3, r=params.r)
-        return cls(params=fixed, eta=eta, nu=nu)
+        return cls(params=replace(params, w3_eps=w3), eta=eta, nu=nu)
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation settings.
-
-    steps_per_eps fixes dt = epsilon / steps_per_eps (capped at 1/2000
-    year for the euler scheme per its stability rule).  antithetic is
-    a euler-scheme feature (mirrored shocks); the exact scheme has no
-    Gaussian factor shocks to mirror.
-    """
+    """Simulation settings; steps_per_eps fixes dt = epsilon / steps_per_eps."""
 
     paths: int = 1_000_000
     seed: int = 0
     steps_per_eps: int = 20
-    scheme: str = "exact"
-    antithetic: bool = False
     n_jobs: int = 1
 
     def __post_init__(self):
         if self.paths < 10_000:
             raise ValueError(f"oracle runs need >= 10^4 paths, got {self.paths}")
-        if self.scheme not in ("exact", "euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.steps_per_eps < 1:
             raise ValueError("steps_per_eps must be >= 1")
-        if self.antithetic and self.scheme != "euler":
-            raise ValueError("antithetic mirroring is only defined for the "
-                             "euler scheme")
 
     def dt(self, epsilon: float, horizon: float) -> float:
         dt = epsilon / self.steps_per_eps
-        if self.scheme == "euler":
-            dt = min(dt, 1.0 / 2000.0)
         n = max(int(math.ceil(horizon / dt)), 1)
         return horizon / n
 
@@ -171,69 +143,19 @@ def _sim_exact(rng, n, mp: McModelParams, y0, z0, x0, horizon, n_steps,
     return (np.exp(lx) if with_x else None), y, z
 
 
-def _sim_euler(rng, n, mp: McModelParams, y0, z0, x0, horizon, n_steps,
-               with_x: bool, antithetic: bool):
-    p = mp.params
-    eps, nu, eta = p.epsilon, mp.nu, mp.eta
-    dt = horizon / n_steps
-    sq = math.sqrt(dt)
-    c_eta = math.sqrt(1.0 - eta * eta)
-    c_rho = math.sqrt(1.0 - p.rho * p.rho)
-    vol_y = math.sqrt(2.0 / eps) * nu
-
-    y = np.full(n, y0)
-    z = np.full(n, z0)
-    lx = np.full(n, math.log(x0)) if with_x else None
-    for _ in range(n_steps):
-        if antithetic:
-            # mirrored pairs sit adjacently so estimation can pair them
-            # regardless of how paths were chunked
-            raw = rng.standard_normal((4, n // 2))
-            nrm = np.empty((4, n))
-            nrm[:, 0::2] = raw
-            nrm[:, 1::2] = -raw
-        else:
-            nrm = rng.standard_normal((4, n))
-        yp = np.maximum(y, 0.0)
-        zp = np.maximum(z, 0.0)
-        sy = np.sqrt(yp) * sq
-        sz = np.sqrt(zp) * sq
-        if with_x:
-            lx += (p.r - 0.5 * (yp + zp)) * dt \
-                + sy * (eta * nrm[0] + c_eta * nrm[1]) \
-                + sz * (p.rho * nrm[2] + c_rho * nrm[3])
-        y = y + (zp - yp) * (dt / eps) + vol_y * sy * nrm[0]
-        z = z + p.kappa * (p.theta - zp) * dt + p.sigma * sz * nrm[2]
-    return (np.exp(lx) if with_x else None), y, z
-
-
 def _simulate(mp: McModelParams, state0: HiddenState, x0, horizon: float,
               cfg: McConfig, with_x: bool):
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     dt = cfg.dt(mp.params.epsilon, horizon)
-    if cfg.scheme == "euler" and dt > mp.params.epsilon / 20.0 + 1e-15:
-        raise ValueError(
-            f"euler scheme needs dt <= epsilon/20, got dt = {dt:.3e}"
-        )
     n_steps = int(round(horizon / dt))
-    sizes = []
-    rem = cfg.paths - (cfg.paths % 2 if cfg.antithetic else 0)
-    while rem > 0:
-        take = min(_CHUNK, rem)
-        if cfg.antithetic and take % 2:
-            take -= 1
-        sizes.append(take)
-        rem -= take
+    sizes = [min(_CHUNK, cfg.paths - start)
+             for start in range(0, cfg.paths, _CHUNK)]
     rngs = _chunk_rngs(cfg.seed, len(sizes))
 
     def run(i):
-        if cfg.scheme == "exact":
-            return _sim_exact(rngs[i], sizes[i], mp, state0.y, state0.z,
-                              x0 if with_x else 1.0, horizon, n_steps, with_x)
-        return _sim_euler(rngs[i], sizes[i], mp, state0.y, state0.z,
-                          x0 if with_x else 1.0, horizon, n_steps, with_x,
-                          cfg.antithetic)
+        return _sim_exact(rngs[i], sizes[i], mp, state0.y, state0.z,
+                          x0 if with_x else 1.0, horizon, n_steps, with_x)
 
     if cfg.n_jobs > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
@@ -261,60 +183,31 @@ def simulate_variance_terminal(mp: McModelParams, state0: HiddenState,
     return yt, zt
 
 
-def _estimate(payoff: np.ndarray, antithetic: bool) -> McEstimate:
-    if antithetic:
-        payoff = 0.5 * (payoff[0::2] + payoff[1::2])
+def _estimate(payoff: np.ndarray) -> McEstimate:
     n = payoff.shape[0]
     return McEstimate(mean=float(payoff.mean()),
                       standard_error=float(payoff.std(ddof=1) / math.sqrt(n)),
                       paths_used=n)
 
 
-def mc_price_spx(mp: McModelParams, state0: HiddenState, x0: float,
-                 spec: SpxOptionSpec, cfg: McConfig) -> McEstimate:
-    """Discounted-payoff estimate for one SPX option."""
-    return mc_price_spx_strikes(mp, state0, x0, [spec.strike], spec.tau, cfg,
-                                is_call=spec.is_call)[0]
-
-
 def mc_price_spx_strikes(mp: McModelParams, state0: HiddenState, x0: float,
-                         strikes, tau: float, cfg: McConfig,
-                         is_call: bool = True) -> list[McEstimate]:
-    """Price a strike grid from one simulated terminal sample."""
+                         strikes, tau: float, cfg: McConfig) -> list[McEstimate]:
+    """Call prices on a strike grid from one simulated terminal sample."""
     xt, _, _ = simulate_terminal(mp, state0, x0, tau, cfg)
     disc = math.exp(-mp.params.r * tau)
-    out = []
-    for k in strikes:
-        pay = np.maximum(xt - k, 0.0) if is_call else np.maximum(k - xt, 0.0)
-        out.append(_estimate(disc * pay, cfg.antithetic))
-    return out
-
-
-def mc_price_vix(mp: McModelParams, state0: HiddenState,
-                 spec: VixOptionSpec, cfg: McConfig) -> McEstimate:
-    """Discounted-payoff estimate for one VIX option."""
-    return mc_price_vix_strikes(mp, state0, [spec.strike], spec.tau, cfg,
-                                is_call=spec.is_call)[0]
+    return [_estimate(disc * np.maximum(xt - k, 0.0)) for k in strikes]
 
 
 def mc_price_vix_strikes(mp: McModelParams, state0: HiddenState, strikes,
-                         tau: float, cfg: McConfig,
-                         is_call: bool = True) -> list[McEstimate]:
-    """VIX strike grid: simulate (Y_T, Z_T) once, map through the exact
+                         tau: float, cfg: McConfig) -> list[McEstimate]:
+    """VIX call grid: simulate (Y_T, Z_T) once, map through the exact
     VIX relation (full epsilon weights, no expansion), price each strike."""
     yt, zt = simulate_variance_terminal(mp, state0, tau, cfg)
     w = vix_weights(mp.params.kappa, mp.params.epsilon)
-    # euler paths may exit s the positive orthant; the state map is defined
-    # on the truncated values, matching the scheme's own convention
-    radicand = (w.a1 * np.maximum(yt, 0.0) + w.a2 * np.maximum(zt, 0.0)
-                + (w.a3 + w.a4) * mp.params.theta)
-    vix_t = 100.0 * np.sqrt(radicand)
+    vix_t = 100.0 * np.sqrt(w.a1 * yt + w.a2 * zt
+                            + (w.a3 + w.a4) * mp.params.theta)
     disc = math.exp(-mp.params.r * tau)
-    out = []
-    for k in strikes:
-        pay = np.maximum(vix_t - k, 0.0) if is_call else np.maximum(k - vix_t, 0.0)
-        out.append(_estimate(disc * pay, cfg.antithetic))
-    return out
+    return [_estimate(disc * np.maximum(vix_t - k, 0.0)) for k in strikes]
 
 
 def expected_y(tau: float, state0: HiddenState, params: ModelParams) -> float:

@@ -58,6 +58,22 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert "1.782621183" in capsys.readouterr().out
 
 
+def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
+    params = ("kappa=3.58\ntheta=0.021\nsigma=0.347\nrho=-1\n"
+              "epsilon=0.0096\nw3_eps=0.015\n")
+    for command, extra, flags in (
+            ("validate", "scheme=euler\n",
+             ["--vix-strikes", "20", "--paths", "10000"]),
+            ("price-vix", "abstol=1e-6\n",
+             ["--strikes", "20", "--tau", "0.08219178"])):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(params + extra)
+        rc = main([command, "--config", str(cfg), *STATE_FLAGS, *flags])
+        assert rc == 2
+        key = extra.split("=")[0]
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["price-vix", "--strikes"])  # missing value

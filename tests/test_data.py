@@ -65,6 +65,19 @@ def test_load_rejects_non_finite_and_out_of_range_numbers(tmp_path):
     assert all(r.reason for r in rejects)
 
 
+def test_load_rejects_ragged_rows(tmp_path):
+    p = tmp_path / "q.csv"
+    good = "2016-01-05,VIX,call,20,2016-02-05,1.5,100,19.5"
+    p.write_text(HEADER + good + "\n"
+                 + "2016-01-05,VIX,call,20\n"  # short: no expiry onwards
+                 + good + ",7\n")  # long: one surplus field
+    quotes, rejects = load_quotes(p)
+    assert len(quotes) == 1
+    assert [r.line for r in rejects] == [3, 4]
+    assert rejects[0].reason == "4 fields, header has 8"
+    assert rejects[1].reason == "9 fields, header has 8"
+
+
 def test_load_empty_with_header(tmp_path):
     p = tmp_path / "q.csv"
     p.write_text(HEADER)

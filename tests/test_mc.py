@@ -6,8 +6,7 @@ import math
 import pytest
 
 from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
-                  ModelParams, SpxOptionSpec, VixOptionSpec, bs_call_price,
-                  mc_price_spx, mc_price_spx_strikes, mc_price_vix,
+                  ModelParams, bs_call_price, mc_price_spx_strikes,
                   mc_price_vix_strikes, simulate_terminal,
                   simulate_variance_terminal, spectral_coefficient)
 from mssv.mc import expected_y, expected_z, variance_z
@@ -54,47 +53,21 @@ def test_zero_strike_recovers_spot(params, state_high_y):
 
 
 def test_deterministic_variance_limit_black_scholes():
-    # sigma = nu ~ 0: variance path deterministic, X lognormal; the euler
-    # scheme is exact in this limit up to time discretization
+    # sigma = nu ~ 0: variance path deterministic, X lognormal up to
+    # the trapezoidal integrated variance
     theta = 0.02
     p = ModelParams(kappa=2.0, theta=theta, sigma=1e-7, rho=0.0,
                     epsilon=0.02, w3_eps=0.0, r=0.02)
     mp = McModelParams.from_eta_nu(p, eta=0.0, nu=1e-9)
-    cfg = McConfig(paths=100_000, seed=14, scheme="euler", steps_per_eps=40)
+    cfg = McConfig(paths=100_000, seed=14, steps_per_eps=40)
     st = HiddenState(y=theta, z=theta)
-    est = mc_price_spx(mp, st, 2000.0,
-                       SpxOptionSpec(2000.0, 2000.0, 0.25), cfg)
+    est = mc_price_spx_strikes(mp, st, 2000.0, [2000.0], 0.25, cfg)[0]
     ref = bs_call_price(2000.0, 2000.0, 0.25, 0.02, math.sqrt(2 * theta))
     assert est.within(ref, 3.0)
     # and the VIX payoff is then deterministic at stationarity
-    vix_est = mc_price_vix(mp, st, VixOptionSpec(15.0, 30 / 365), cfg)
+    vix_est = mc_price_vix_strikes(mp, st, [15.0], 30 / 365, cfg)[0]
     expected = math.exp(-0.02 * 30 / 365) * (100 * math.sqrt(2 * theta) - 15.0)
     assert abs(vix_est.mean - expected) < 0.02
-
-
-def test_euler_scheme_dt_rejection(params, state_high_y):
-    cfg = McConfig(paths=10_000, seed=1, scheme="euler", steps_per_eps=10)
-    with pytest.raises(ValueError):
-        simulate_variance_terminal(_mp(params), state_high_y, 0.1, cfg)
-
-
-def test_antithetic_requires_euler():
-    with pytest.raises(ValueError):
-        McConfig(paths=10_000, antithetic=True, scheme="exact")
-    McConfig(paths=10_000, antithetic=True, scheme="euler")
-
-
-def test_antithetic_reduces_se(params, state_high_y):
-    mp = _mp(params)
-    tau = 30 / 365
-    plain = mc_price_vix_strikes(
-        mp, state_high_y, [20.0], tau,
-        McConfig(paths=100_000, seed=5, scheme="euler"))[0]
-    anti = mc_price_vix_strikes(
-        mp, state_high_y, [20.0], tau,
-        McConfig(paths=100_000, seed=5, scheme="euler", antithetic=True))[0]
-    assert anti.standard_error < plain.standard_error
-    assert anti.paths_used == plain.paths_used // 2  # pair averages
 
 
 def test_seed_determinism_serial_and_parallel(params, state_high_y):
@@ -146,7 +119,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(paths=100)  # oracle floor
     with pytest.raises(ValueError):
-        McConfig(paths=10_000, scheme="milstein")
+        McConfig(paths=10_000, steps_per_eps=0)
 
 
 def test_estimate_within_helper():
