@@ -10,22 +10,28 @@ the two-factor model) to SPX options, holding step-1 output fixed.
 
 All optimizer work runs on unconstrained coordinates via logit
 transforms of the bounded parameters; Nelder-Mead with seeded random
-restarts does the outer search.  Dates are evaluated serially inside
-each objective call, which keeps results bitwise reproducible for a
-given seed (the per-date fits are independent and could be fanned out,
-at the cost of reduction-order effects in the objective sum).
+restarts does the outer search.  The per-date terms of every objective
+evaluation, and the per-date state recovery between the steps, are
+independent, so they run on one process per usable core (at most one
+per date): each step forks its workers once, they evaluate a fixed
+share of the dates, and the terms come back to the calling process,
+which sums them in date order.  A date's term is the same number in
+any process, so fits are bitwise reproducible for a given seed on any
+core count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
+from .cores import usable_cores
 from .exceptions import InfeasibleStateError, MssvError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, vix_weights, y_max_for_vix,
@@ -95,6 +101,12 @@ class CalibrationResult:
     step_objectives: list
     trace: list
     n_skipped_dates: int = 0
+    #: {"date", "error"} of each date whose state recovery failed, in
+    #: date order; "error" is the exception's class name
+    skipped_dates: list = field(default_factory=list)
+    #: {"step", "restart", "success", "nit", "nfev", "message"} of each
+    #: Nelder-Mead restart
+    restarts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -141,6 +153,8 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
     Records the running-best objective in trace with the number of the
     evaluation that reached it, counted within the step across restarts
     (the accepted-step sequence, non-increasing by construction).
+    Returns the snapped minimizer, its objective value and each
+    restart's outcome.
     """
     rng = np.random.default_rng(cfg.seed)
     best = None
@@ -150,6 +164,7 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
 
     running = [math.inf]
     evals = itertools.count()
+    outcomes = []
 
     def wrapped(u):
         n = next(evals)
@@ -159,14 +174,17 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
             trace.append({"step": step, "eval": n, "objective": val})
         return val
 
-    for u0 in starts:
+    for k, u0 in enumerate(starts):
         res = minimize(wrapped, u0, method="Nelder-Mead",
                        options={"maxiter": cfg.max_iter, "fatol": cfg.ftol,
                                 "xatol": cfg.xtol, "adaptive": True})
+        outcomes.append({"step": step, "restart": k,
+                         "success": bool(res.success), "nit": int(res.nit),
+                         "nfev": int(res.nfev), "message": str(res.message)})
         if best is None or res.fun < best.fun:
             best = res
     x = box.snap(box.to_external(best.x))
-    return x, float(fun(x))
+    return x, float(fun(x)), outcomes
 
 
 def price_quotes(quotes, calls, r: float, spot: float | None = None
@@ -207,18 +225,113 @@ def _sse(quotes, calls, r, floor, spot=None):
     return weighted_sse(prices, [q.price for q in quotes], floor)
 
 
-def _sum_over_dates(dates, date_sse, *args):
-    """Objective value: date_sse(date, *args) summed over dates.
+class _DateMap:
+    """fn(date, *args) for each of a fixed list of dates, in date order,
+    on n = min(usable cores, dates) processes.
 
-    A date whose pricing fails is skipped and charged ten times the
-    median of the dates that priced.
+    The n - 1 workers are forked when the map is made, after fn and the
+    dates exist, so they share them without pickling; worker k evaluates
+    dates k, k + n, k + 2n, ... and the calling process evaluates share
+    0 itself.  A call sends each worker its date indices and the
+    argument tuple over a pipe and gets back one result per date: the
+    value, or the exception the date raised.  Calibration starts no
+    threads, so at fork time the only others are the BLAS pools, which
+    OpenBLAS stops and restarts around a fork.  With n = 1 nothing is
+    forked.  close()
+    stops the workers; those of a map dropped unclosed exit when its
+    pipe ends are collected.
+    """
+
+    def __init__(self, dates, fn):
+        self.dates, self.fn = list(dates), fn
+        n = max(min(usable_cores(), len(self.dates)), 1)
+        self.shares = [range(k, len(self.dates), n) for k in range(n)]
+        self.workers = []  # (process, the caller's end of its pipe)
+        if n == 1:
+            return
+        import multiprocessing  # here, so a one-core run never loads it
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in self.shares[1:]:
+                mine, theirs = ctx.Pipe()
+                proc = ctx.Process(target=self._serve, args=(theirs, mine),
+                                   daemon=True)
+                proc.start()
+                theirs.close()
+                self.workers.append((proc, mine))
+        except BaseException:
+            self.close()
+            raise
+
+    def _evaluate(self, share, args):
+        out = []
+        for i in share:
+            try:
+                out.append(self.fn(self.dates[i], *args))
+            except MssvError as exc:
+                out.append(exc)
+            except Exception as exc:  # raised by the caller, in date order
+                exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                 traceback.format_exc()]
+                out.append(exc)
+        return out
+
+    def _serve(self, conn, caller_end):
+        # close the fork's copies of the caller's ends, so that each
+        # worker sees end-of-file once the caller's ends are gone
+        caller_end.close()
+        for _, end in self.workers:
+            end.close()
+        try:
+            while (msg := conn.recv()) is not None:
+                conn.send(self._evaluate(*msg))
+        except (EOFError, BrokenPipeError, KeyboardInterrupt):
+            pass  # the caller went away or was interrupted
+
+    def __call__(self, *args):
+        for (_, conn), share in zip(self.workers, self.shares[1:]):
+            conn.send((share, args))
+        parts = [self._evaluate(self.shares[0], args)]
+        for proc, conn in self.workers:
+            try:
+                parts.append(conn.recv())
+            except EOFError:
+                raise RuntimeError(
+                    f"calibration worker {proc.pid} exited") from None
+        out = [None] * len(self.dates)
+        for share, part in zip(self.shares, parts):
+            for i, term in zip(share, part):
+                out[i] = term
+        for term in out:
+            if isinstance(term, Exception) and not isinstance(term, MssvError):
+                raise term
+        return out
+
+    def close(self):
+        """Stop the workers and wait for them to exit."""
+        workers, self.workers = self.workers, []
+        for _, conn in workers:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+        for proc, _ in workers:
+            proc.join()
+
+
+def _sum_over_dates(terms):
+    """Objective value: the per-date terms summed in date order.
+
+    A date whose pricing failed (its term is an MssvError) is skipped
+    and charged ten times the median of the dates that priced.
     """
     per_date, skipped = [], 0
-    for date in dates:
-        try:
-            per_date.append(date_sse(date, *args))
-        except MssvError:
+    for term in terms:
+        if isinstance(term, MssvError):
             skipped += 1
+        else:
+            per_date.append(term)
     if not per_date:
         return _PENALTY
     total = sum(per_date)
@@ -232,35 +345,49 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
     """The two-step calibration both models share.
 
     Step 1 searches the parameters named in start (x0 overrides their
-    starting values) with step1_objective(usable dates); date_state(sl, p)
-    then recovers each date's hidden state as a dict under the step-1
-    fit p, and step 2 searches the parameters named in step2_start with
-    step2_objective(dates, p), dates being the (slice, state) pairs of
-    the dates with a state and SPX quotes.
+    starting values) with step1_objective(usable dates, date_map);
+    date_state(sl, p) then recovers each date's hidden state as a dict
+    under the step-1 fit p, and step 2 searches the parameters named in
+    step2_start with step2_objective(dates, p, date_map), dates being
+    the (slice, state) pairs of the dates with a state and SPX quotes.
+    date_map(dates, fn) makes the step's _DateMap; each step's workers
+    are stopped before the next step forks its own.
     """
     usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
     if not usable:
         raise MssvError("no dates with VIX quotes and a VIX close")
+    live = []
+
+    def date_map(dates, fn):
+        while live:
+            live.pop().close()
+        live.append(_DateMap(dates, fn))
+        return live[0]
+
     trace = []
     b = cfg.bounds
-    x1, obj1 = _nelder_mead(step1_objective(usable),
-                            [(x0 or start)[n] for n in start],
-                            _Box([b[n] for n in start]), cfg, trace, "step1")
-    p = dict(zip(start, x1))
+    try:
+        x1, obj1, restarts1 = _nelder_mead(
+            step1_objective(usable, date_map),
+            [(x0 or start)[n] for n in start], _Box([b[n] for n in start]),
+            cfg, trace, "step1")
+        p = dict(zip(start, x1))
 
-    states, skipped = {}, 0
-    for sl in usable:
-        try:
-            states[sl.date] = date_state(sl, p)
-        except MssvError:
-            skipped += 1
+        states, skipped = {}, []
+        for sl, st in zip(usable, date_map(usable, date_state)(p)):
+            if isinstance(st, MssvError):
+                skipped.append({"date": sl.date, "error": type(st).__name__})
+            else:
+                states[sl.date] = st
 
-    dates = [(sl, states[sl.date]) for sl in slices
-             if sl.date in states and sl.spx_quotes and sl.spx_level is not None]
-    x2, obj2 = _nelder_mead(step2_objective(dates, p),
-                            list(step2_start.values()),
-                            _Box([b[n] for n in step2_start]), cfg, trace,
-                            "step2")
+        dates = [(sl, states[sl.date]) for sl in slices if sl.date in states
+                 and sl.spx_quotes and sl.spx_level is not None]
+        x2, obj2, restarts2 = _nelder_mead(
+            step2_objective(dates, p, date_map), list(step2_start.values()),
+            _Box([b[n] for n in step2_start]), cfg, trace, "step2")
+    finally:
+        while live:
+            live.pop().close()
     fitted = {**p, **dict(zip(step2_start, x2))}
     return CalibrationResult(
         model=model,
@@ -268,7 +395,9 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
         states=[{"date": d, **st} for d, st in sorted(states.items())],
         step_objectives=[obj1, obj2],
         trace=trace,
-        n_skipped_dates=skipped,
+        n_skipped_dates=len(skipped),
+        skipped_dates=sorted(skipped, key=lambda s: s["date"]),
+        restarts=restarts1 + restarts2,
     )
 
 
@@ -276,7 +405,7 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
 # one-factor benchmark
 # ---------------------------------------------------------------------------
 
-def _heston_step1_objective(slices, r, floor, quad):
+def _heston_step1_objective(slices, r, floor, quad, date_map=_DateMap):
     def date_sse(sl, kappa, theta, sigma):
         z = z_from_vix_heston(sl.vix_level, kappa, theta)
         return _sse(sl.vix_quotes,
@@ -284,10 +413,11 @@ def _heston_step1_objective(slices, r, floor, quad):
                         ks, tau, z, kappa, theta, sigma, r, quad),
                     r, floor)
 
-    return lambda x: _sum_over_dates(slices, date_sse, *x)
+    terms = date_map(slices, date_sse)
+    return lambda x: _sum_over_dates(terms(*x))
 
 
-def _heston_step2_objective(dates, p, r, floor, quad):
+def _heston_step2_objective(dates, p, r, floor, quad, date_map=_DateMap):
     def date_sse(date, rho):
         sl, st = date
         return _sse(sl.spx_quotes,
@@ -296,7 +426,8 @@ def _heston_step2_objective(dates, p, r, floor, quad):
                         p["sigma"], rho, st["z"], quad),
                     r, floor, sl.spx_level)
 
-    return lambda x: _sum_over_dates(dates, date_sse, float(x[0]))
+    terms = date_map(dates, date_sse)
+    return lambda x: _sum_over_dates(terms(float(x[0])))
 
 
 def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -308,13 +439,13 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
     return _two_step(
         "heston", slices, cfg, r, x0,
         {"kappa": 3.0, "theta": 0.04, "sigma": 0.5},
-        lambda usable: _heston_step1_objective(usable, r, cfg.weight_floor,
-                                               quad),
+        lambda usable, date_map: _heston_step1_objective(
+            usable, r, cfg.weight_floor, quad, date_map),
         lambda sl, p: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
                                               p["theta"])},
         {"rho": -0.7},
-        lambda dates, p: _heston_step2_objective(dates, p, r, cfg.weight_floor,
-                                                 quad))
+        lambda dates, p, date_map: _heston_step2_objective(
+            dates, p, r, cfg.weight_floor, quad, date_map))
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +487,22 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
     return HiddenState(y=y, z=z), float(res.fun)
 
 
-def _msv_step1_objective(slices, r, floor, quad, xtol):
+def _msv_step1_objective(slices, r, floor, quad, xtol, date_map=_DateMap):
     def date_sse(sl, kappa, theta, sigma, epsilon):
         return inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad,
                                floor, xtol)[1]
+
+    terms = date_map(slices, date_sse)
 
     def fun(x):
         kappa, epsilon = x[0], x[3]
         if kappa * epsilon >= 0.999:
             return _PENALTY * (1.0 + kappa * epsilon)
-        return _sum_over_dates(slices, date_sse, *x)
+        return _sum_over_dates(terms(*x))
     return fun
 
 
-def _msv_step2_objective(dates, p, r, floor, quad):
+def _msv_step2_objective(dates, p, r, floor, quad, date_map=_DateMap):
     def date_sse(date, params):
         sl, st = date
         state = HiddenState(**st)
@@ -378,12 +511,14 @@ def _msv_step2_objective(dates, p, r, floor, quad):
                         sl.spx_level, ks, tau, state, params, quad),
                     r, floor, sl.spx_level)
 
+    terms = date_map(dates, date_sse)
+
     def fun(x):
         try:
             params = ModelParams(**p, rho=float(x[0]), w3_eps=float(x[1]), r=r)
         except ValueError:
             return _PENALTY
-        return _sum_over_dates(dates, date_sse, params)
+        return _sum_over_dates(terms(params))
     return fun
 
 
@@ -406,8 +541,8 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
     return _two_step(
         "msv", slices, cfg, r, x0,
         {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
-        lambda usable: _msv_step1_objective(usable, r, cfg.weight_floor, quad,
-                                            cfg.inner_xtol),
+        lambda usable, date_map: _msv_step1_objective(
+            usable, r, cfg.weight_floor, quad, cfg.inner_xtol, date_map),
         date_state, {"rho": -0.7, "w3_eps": 0.01},
-        lambda dates, p: _msv_step2_objective(dates, p, r, cfg.weight_floor,
-                                              quad))
+        lambda dates, p, date_map: _msv_step2_objective(
+            dates, p, r, cfg.weight_floor, quad, date_map))

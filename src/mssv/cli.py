@@ -241,6 +241,8 @@ def cmd_calibrate(args):
           f"step2 = {_g(result.step_objectives[1])}")
     if result.n_skipped_dates:
         print(f"skipped dates: {result.n_skipped_dates}")
+    for skip in result.skipped_dates:
+        print(f"  {skip['date']}: {skip['error']}")
     return EXIT_OK
 
 

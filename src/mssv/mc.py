@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
+from .cores import usable_cores
 from .exceptions import DomainError
 from .model import HiddenState, ModelParams, vix_weights
 
@@ -74,12 +75,16 @@ class McModelParams:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation settings; steps_per_eps fixes dt = epsilon / steps_per_eps."""
+    """Simulation settings; steps_per_eps fixes dt = epsilon / steps_per_eps.
+
+    n_jobs threads simulate the chunks, by default one per usable core;
+    the estimates do not depend on it.
+    """
 
     paths: int = 1_000_000
     seed: int = 0
     steps_per_eps: int = 20
-    n_jobs: int = 1
+    n_jobs: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
         if self.paths < 10_000:

@@ -2,15 +2,24 @@
 state fit, constraint preservation, determinism, step decoupling.
 (Full parameter-recovery round trips run in the acceptance suite.)"""
 
+import contextlib
+import json
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
+import mssv.calibration as calibration
 from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   Quote, QuadratureConfig, calibrate_heston, calibrate_msv,
-                  inner_state_fit, price_vix_strike_batch, vix_from_state,
+                  inner_state_fit, make_synthetic_quotes,
+                  price_vix_strike_batch, to_date_slices, vix_from_state,
                   weighted_sse, y_max_for_vix)
-from mssv.calibration import _Box, _nelder_mead
-from mssv.exceptions import MssvError
+from mssv.calibration import (_Box, _DateMap, _msv_step1_objective,
+                              _nelder_mead, _sum_over_dates)
+from mssv.exceptions import DomainError, MssvError
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 FAST = CalibrationConfig(max_iter=60, restarts=1, seed=0)
@@ -145,6 +154,9 @@ def test_infeasible_dates_are_skipped_not_fatal(params):
     res = calibrate_heston(slices + [bad], FAST, QUAD, r=params.r)
     assert res.n_skipped_dates >= 1
     assert len(res.states) == 3
+    assert res.skipped_dates == [{"date": "2016-02-01",
+                                  "error": "InfeasibleStateError"}]
+    assert res.n_skipped_dates == len(res.skipped_dates)
 
 
 def test_no_usable_dates_raises(params):
@@ -177,3 +189,132 @@ def test_config_validation():
         CalibrationConfig(weight_floor=0.0)
     with pytest.raises(ValueError):
         CalibrationConfig(bounds={"kappa": (2.0, 1.0)})
+
+
+def test_restart_outcomes_are_recorded(monkeypatch, params):
+    evals = {"step1": 0, "step2": 0}
+
+    def counted(factory, step):
+        def build(*args):
+            fun = factory(*args)
+
+            def objective(x):
+                evals[step] += 1
+                return fun(x)
+            return objective
+        return build
+
+    for step in evals:
+        name = f"_heston_{step}_objective"
+        monkeypatch.setattr(calibration, name,
+                            counted(getattr(calibration, name), step))
+    cfg = CalibrationConfig(max_iter=30, restarts=2, seed=0)
+    res = calibrate_heston(_tiny_dataset(params), cfg, QUAD, r=params.r)
+    assert [(e["step"], e["restart"]) for e in res.restarts] == [
+        ("step1", 0), ("step1", 1), ("step2", 0), ("step2", 1)]
+    for step, n in evals.items():
+        # the optimizer's evaluations, plus one at the snapped minimizer
+        assert sum(e["nfev"] for e in res.restarts
+                   if e["step"] == step) == n - 1
+    for e in res.restarts:
+        assert isinstance(e["success"], bool) and e["nit"] > 0 and e["message"]
+    json.dumps(res.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# per-date terms on forked workers
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if the block outlasts seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _five_date_panel(params):
+    rng = np.random.default_rng(5)
+    states = [(f"2016-03-{7 + i:02d}",
+               HiddenState(y=params.theta * float(np.exp(0.4 * a)),
+                           z=params.theta * float(np.exp(0.4 * b))))
+              for i, (a, b) in enumerate(rng.standard_normal((5, 2)))]
+    quotes = make_synthetic_quotes(params, states, vix_taus=(30 / 365,),
+                                   spx_taus=(0.1,),
+                                   spx_moneyness=(0.95, 1.0, 1.05),
+                                   vix_moneyness=(0.9, 1.1, 1.3), quad=QUAD)
+    return to_date_slices(quotes)
+
+
+def test_fits_do_not_depend_on_the_core_count(monkeypatch, params):
+    slices = _five_date_panel(params)
+    points = [(3.0, 0.03, 0.4, 0.02), (3.58, 0.021, 0.347, 0.0096),
+              (8.0, 0.05, 1.2, 0.09)]
+    cfg = CalibrationConfig(max_iter=12, restarts=1, seed=4)
+    values, fits = {}, {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        maps = []
+
+        def date_map(dates, fn):
+            maps.append(_DateMap(dates, fn))
+            return maps[-1]
+
+        fun = _msv_step1_objective(slices, params.r, 0.1, QUAD, 1e-6,
+                                   date_map)
+        try:
+            assert len(maps[0].workers) == cores - 1
+            values[cores] = [fun(x) for x in points]
+        finally:
+            maps[0].close()
+        fits[cores] = calibrate_msv(slices, cfg, QUAD, r=params.r).as_dict()
+        assert multiprocessing.active_children() == []
+    assert values[1] == values[2] == values[3]
+    assert fits[1] == fits[2] == fits[3]
+    assert len(fits[1]["states"]) == 5 and fits[1]["trace"]
+
+
+def test_failed_dates_are_skipped_alike_on_any_core_count(monkeypatch):
+    def term(date, scale):
+        if date % 2:
+            raise DomainError(f"date {date}")
+        return scale * (date + 1.0)
+
+    results = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        terms = _DateMap(range(5), term)
+        try:
+            out = terms(0.1)
+            results[cores] = ([type(t) for t in out], _sum_over_dates(out))
+        finally:
+            terms.close()
+    assert results[1] == results[2] == results[3]
+    assert results[1][0] == [float, DomainError] * 2 + [float]
+    assert results[1][1] == pytest.approx(0.1 + 0.3 + 0.5 + 2 * 10.0 * 0.3)
+
+
+def test_worker_error_is_raised_in_the_caller(monkeypatch, params):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
+    slices = _tiny_dataset(params)
+    # with two processes the date at index 1 is the worker's
+    bad_level, real = slices[1].vix_level, calibration.z_from_vix_heston
+
+    def broken(vix, kappa, theta):
+        if vix == bad_level:
+            raise ZeroDivisionError(f"injected in {os.getpid()}")
+        return real(vix, kappa, theta)
+
+    monkeypatch.setattr(calibration, "z_from_vix_heston", broken)
+    with _deadline(60), pytest.raises(ZeroDivisionError) as err:
+        calibrate_heston(slices, FAST, QUAD, r=params.r)
+    assert str(err.value) != f"injected in {os.getpid()}"
+    assert "broken" in "".join(err.value.__notes__)
+    assert multiprocessing.active_children() == []

@@ -130,6 +130,24 @@ def test_full_pipeline(tmp_path, capsys):
     assert "tau<0.05:heston" in header and "total:o/h" in header
 
 
+def test_calibrate_prints_each_skipped_date(tmp_path, capsys):
+    quotes = tmp_path / "quotes.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "1"]) == 0
+    # a VIX close below the state-free floor of any candidate
+    with open(quotes, "a") as fh:
+        fh.write("2017-06-01,VIX,call,5,2017-07-01,0.8,100,4.0\n")
+    out = tmp_path / "heston.json"
+    capsys.readouterr()
+    rc = main(["calibrate", "--model", "heston", "--quotes", str(quotes),
+               "--out", str(out), "--max-iter", "10", "--restarts", "1"])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "skipped dates: 1\n  2017-06-01: InfeasibleStateError\n" in printed
+    assert json.loads(out.read_text())["skipped_dates"] == [
+        {"date": "2017-06-01", "error": "InfeasibleStateError"}]
+
+
 def test_imvol_surface(tmp_path, capsys):
     out = [str(tmp_path / n) for n in ("c.csv", "u.csv", "d.csv")]
     rc = main(["imvol-surface", *PARAM_FLAGS, "--kind", "vix", *STATE_FLAGS,

@@ -9,6 +9,7 @@ from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
                   ModelParams, bs_call_price, mc_price_spx_strikes,
                   mc_price_vix_strikes, simulate_terminal,
                   simulate_variance_terminal, spectral_coefficient)
+from mssv.cores import usable_cores
 from mssv.mc import expected_y, expected_z, variance_z
 
 from .conftest import FITTED, MC_JOBS
@@ -73,7 +74,7 @@ def test_deterministic_variance_limit_black_scholes():
 def test_seed_determinism_serial_and_parallel(params, state_high_y):
     mp = _mp(params)
     tau = 30 / 365
-    cfg1 = McConfig(paths=300_000, seed=77, steps_per_eps=10)
+    cfg1 = McConfig(paths=300_000, seed=77, steps_per_eps=10, n_jobs=1)
     cfg2 = McConfig(paths=300_000, seed=77, steps_per_eps=10, n_jobs=4)
     a = mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg1)[0]
     b = mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg1)[0]
@@ -120,6 +121,10 @@ def test_config_validation():
         McConfig(paths=100)  # oracle floor
     with pytest.raises(ValueError):
         McConfig(paths=10_000, steps_per_eps=0)
+
+
+def test_jobs_follow_the_usable_cores():
+    assert McConfig(paths=10_000).n_jobs == usable_cores()
 
 
 def test_estimate_within_helper():
