@@ -65,32 +65,20 @@ class DateSlice:
     spx_quotes: tuple[Quote, ...] = ()
 
 
+#: Nelder-Mead tolerances, inner y-fit tolerance, price floor of the
+#: weighted SSE and the parameter search box
+_FTOL, _XTOL, _INNER_XTOL, _WEIGHT_FLOOR = 1e-9, 1e-6, 1e-6, 0.1
+_BOUNDS = {"kappa": (1e-3, 20.0), "theta": (1e-5, 1.0), "sigma": (1e-3, 3.0),
+           "rho": (-1.0, 0.0), "epsilon": (1e-4, 0.1), "w3_eps": (-0.5, 0.5)}
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Optimizer settings and parameter bounds."""
+    """Optimizer iteration budget, restart count and restart seed."""
 
     max_iter: int = 200
-    ftol: float = 1e-9
-    xtol: float = 1e-6
     restarts: int = 3
-    inner_xtol: float = 1e-6
     seed: int = 0
-    weight_floor: float = 0.1
-    bounds: dict = field(default_factory=lambda: {
-        "kappa": (1e-3, 20.0),
-        "theta": (1e-5, 1.0),
-        "sigma": (1e-3, 3.0),
-        "rho": (-1.0, 0.0),
-        "epsilon": (1e-4, 0.1),
-        "w3_eps": (-0.5, 0.5),
-    })
-
-    def __post_init__(self):
-        if self.weight_floor <= 0:
-            raise ValueError("weight_floor must be positive")
-        for name, (lo, hi) in self.bounds.items():
-            if lo >= hi:
-                raise ValueError(f"empty bound for {name}: ({lo}, {hi})")
 
 
 @dataclass
@@ -176,8 +164,8 @@ def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
 
     for k, u0 in enumerate(starts):
         res = minimize(wrapped, u0, method="Nelder-Mead",
-                       options={"maxiter": cfg.max_iter, "fatol": cfg.ftol,
-                                "xatol": cfg.xtol, "adaptive": True})
+                       options={"maxiter": cfg.max_iter, "fatol": _FTOL,
+                                "xatol": _XTOL, "adaptive": True})
         outcomes.append({"step": step, "restart": k,
                          "success": bool(res.success), "nit": int(res.nit),
                          "nfev": int(res.nfev), "message": str(res.message)})
@@ -365,12 +353,10 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
         return live[0]
 
     trace = []
-    b = cfg.bounds
     try:
         x1, obj1, restarts1 = _nelder_mead(
-            step1_objective(usable, date_map),
-            [(x0 or start)[n] for n in start], _Box([b[n] for n in start]),
-            cfg, trace, "step1")
+            step1_objective(usable, date_map), [(x0 or start)[n] for n in start],
+            _Box([_BOUNDS[n] for n in start]), cfg, trace, "step1")
         p = dict(zip(start, x1))
 
         states, skipped = {}, []
@@ -384,7 +370,7 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
                  and sl.spx_quotes and sl.spx_level is not None]
         x2, obj2, restarts2 = _nelder_mead(
             step2_objective(dates, p, date_map), list(step2_start.values()),
-            _Box([b[n] for n in step2_start]), cfg, trace, "step2")
+            _Box([_BOUNDS[n] for n in step2_start]), cfg, trace, "step2")
     finally:
         while live:
             live.pop().close()
@@ -440,12 +426,12 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
         "heston", slices, cfg, r, x0,
         {"kappa": 3.0, "theta": 0.04, "sigma": 0.5},
         lambda usable, date_map: _heston_step1_objective(
-            usable, r, cfg.weight_floor, quad, date_map),
+            usable, r, _WEIGHT_FLOOR, quad, date_map),
         lambda sl, p: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
                                               p["theta"])},
         {"rho": -0.7},
         lambda dates, p, date_map: _heston_step2_objective(
-            dates, p, r, cfg.weight_floor, quad, date_map))
+            dates, p, r, _WEIGHT_FLOOR, quad, date_map))
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +520,15 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
     """
     def date_state(sl, p):
         st, _ = inner_state_fit(sl, p["kappa"], p["theta"], p["sigma"],
-                                p["epsilon"], r, quad, cfg.weight_floor,
-                                cfg.inner_xtol)
+                                p["epsilon"], r, quad, _WEIGHT_FLOOR,
+                                _INNER_XTOL)
         return {"y": st.y, "z": st.z}
 
     return _two_step(
         "msv", slices, cfg, r, x0,
         {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
         lambda usable, date_map: _msv_step1_objective(
-            usable, r, cfg.weight_floor, quad, cfg.inner_xtol, date_map),
+            usable, r, _WEIGHT_FLOOR, quad, _INNER_XTOL, date_map),
         date_state, {"rho": -0.7, "w3_eps": 0.01},
         lambda dates, p, date_map: _msv_step2_objective(
-            dates, p, r, cfg.weight_floor, quad, date_map))
+            dates, p, r, _WEIGHT_FLOOR, quad, date_map))

@@ -302,15 +302,20 @@ def cmd_imvol_surface(args):
 
 
 def _print_mc_rows(strikes, ests, analytic) -> int:
-    """Analytic-against-Monte-Carlo rows; returns the count outside 3 SE."""
+    """Analytic-against-Monte-Carlo rows; returns the count outside 3 SE.
+    A strike no path ended in the money has a zero SE and no dev/se."""
     print("strike      analytic         mc               se            dev/se")
     outside = 0
     for k, est, d in zip(strikes, ests, analytic):
-        dev = (d.total - est.mean) / est.standard_error
-        flag = "" if abs(dev) <= 3 else "  OUTSIDE 3SE"
-        outside += abs(dev) > 3
+        if est.standard_error == 0:
+            dev, flag = "nan", "  NO PATH IN THE MONEY"
+        else:
+            ratio = (d.total - est.mean) / est.standard_error
+            dev = f"{ratio:+.2f}"
+            flag = "" if abs(ratio) <= 3 else "  OUTSIDE 3SE"
+            outside += abs(ratio) > 3
         print(f"{_g(k):<11} {_g(d.total):<16} {_g(est.mean):<16} "
-              f"{_g(est.standard_error):<13} {dev:+.2f}{flag}")
+              f"{_g(est.standard_error):<13} {dev}{flag}")
     return outside
 
 
@@ -349,18 +354,30 @@ def cmd_validate(args):
     return EXIT_OK
 
 
+def _read_result(path, params_of, state_of):
+    """(params, {date: state}) of a calibration result file, through
+    params_of(its params) and state_of(each state); DataError naming the
+    file if it is not JSON or lacks a key or value they need."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+            return (params_of(doc["params"]),
+                    {s["date"]: state_of(s) for s in doc["states"]})
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"bad calibration result {path}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+
+
 def cmd_error_report(args):
     quotes = _load_quotes(args)
     quad = _quad_config(args)
-    with open(args.heston_result) as fh:
-        heston_doc = json.load(fh)
-    with open(args.msv_result) as fh:
-        msv_doc = json.load(fh)
-    h = heston_doc["params"]
-    params = ModelParams(**msv_doc["params"])
-    h_z = {s["date"]: s["z"] for s in heston_doc["states"]}
-    m_state = {s["date"]: HiddenState(y=s["y"], z=s["z"])
-               for s in msv_doc["states"]}
+    h, h_z = _read_result(
+        args.heston_result,
+        lambda p: {k: p[k] for k in ("kappa", "theta", "sigma", "rho", "r")},
+        lambda s: s["z"])
+    params, m_state = _read_result(
+        args.msv_result, lambda p: ModelParams(**p),
+        lambda s: HiddenState(y=s["y"], z=s["z"]))
 
     slices = to_date_slices(quotes)
     heston, ours, dates = [], [], set()
@@ -525,7 +542,7 @@ def main(argv=None) -> int:
         args._config = read_config(args.config) \
             if getattr(args, "config", None) else {}
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (MssvError, ValueError) as exc:

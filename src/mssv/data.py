@@ -4,9 +4,9 @@ The canonical CSV schema is one row per option observation:
 
     date,underlying,type,strike,expiry,price,volume,underlying_close
 
-with ISO dates, underlying in {SPX, VIX} and type in {call, put}.  A
-schema mapping can adapt vendor headers.  Malformed rows are collected
-into a rejects report with reason codes, never silently dropped.
+with ISO dates, underlying in {SPX, VIX} and type in {call, put}.
+Malformed rows are collected into a rejects report with reason codes,
+never silently dropped.
 
 Production-scale exchange datasets run to a few hundred thousand SPX
 quotes and tens of thousands of VIX quotes per multi-year sample; the
@@ -97,15 +97,8 @@ class RejectedRow:
     raw: dict
 
 
-def load_quotes(path, schema: dict | None = None):
-    """Parse a quote CSV; returns (quotes, rejects).
-
-    schema maps canonical column names to the file's header names when a
-    vendor format differs.
-    """
-    mapping = {c: c for c in REQUIRED_COLUMNS}
-    if schema:
-        mapping.update(schema)
+def load_quotes(path):
+    """Parse a quote CSV; returns (quotes, rejects)."""
     quotes, rejects = [], []
     try:
         fh = open(path, newline="")
@@ -115,8 +108,7 @@ def load_quotes(path, schema: dict | None = None):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return [], []
-        missing = [c for c in REQUIRED_COLUMNS
-                   if mapping[c] not in reader.fieldnames]
+        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise DataError(f"missing required columns: {missing}")
         width = len(reader.fieldnames)
@@ -132,14 +124,14 @@ def load_quotes(path, schema: dict | None = None):
                 continue
             try:
                 quotes.append(OptionQuote(
-                    trade_date=dt.date.fromisoformat(row[mapping["date"]].strip()),
-                    underlying_kind=row[mapping["underlying"]].strip().upper(),
-                    option_type=row[mapping["type"]].strip().lower(),
-                    strike=float(row[mapping["strike"]]),
-                    expiry_date=dt.date.fromisoformat(row[mapping["expiry"]].strip()),
-                    mid_price=float(row[mapping["price"]]),
-                    volume=float(row[mapping["volume"]]),
-                    underlying_level=float(row[mapping["underlying_close"]]),
+                    trade_date=dt.date.fromisoformat(row["date"].strip()),
+                    underlying_kind=row["underlying"].strip().upper(),
+                    option_type=row["type"].strip().lower(),
+                    strike=float(row["strike"]),
+                    expiry_date=dt.date.fromisoformat(row["expiry"].strip()),
+                    mid_price=float(row["price"]),
+                    volume=float(row["volume"]),
+                    underlying_level=float(row["underlying_close"]),
                 ))
             except (ValueError, KeyError, TypeError) as exc:
                 rejects.append(RejectedRow(line=i, reason=str(exc), raw=dict(row)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 from .exceptions import NoRootError
 
@@ -24,14 +23,6 @@ def _norm_cdf(x: float) -> float:
 
 def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-@dataclass(frozen=True)
-class ImpliedVolPoint:
-    strike: float
-    maturity: float
-    implied_vol: float
-    converged: bool
 
 
 def vix_normal_price(vix_level: float, strike: float, tau: float,
@@ -50,15 +41,15 @@ def vix_normal_price(vix_level: float, strike: float, tau: float,
 def _newton_bisect(price_fn, target, lo, hi, x0, scale):
     """Monotone root find: Newton clipped to a shrinking [lo, hi] bracket.
 
-    price_fn returns (price, derivative).  Returns (root, iterations).
+    price_fn returns (price, derivative).  Returns the root.
     """
     x = min(max(x0, lo), hi)
     tol = 1e-10 * (1.0 + abs(target))
-    for it in range(1, _MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         p, dp = price_fn(x)
         resid = p - target
         if abs(resid) < tol:
-            return x, it
+            return x
         if resid > 0:
             hi = x
         else:
@@ -99,8 +90,7 @@ def vix_normal_implied_vol(price: float, vix_level: float, strike: float,
         return (vix_normal_price(vix_level, strike, tau, s),
                 math.sqrt(tau) * _norm_pdf(d))
 
-    vol, _ = _newton_bisect(f, price, 0.0, hi, guess, "vix-normal")
-    return vol
+    return _newton_bisect(f, price, 0.0, hi, guess, "vix-normal")
 
 
 def bs_call_price(x: float, strike: float, tau: float, r: float,
@@ -137,23 +127,7 @@ def bs_implied_vol(price: float, x: float, strike: float, tau: float,
     def f(s):
         return (bs_call_price(x, strike, tau, r, s), bs_vega(x, strike, tau, r, s))
 
-    vol, _ = _newton_bisect(f, price, 0.0, hi, guess, "black-scholes")
-    return vol
-
-
-def invert_point(price: float, strike: float, tau: float, kind: str,
-                 level: float, r: float = 0.0) -> ImpliedVolPoint:
-    """Inversion with a recorded convergence flag instead of an exception."""
-    try:
-        if kind == "vix":
-            vol = vix_normal_implied_vol(price, level, strike, tau)
-        elif kind == "spx":
-            vol = bs_implied_vol(price, level, strike, tau, r)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return ImpliedVolPoint(strike, tau, vol, True)
-    except NoRootError:
-        return ImpliedVolPoint(strike, tau, math.nan, False)
+    return _newton_bisect(f, price, 0.0, hi, guess, "black-scholes")
 
 
 def write_surface_csv(path, strikes, maturities, grid) -> None:

@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from .cores import usable_cores
 from .exceptions import DomainError
@@ -213,47 +212,3 @@ def mc_price_vix_strikes(mp: McModelParams, state0: HiddenState, strikes,
                             + (w.a3 + w.a4) * mp.params.theta)
     disc = math.exp(-mp.params.r * tau)
     return [_estimate(disc * np.maximum(vix_t - k, 0.0)) for k in strikes]
-
-
-def expected_y(tau: float, state0: HiddenState, params: ModelParams) -> float:
-    """Closed-form E[Y_tau] (fast factor)."""
-    emf = math.exp(-tau / params.epsilon)
-    ems = math.exp(-params.kappa * tau)
-    c = 1.0 / (1.0 - params.kappa * params.epsilon)
-    return (emf * state0.y + c * (ems - emf) * state0.z
-            + (1.0 - emf - c * (ems - emf)) * params.theta)
-
-
-def expected_z(tau: float, state0: HiddenState, params: ModelParams) -> float:
-    """Closed-form E[Z_tau] (CIR mean)."""
-    ems = math.exp(-params.kappa * tau)
-    return ems * state0.z + params.theta * (1.0 - ems)
-
-
-def variance_z(tau: float, state0: HiddenState, params: ModelParams) -> float:
-    """Closed-form Var[Z_tau] (CIR variance)."""
-    ems = math.exp(-params.kappa * tau)
-    return (state0.z * params.sigma**2 / params.kappa * (ems - ems * ems)
-            + params.theta * params.sigma**2 / (2.0 * params.kappa)
-            * (1.0 - ems) ** 2)
-
-
-def spectral_coefficient(nu: float, z: float, n: int,
-                         n_nodes: int = 80) -> float:
-    """Projection <(y - z) psi_n> against the fast factor's invariant
-    Gamma(z/nu^2, nu^2) law, by generalized Gauss-Laguerre quadrature.
-
-    psi_n are the orthonormal Laguerre eigenfunctions of the fast
-    generator.  Returns the quadrature value (the closed forms are 0,
-    -nu sqrt(z), 0, 0, ... -- asserted in tests, never used here).
-    """
-    if nu <= 0 or z <= 0:
-        raise DomainError(f"need nu > 0 and z > 0, got ({nu}, {z})")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    gamma = z / nu**2
-    nodes, weights = roots_genlaguerre(n_nodes, gamma - 1.0)
-    norm = math.exp(0.5 * (gammaln(n + 1) + gammaln(gamma) - gammaln(n + gamma)))
-    psi = norm * eval_genlaguerre(n, gamma - 1.0, nodes)
-    f = (nu**2 * nodes - z) * psi
-    return float((weights * f).sum() / math.exp(gammaln(gamma)))

@@ -223,12 +223,3 @@ def z_from_vix_heston(vix: float, kappa: float, theta: float) -> float:
             f"implied Heston z = {z:.6g} < 0 for VIX = {vix}"
         )
     return z
-
-
-def vix_from_z_heston(z: float, kappa: float, theta: float) -> float:
-    """Forward map of the one-factor benchmark: 100*sqrt(b2* z + b4* theta)."""
-    b2, b4 = heston_star_weights(kappa)
-    radicand = b2 * z + b4 * theta
-    if radicand < 0:
-        raise DomainError(f"negative benchmark VIX^2 radicand {radicand}")
-    return 100.0 * math.sqrt(radicand)

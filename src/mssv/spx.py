@@ -16,7 +16,6 @@ contour.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,19 +48,6 @@ class SpxOptionSpec:
             )
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class CharFnTerms:
-    """All k-dependent pieces of the transform at one (tau, k)."""
-
-    C: complex
-    D: complex
-    d: complex
-    g: complex
-    b: complex
-    f0_hat: complex
-    f1_hat: complex
 
 
 def effective_heston(params: ModelParams) -> tuple[float, float, float, float]:
@@ -101,58 +87,6 @@ def _correction_factors(tau, d, g, E):
 
 def _b_coeff(k, w3_eps):
     return -0.5 * w3_eps * (1j * k**3 + k * k)
-
-
-def char_fn_G(tau: float, k: complex, xi: float, params: ModelParams) -> complex:
-    """Characteristic-function factor exp(C + xi*D) at one (tau, k).
-
-    xi is the initial variance of the effective dynamics (2z for the
-    two-factor model).  tau = 0 returns exactly 1 for any k.
-    """
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
-    if tau == 0:
-        return 1.0 + 0.0j
-    ke, te, se, re_ = effective_heston(params)
-    C, D, _, _, _ = _cf_terms(tau, np.asarray([k], dtype=complex), ke, te, se, re_)
-    expo = C[0] + xi * D[0]
-    if expo.real > _EXP_CAP:
-        raise CharFnOverflowError(
-            f"Re(C + xi*D) = {expo.real:.1f} exceeds the exponent range at "
-            f"k = {k}; truncation is set too wide"
-        )
-    return cmath.exp(expo)
-
-
-def correction_factors(tau: float, k: complex,
-                       params: ModelParams) -> tuple[complex, complex, complex]:
-    """(f0_hat, f1_hat, b) at one (tau, k); b carries w3_eps."""
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    ke, te, se, re_ = effective_heston(params)
-    karr = np.asarray([k], dtype=complex)
-    _, _, d, g, E = _cf_terms(tau, karr, ke, te, se, re_)
-    if abs(g[0] * E[0] - 1.0) < 1e-13:
-        raise DomainError(
-            f"g*exp(tau*d) = 1 within tolerance at k = {k}: pole in the "
-            "correction factors; perturb k on the contour"
-        )
-    f0, f1 = _correction_factors(tau, d, g, E)
-    return f0[0], f1[0], _b_coeff(k, params.w3_eps)
-
-
-def char_fn_terms(tau: float, k: complex, params: ModelParams) -> CharFnTerms:
-    """All transform pieces at one (tau, k), for diagnostics and tests."""
-    ke, te, se, re_ = effective_heston(params)
-    karr = np.asarray([k], dtype=complex)
-    C, D, d, g, E = _cf_terms(tau, karr, ke, te, se, re_)
-    if tau > 0:
-        f0, f1 = _correction_factors(tau, d, g, E)
-        f0, f1 = f0[0], f1[0]
-    else:
-        f0 = f1 = 0.0 + 0.0j
-    return CharFnTerms(C=C[0], D=D[0], d=d[0], g=g[0],
-                       b=_b_coeff(k, params.w3_eps), f0_hat=f0, f1_hat=f1)
 
 
 def price_spx(spec: SpxOptionSpec, state: HiddenState, params: ModelParams,

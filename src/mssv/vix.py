@@ -17,8 +17,7 @@ from scipy.special import gammaln
 
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
-                    QuadratureConfig, VixWeights, heston_star_weights,
-                    vix_weights)
+                    QuadratureConfig, heston_star_weights, vix_weights)
 from .quadrature import integrate
 
 
@@ -145,38 +144,11 @@ def _payoff_block(strikes, slope, intercept, numer=None):
 
 
 def _correction_numer(v, state, tau, params, w):
+    """Strike-free numerator of the correction rows, with y - z frozen at
+    its time-t value; the e^{-tau/eps} transient is exactly 0 past 745."""
     transient = math.exp(-tau / params.epsilon) if tau / params.epsilon < 745 else 0.0
     return (2.0 * transient * w.a1 * (state.y - state.z)
             + params.kappa * params.epsilon * w.a2_star * (v - params.theta))
-
-
-def _strike_row(v, strike, params, w, numer=None):
-    """One strike's last row of the density pass's payoff block at v."""
-    _, rows = _payoff_block([float(strike)], w.a2_star,
-                            (1.0 + w.a4_star) * params.theta, numer)
-    row = rows(np.ravel(np.asarray(v, dtype=float)))[-1]
-    return row.reshape(np.shape(v)) if np.ndim(v) else float(row[0])
-
-
-def payoff_h0(v, params: ModelParams, strike: float,
-              weights: VixWeights | None = None):
-    """Leading VIX call payoff as a function of the slow-factor value v."""
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    return _strike_row(v, strike, params, w)
-
-
-def payoff_h1star(v, state: HiddenState, tau: float, params: ModelParams,
-                  strike: float, weights: VixWeights | None = None):
-    """First-order payoff correction, frozen at the time-t value of y - z.
-
-    The e^{-tau/epsilon} transient underflows to exactly 0 once
-    tau/epsilon > ~745, which is the correct limit behavior.
-    """
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    return _strike_row(v, strike, params, w,
-                       lambda u: _correction_numer(u, state, tau, params, w))
 
 
 def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,

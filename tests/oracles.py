@@ -1,14 +1,23 @@
 """Independent numerical oracles used by the tests.
 
-Everything here deliberately avoids the package's own closed forms and
-quadrature: characteristic-function values come from Runge-Kutta
-integration of the underlying Riccati system, prices from Gil-Pelaez
-inversion with scipy's QUADPACK, and the correction factors from
-adaptive quadrature of their defining time integrals.
+Everything here deliberately avoids the package's own pricing closed
+forms and quadrature: characteristic-function values come from
+Runge-Kutta integration of the underlying Riccati system, prices from
+Gil-Pelaez inversion with scipy's QUADPACK, and the correction factors
+from adaptive quadrature of their defining time integrals.  The factor
+moments, the spectral projection and the benchmark's forward VIX map are
+reference closed forms that the package itself never evaluates.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
+from scipy.stats import ncx2
+
+from mssv import DomainError, HiddenState, ModelParams
+from mssv.model import heston_star_weights, vix_weights
 
 
 def riccati_cd(tau, k, kappa, theta, sigma, rho):
@@ -103,3 +112,77 @@ def heston_call_gil_pelaez_ode(x, strike, tau, r, kappa_h, theta_h, sigma_h,
     p2 = 0.5 + i2 / np.pi
     p1 = 0.5 + i1 / np.pi
     return np.exp(-r * tau) * (fwd * p1 - strike * p2)
+
+
+def expected_y(tau: float, state0: HiddenState, params: ModelParams) -> float:
+    """Closed-form E[Y_tau] (fast factor)."""
+    emf = math.exp(-tau / params.epsilon)
+    ems = math.exp(-params.kappa * tau)
+    c = 1.0 / (1.0 - params.kappa * params.epsilon)
+    return (emf * state0.y + c * (ems - emf) * state0.z
+            + (1.0 - emf - c * (ems - emf)) * params.theta)
+
+
+def expected_z(tau: float, state0: HiddenState, params: ModelParams) -> float:
+    """Closed-form E[Z_tau] (CIR mean)."""
+    ems = math.exp(-params.kappa * tau)
+    return ems * state0.z + params.theta * (1.0 - ems)
+
+
+def variance_z(tau: float, state0: HiddenState, params: ModelParams) -> float:
+    """Closed-form Var[Z_tau] (CIR variance)."""
+    ems = math.exp(-params.kappa * tau)
+    return (state0.z * params.sigma**2 / params.kappa * (ems - ems * ems)
+            + params.theta * params.sigma**2 / (2.0 * params.kappa)
+            * (1.0 - ems) ** 2)
+
+
+def spectral_coefficient(nu: float, z: float, n: int,
+                         n_nodes: int = 80) -> float:
+    """Projection <(y - z) psi_n> against the fast factor's invariant
+    Gamma(z/nu^2, nu^2) law, by generalized Gauss-Laguerre quadrature.
+
+    psi_n are the orthonormal Laguerre eigenfunctions of the fast
+    generator.  Returns the quadrature value (the closed forms are 0,
+    -nu sqrt(z), 0, 0, ... -- asserted in tests, never used here).
+    """
+    if nu <= 0 or z <= 0:
+        raise DomainError(f"need nu > 0 and z > 0, got ({nu}, {z})")
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    gamma = z / nu**2
+    nodes, weights = roots_genlaguerre(n_nodes, gamma - 1.0)
+    norm = math.exp(0.5 * (gammaln(n + 1) + gammaln(gamma) - gammaln(n + gamma)))
+    psi = norm * eval_genlaguerre(n, gamma - 1.0, nodes)
+    f = (nu**2 * nodes - z) * psi
+    return float((weights * f).sum() / math.exp(gammaln(gamma)))
+
+
+def vix_from_z_heston(z: float, kappa: float, theta: float) -> float:
+    """Forward map of the one-factor benchmark: 100*sqrt(b2* z + b4* theta)."""
+    b2, b4 = heston_star_weights(kappa)
+    radicand = b2 * z + b4 * theta
+    if radicand < 0:
+        raise DomainError(f"negative benchmark VIX^2 radicand {radicand}")
+    return 100.0 * math.sqrt(radicand)
+
+
+def vix_call_z_only(strike: float, tau: float, z: float,
+                    params: ModelParams) -> float:
+    """VIX call with the fast factor set to the slow one at expiry:
+    e^{-r tau} E[(100 sqrt((a1 + a2) Z_tau + (a3 + a4) theta) - K)+] with
+    the exact weights and Z_tau from the CIR law started at z, by QUADPACK
+    against scipy's non-central chi-square density."""
+    w = vix_weights(params.kappa, params.epsilon)
+    slope, intercept = w.a1 + w.a2, (w.a3 + w.a4) * params.theta
+    decay = math.exp(-params.kappa * tau)
+    delta = (1.0 - decay) * params.sigma**2 / (4.0 * params.kappa)
+    dof = 4.0 * params.kappa * params.theta / params.sigma**2
+    lam = z * decay / delta
+    lo = max(((strike / 100.0) ** 2 - intercept) / (slope * delta), 0.0)
+    hi = max(dof + lam + 60.0 * math.sqrt(2.0 * (dof + 2.0 * lam)) + 20.0,
+             2.0 * lo)
+    val = quad(lambda x: (100.0 * math.sqrt(slope * delta * x + intercept)
+                          - strike) * ncx2.pdf(x, dof, lam),
+               lo, hi, limit=500, epsabs=1e-12, epsrel=1e-12)[0]
+    return math.exp(-params.r * tau) * val

@@ -27,16 +27,15 @@ from mssv import (CalibrationConfig, HiddenState, McConfig, McModelParams,
                   mc_price_vix_strikes, ncx2_pdf, price_heston_call_batch,
                   price_spx_strike_batch, price_vix,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
-                  spectral_coefficient, to_date_slices, vix_from_state,
-                  vix_from_z_heston, vix_limit_from_z, vix_normal_implied_vol,
-                  vix_normal_price)
+                  to_date_slices, vix_from_state, vix_limit_from_z,
+                  vix_normal_implied_vol, vix_normal_price)
 from mssv.data import BUCKET_LABELS, OptionQuote
-from mssv.impvol import invert_point
 from mssv.model import TAU0
 from mssv.spx import effective_heston
 
 from .conftest import FITTED, FITTED_HESTON, MC_JOBS
-from .oracles import heston_call_gil_pelaez_ode
+from .oracles import (heston_call_gil_pelaez_ode, spectral_coefficient,
+                      vix_from_z_heston)
 
 PARAMS = ModelParams(**FITTED)
 STATE_1 = HiddenState(y=0.0234, z=0.0194)   # y > z
@@ -460,10 +459,9 @@ def test_criterion_10_round_trips_and_sign_reversal():
             pc = price_vix(VixOptionSpec(k, tau), state, PARAMS).total
             pu = price_vix(VixOptionSpec(k, tau), uncorr_state, PARAMS,
                            include_correction=False).total
-            ic = invert_point(pc, k, tau, "vix", level_c)
-            iu = invert_point(pu, k, tau, "vix", level_u)
-            assert ic.converged and iu.converged
-            deltas.append(ic.implied_vol - iu.implied_vol)
+            # raises NoRootError where a point does not invert
+            deltas.append(vix_normal_implied_vol(pc, level_c, k, tau)
+                          - vix_normal_implied_vol(pu, level_u, k, tau))
         slopes[name] = deltas[-1] - deltas[0]
     reversal_ok = slopes["y>z"] > 0 > slopes["y<z"]
     ok = rt_ok and reversal_ok

@@ -133,8 +133,8 @@ def test_calibrate_msv_mechanics(params):
     for entry in res.states:
         st, _ = inner_state_fit(by_date[entry["date"]], fitted.kappa,
                                 fitted.theta, fitted.sigma, fitted.epsilon,
-                                fitted.r, QUAD, FAST.weight_floor,
-                                FAST.inner_xtol)
+                                fitted.r, QUAD, calibration._WEIGHT_FLOOR,
+                                calibration._INNER_XTOL)
         assert st.y == entry["y"] and st.z == entry["z"]
 
 
@@ -182,13 +182,6 @@ def test_trace_numbers_evaluations_within_each_step():
     assert len(step2) > 3
     for entry in step2:
         assert calls[entry["eval"]] == entry["objective"]
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CalibrationConfig(weight_floor=0.0)
-    with pytest.raises(ValueError):
-        CalibrationConfig(bounds={"kappa": (2.0, 1.0)})
 
 
 def test_restart_outcomes_are_recorded(monkeypatch, params):

@@ -241,3 +241,70 @@ def test_error_report_prices_puts_by_parity_for_both_models(tmp_path, capsys):
             if row[1] == "mean":
                 total = float(row[lines[0].index(column)])
                 assert total == pytest.approx(0.0, abs=1e-9), (model, row[0])
+
+
+def test_validate_reports_a_strike_no_path_ends_in_the_money(capsys):
+    rc = main(["validate", *PARAM_FLAGS, *STATE_FLAGS, "--vix-strikes",
+               "20,80", "--paths", "20000", "--steps-per-eps", "2",
+               "--vix-tau", "0.02"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2].split()[0] == "20" and rows[2].split()[3] != "0"
+    k, analytic, mc, se, dev, *flag = rows[3].split()
+    assert (k, mc, se, dev) == ("80", "0", "0", "nan")
+    assert " ".join(flag) == "NO PATH IN THE MONEY"
+    assert rows[4] == "points outside 3 SE: 0"
+
+
+def _error_report_files(tmp_path):
+    """A one-quote CSV and valid heston and msv results for its date."""
+    (tmp_path / "quotes.csv").write_text(
+        "date,underlying,type,strike,expiry,price,volume,underlying_close\n"
+        "2016-01-05,VIX,call,20,2016-02-04,1.8,100,19.9\n")
+    (tmp_path / "heston.json").write_text(json.dumps({
+        "model": "heston", "params": {**FITTED_HESTON, "r": FITTED["r"]},
+        "states": [{"date": "2016-01-05", "z": 0.04}]}))
+    (tmp_path / "msv.json").write_text(json.dumps({
+        "model": "msv", "params": FITTED,
+        "states": [{"date": "2016-01-05", "y": 0.0234, "z": 0.0194}]}))
+    return ["error-report", "--quotes", str(tmp_path / "quotes.csv"),
+            "--no-filters", "--out", str(tmp_path / "errors.csv")]
+
+
+def test_error_report_missing_result_file_is_a_data_error(tmp_path, capsys):
+    argv = _error_report_files(tmp_path)
+    rc = main([*argv, "--heston-result", str(tmp_path / "absent.json"),
+               "--msv-result", str(tmp_path / "msv.json")])
+    assert rc == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
+def test_error_report_heston_result_as_msv_result_is_a_data_error(tmp_path,
+                                                                   capsys):
+    argv = _error_report_files(tmp_path)
+    rc = main([*argv, "--heston-result", str(tmp_path / "heston.json"),
+               "--msv-result", str(tmp_path / "heston.json")])
+    assert rc == 2
+    assert "heston.json" in capsys.readouterr().err
+    # the valid pair goes through
+    assert main([*argv, "--heston-result", str(tmp_path / "heston.json"),
+                 "--msv-result", str(tmp_path / "msv.json")]) == 0
+
+
+def test_error_report_result_not_json_is_a_data_error(tmp_path, capsys):
+    argv = _error_report_files(tmp_path)
+    (tmp_path / "msv.json").write_text('{"model": "msv", "params": ')
+    rc = main([*argv, "--heston-result", str(tmp_path / "heston.json"),
+               "--msv-result", str(tmp_path / "msv.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "msv.json" in err and "JSONDecodeError" in err
+
+
+def test_make_synthetic_into_a_missing_directory_is_a_data_error(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "absent" / "quotes.csv"
+    rc = main(["make-synthetic", *PARAM_FLAGS, "--out", str(out),
+               "--n-dates", "1"])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err

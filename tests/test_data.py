@@ -94,17 +94,6 @@ def test_load_missing_columns(tmp_path):
         load_quotes(tmp_path / "absent.csv")
 
 
-def test_load_with_schema_mapping(tmp_path):
-    p = tmp_path / "vendor.csv"
-    p.write_text("dt,und,cp,k,exp,px,vol,close\n"
-                 "2016-01-05,VIX,call,20,2016-02-05,1.5,100,19.5\n")
-    quotes, rejects = load_quotes(p, schema={
-        "date": "dt", "underlying": "und", "type": "cp", "strike": "k",
-        "expiry": "exp", "price": "px", "volume": "vol",
-        "underlying_close": "close"})
-    assert len(quotes) == 1 and not rejects
-
-
 def test_filters_thresholds():
     quotes = [
         _q(volume=49.0),                      # removed: volume

@@ -5,9 +5,9 @@ import math
 import pytest
 from scipy.stats import norm
 
-from mssv import (NoRootError, bs_call_price, bs_implied_vol,
-                  vix_normal_implied_vol, vix_normal_price)
-from mssv.impvol import invert_point
+from mssv import (NoRootError, PriceDecomposition, Quote, bs_call_price,
+                  bs_implied_vol, vix_normal_implied_vol, vix_normal_price)
+from mssv.cli import _vols
 
 
 def test_normal_price_degenerate_vol():
@@ -74,10 +74,14 @@ def test_bs_atm_one_year_reference():
 
 
 def test_invert_point_flags_failures():
-    good = invert_point(2.5, 20.0, 0.1, "vix", 20.0)
-    assert good.converged and good.implied_vol > 0
-    bad = invert_point(1.0, 18.0, 0.1, "vix", 20.0)  # below intrinsic
-    assert not bad.converged and math.isnan(bad.implied_vol)
+    # the surface's inversion writes nan where a point has no root
+    grid = [Quote(20.0, 0.1, True, math.nan), Quote(18.0, 0.1, True, math.nan)]
+    prices = [PriceDecomposition(2.5, 0.0),
+              PriceDecomposition(1.0, 0.0)]  # below intrinsic
+    (good,), (bad,) = _vols(lambda p, k, tau: vix_normal_implied_vol(
+        p, 20.0, k, tau), grid, prices, 2)
+    assert good > 0
+    assert math.isnan(bad)
 
 
 def test_residual_tolerance():

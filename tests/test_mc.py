@@ -8,11 +8,11 @@ import pytest
 from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
                   ModelParams, bs_call_price, mc_price_spx_strikes,
                   mc_price_vix_strikes, simulate_terminal,
-                  simulate_variance_terminal, spectral_coefficient)
+                  simulate_variance_terminal)
 from mssv.cores import usable_cores
-from mssv.mc import expected_y, expected_z, variance_z
 
 from .conftest import FITTED, MC_JOBS
+from .oracles import expected_y, expected_z, spectral_coefficient, variance_z
 
 PATHS = 200_000
 

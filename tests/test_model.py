@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from mssv import (DomainError, HiddenState, InfeasibleStateError, ModelParams,
                   QuadratureConfig, TAU0, heston_star_weights, vix_from_state,
-                  vix_from_z_heston, vix_limit_from_z, vix_weights,
-                  y_max_for_vix, z_from_vix_given_y, z_from_vix_heston)
+                  vix_limit_from_z, vix_weights, y_max_for_vix,
+                  z_from_vix_given_y, z_from_vix_heston)
+
+from .oracles import vix_from_z_heston
 
 # frozen by direct 30-digit evaluation of the weight formulas
 A1_REF = 0.11677765562718464

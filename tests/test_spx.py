@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 import mssv.spx
-from mssv import (CharFnOverflowError, DomainError, ModelParams,
-                  QuadratureConfig, SpxOptionSpec, char_fn_G, char_fn_terms,
-                  correction_factors, price_heston_call_batch, price_spx,
-                  price_spx_strike_batch)
-from mssv.spx import effective_heston
+from mssv import (CharFnOverflowError, DomainError, HiddenState, ModelParams,
+                  QuadratureConfig, SpxOptionSpec, price_heston_call_batch,
+                  price_spx, price_spx_strike_batch)
+from mssv.spx import _cf_terms, _correction_factors, effective_heston
 
 from .conftest import FITTED
 from .oracles import char_fn_ode, f0_hat_quad, f1_hat_quad
@@ -19,20 +18,28 @@ from .oracles import char_fn_ode, f0_hat_quad, f1_hat_quad
 CONTOUR_KS = [0.3 + 1.5j, 1.0 + 1.5j, -2.0 + 1.5j, 7.0 + 1.5j, 25.0 + 1.5j]
 
 
-def test_char_fn_at_zero_maturity(params):
-    for k in CONTOUR_KS:
-        assert char_fn_G(0.0, k, 0.05, params) == 1.0
+def _terms(tau, k, params):
+    """C, D, d, g, E = exp(tau*d) of the contour pass at one k."""
+    terms = _cf_terms(tau, np.asarray([k], dtype=complex),
+                      *effective_heston(params))
+    return [t[0] for t in terms]
+
+
+def _char_fn(tau, k, xi, params):
+    """exp(C + xi*D) at one (tau, k), as the contour pass forms it."""
+    C, D, _, _, _ = _terms(tau, k, params)
+    return np.exp(C + xi * D)
 
 
 def test_char_fn_small_k_normalization(params):
     # G -> 1 as k -> 0 under the branch rule
-    val = char_fn_G(0.25, 1e-10 + 0j, 0.04, params)
+    val = _char_fn(0.25, 1e-10 + 0j, 0.04, params)
     assert abs(val - 1.0) < 1e-8
 
 
 def test_char_fn_matches_riccati_oracle(params):
     for k in CONTOUR_KS + [1.0 + 1.5j]:
-        mine = char_fn_G(0.25, k, 0.042, params)
+        mine = _char_fn(0.25, k, 0.042, params)
         ref = char_fn_ode(0.25, k, 0.042, params.kappa, params.theta,
                           params.sigma, params.rho)
         assert abs(mine - ref) <= 1e-8 * max(1.0, abs(ref))
@@ -41,26 +48,33 @@ def test_char_fn_matches_riccati_oracle(params):
 def test_char_fn_continuity_along_contour(params):
     # dense sweep: no branch-cut jumps in C (log stays on one sheet)
     us = np.linspace(-60.0, 60.0, 1201)
-    cs = np.array([char_fn_terms(0.5, u + 1.5j, params).C for u in us])
+    cs = np.array([_terms(0.5, u + 1.5j, params)[0] for u in us])
     jumps = np.abs(np.diff(cs.imag))
     assert jumps.max() < 1.0  # a cut crossing would show a ~2*pi jump
 
 
 def test_char_fn_overflow_guard(params):
+    # xi = 2z = 1e8 overflows the transform exponent on the contour
     with pytest.raises(CharFnOverflowError):
-        char_fn_G(0.25, 0.5 + 1.2j, 1e8, params)
+        price_spx_strike_batch(2000.0, [2000.0], 0.25,
+                               HiddenState(y=0.0, z=5e7), params)
+
+
+def _factors(tau, k, params):
+    _, _, d, g, E = _terms(tau, k, params)
+    return _correction_factors(tau, d, g, E)
 
 
 def test_correction_factors_vanish_at_zero_maturity(params):
     for tau in (1e-8, 1e-6):
-        f0, f1, _ = correction_factors(tau, 1.0 + 1.5j, params)
+        f0, f1 = _factors(tau, 1.0 + 1.5j, params)
         assert abs(f0) < 1e-5
         assert abs(f1) < 1e-4
 
 
 def test_correction_factors_match_integral_definitions(params):
     for k in (1.0 + 1.5j, 5.0 + 1.5j, -3.0 + 1.5j):
-        f0, f1, _ = correction_factors(0.25, k, params)
+        f0, f1 = _factors(0.25, k, params)
         f1_ref = f1_hat_quad(0.25, k, params.kappa, params.sigma, params.rho)
         f0_ref = f0_hat_quad(0.25, k, params.kappa, params.sigma, params.rho)
         assert abs(f1 - f1_ref) < 1e-8

@@ -11,14 +11,17 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import ncx2 as scipy_ncx2
 
 import mssv.vix
-from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
+from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
+                  Ncx2Params,
                   QuadratureConfig, QuadratureError, Quote, VixOptionSpec,
-                  heston_star_weights, ncx2_pdf, payoff_h0, payoff_h1star,
-                  price_quotes, price_vix, price_vix_heston_strike_batch,
-                  price_vix_strike_batch, vix_weights)
+                  heston_star_weights, ncx2_pdf, price_quotes, price_vix,
+                  price_vix_heston_strike_batch, price_vix_strike_batch,
+                  vix_weights)
 from mssv.model import TAU0
+from mssv.vix import _correction_numer, _payoff_block
 
 from .conftest import FITTED
+from .oracles import vix_call_z_only
 
 DOF_GRID = (0.5, 2.0, 10.0, 50.0)
 LAM_GRID = (0.0, 1.0, 10.0, 100.0)
@@ -102,6 +105,28 @@ def test_ncx2_pdf_bitwise_equals_scipy_logsumexp(dof, lam):
     assert mine[-1] == 0.0  # the far tail underflows on both sides
     assert mine[0] == (math.inf if dof < 2 else
                        0.5 * math.exp(-lam / 2) if dof == 2 else 0.0)
+
+
+def _strike_row(v, params, strike, state=None, tau=None):
+    """One strike's last row of the two-factor pass's payoff block at v:
+    the leading payoff, or with a state the correction payoff."""
+    w = vix_weights(params.kappa, params.epsilon)
+    numer = None if state is None else (
+        lambda u: _correction_numer(u, state, tau, params, w))
+    _, rows = _payoff_block([float(strike)], w.a2_star,
+                            (1.0 + w.a4_star) * params.theta, numer)
+    row = rows(np.ravel(np.asarray(v, dtype=float)))[-1]
+    return row.reshape(np.shape(v)) if np.ndim(v) else float(row[0])
+
+
+def payoff_h0(v, params, strike):
+    """Leading VIX call payoff in the slow-factor value v."""
+    return _strike_row(v, params, strike)
+
+
+def payoff_h1star(v, state, tau, params, strike):
+    """First-order payoff correction, frozen at the time-t value of y - z."""
+    return _strike_row(v, params, strike, state, tau)
 
 
 def test_payoff_h0_kink_and_floor(params):
@@ -278,6 +303,25 @@ def test_correction_increases_in_y_when_transient_alive(params):
     hi = price_vix(VixOptionSpec(20.0, tau), HiddenState(y=0.030, z=z),
                    params).correction
     assert hi > lo
+
+
+def test_expansion_error_against_z_only_price_is_second_order(state_high_y):
+    # the analytic total minus the exact-weight price with Y_T := Z_T is
+    # the expansion's own error, with no Monte Carlo (eta, nu as in 5b)
+    tau, strikes, eps_set = 0.25, [18.0, 20.0, 22.0], (0.04, 0.02, 0.01)
+    gaps = []
+    for eps in eps_set:
+        params = McModelParams.from_eta_nu(
+            ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5,
+            nu=0.433).params
+        totals = [d.total for d in price_vix_strike_batch(
+            strikes, tau, state_high_y, params)]
+        gaps.append([t - vix_call_z_only(k, tau, state_high_y.z, params)
+                     for t, k in zip(totals, strikes)])
+    for i, k in enumerate(strikes):
+        errs = [abs(g[i]) for g in gaps]
+        slope = np.polyfit(np.log(eps_set), np.log(errs), 1)[0]
+        assert 1.5 <= slope <= 2.5, (k, errs, slope)
 
 
 def _call_put_zero(strike, calls, r):
