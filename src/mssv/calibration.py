@@ -37,7 +37,7 @@ from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, vix_weights, y_max_for_vix,
                     z_from_vix_given_y, z_from_vix_heston)
 from .spx import price_heston_call_batch, price_spx_strike_batch
-from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
+from .vix import fixed_density_rule, price_vix_heston_strike_batch
 
 _PENALTY = 1e8
 #: order of the fitted parameters in a CalibrationResult
@@ -445,7 +445,8 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
     """Fit the date's hidden state under the VIX-close constraint.
 
     The constraint z = z(y) is linear and exact, so the two-dimensional
-    per-date fit reduces losslessly to a bounded search over y alone.
+    per-date fit reduces losslessly to a bounded search over y alone,
+    each maturity priced by one `fixed_density_rule` for all of [0, ymax].
     Returns (state, objective).
     """
     if not date_slice.vix_quotes or not date_slice.vix_level:
@@ -454,6 +455,11 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
                          epsilon=epsilon, w3_eps=0.0, r=r)
     w = vix_weights(kappa, epsilon)
     ymax = y_max_for_vix(date_slice.vix_level, params, w)
+    # z falls as y rises (a1, a2 > 0), so these ends bound lam
+    ends = (HiddenState(y=0.0, z=z_from_vix_given_y(date_slice.vix_level,
+                                                     0.0, params, w)),
+            HiddenState(y=ymax, z=0.0))
+    rules = {}
 
     def objective(y):
         try:
@@ -461,10 +467,12 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
             state = HiddenState(y=y, z=z)
         except InfeasibleStateError:
             return _PENALTY
-        return _sse(date_slice.vix_quotes,
-                    lambda ks, tau: price_vix_strike_batch(ks, tau, state,
-                                                           params, quad),
-                    r, floor)
+
+        def calls(ks, tau):
+            if tau not in rules:
+                rules[tau] = fixed_density_rule(ks, tau, params, ends, quad)
+            return rules[tau](state)
+        return _sse(date_slice.vix_quotes, calls, r, floor)
 
     res = minimize_scalar(objective, bounds=(0.0, ymax), method="bounded",
                           options={"xatol": xtol})

@@ -12,6 +12,7 @@ import argparse
 import datetime as dt
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -89,33 +90,27 @@ def _merged(args, key, default=None, cast=float):
 
 
 def _model_params(args) -> ModelParams:
-    vals = {}
-    defaults = {"r": 0.02}
-    for key in _PARAM_KEYS:
-        v = _merged(args, key, defaults.get(key))
+    vals = {key: _merged(args, key, 0.02 if key == "r" else None)
+            for key in _PARAM_KEYS}
+    for key, v in vals.items():
         if v is None:
             raise DataError(f"missing model parameter {key!r} (flag or config)")
-        vals[key] = float(v)
-    return ModelParams(**vals)
+    return ModelParams(**{key: float(v) for key, v in vals.items()})
 
 
-def _quad_config(args) -> QuadratureConfig:
-    kw = {}
-    for key in _QUAD_KEYS:
-        cast = int if key == "max_nodes" else float
-        v = _merged(args, key, None, cast)
-        if v is not None:
-            kw[key] = cast(v)
-    return QuadratureConfig(**kw)
+def _given(args, keys, cast=float) -> dict:
+    """The values of keys given by flag or config (the latter cast)."""
+    vals = {key: _merged(args, key, None, cast) for key in keys}
+    return {key: v for key, v in vals.items() if v is not None}
+
+
+def _quad_config(args) -> QuadratureConfig:  # max_nodes, the last, is int
+    return QuadratureConfig(**_given(args, _QUAD_KEYS[:-1]),
+                            **_given(args, _QUAD_KEYS[-1:], int))
 
 
 def _mc_config(args) -> McConfig:
-    kw = {}
-    for key in _MC_KEYS:
-        v = _merged(args, key, None, int)
-        if v is not None:
-            kw[key] = v
-    return McConfig(**kw)
+    return McConfig(**_given(args, _MC_KEYS, int))
 
 
 def _state(args) -> HiddenState:
@@ -144,45 +139,49 @@ def _print_decomps(strikes, decomps):
               f"{_g(d.total)}{warn}")
 
 
-def _add_param_flags(p):
-    p.add_argument("--config", help="flat KEY=value config file")
-    for key in _PARAM_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
-    for key in _QUAD_KEYS:
-        cast = int if key == "max_nodes" else float
+def _flags(p, keys, cast=float):
+    """Optional --key flags (underscores as dashes) of type cast."""
+    for key in keys:
         p.add_argument(f"--{key.replace('_', '-')}", type=cast, dest=key)
+
+
+def _add_param_flags(p, *keys):
+    """--config, the model and quadrature flags, and float flags keys."""
+    p.add_argument("--config", help="flat KEY=value config file")
+    _flags(p, _PARAM_KEYS + _QUAD_KEYS[:-1] + keys)
+    _flags(p, _QUAD_KEYS[-1:], int)
+
+
+def _add_quote_flags(p):
+    p.add_argument("--quotes", required=True)
+    p.add_argument("--split-date")
+    p.add_argument("--use", choices=["train", "test"], default="train")
+    p.add_argument("--no-filters", action="store_true")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_price_spx(args):
-    params = _model_params(args)
-    state = _state(args)
-    quad = _quad_config(args)
+def _price_grid(args, calls, spot=None):
+    """Print the decompositions of the --strikes grid at --tau, priced by
+    calls(strikes, tau, state, params, quad)."""
+    params, state, quad = _model_params(args), _state(args), _quad_config(args)
     strikes = _floats(args.strikes)
-    decomps = price_quotes(
+    _print_decomps(strikes, price_quotes(
         _grid(strikes, [args.tau], not args.put),
-        lambda ks, tau: price_spx_strike_batch(args.x, ks, tau, state, params,
-                                               quad),
-        params.r, args.x)
-    _print_decomps(strikes, decomps)
+        lambda ks, tau: calls(ks, tau, state, params, quad), params.r, spot))
     return EXIT_OK
+
+
+def cmd_price_spx(args):
+    return _price_grid(args, lambda ks, tau, st, p, quad: (
+        price_spx_strike_batch(args.x, ks, tau, st, p, quad)), args.x)
 
 
 def cmd_price_vix(args):
-    params = _model_params(args)
-    state = _state(args)
-    quad = _quad_config(args)
-    strikes = _floats(args.strikes)
-    decomps = price_quotes(
-        _grid(strikes, [args.tau], not args.put),
-        lambda ks, tau: price_vix_strike_batch(ks, tau, state, params, quad,
-                                               not args.uncorrected),
-        params.r)
-    _print_decomps(strikes, decomps)
-    return EXIT_OK
+    return _price_grid(args, lambda ks, tau, st, p, quad: (
+        price_vix_strike_batch(ks, tau, st, p, quad, not args.uncorrected)))
 
 
 def _load_quotes(args):
@@ -219,12 +218,11 @@ def _round_floats(obj, digits=10):
 
 
 def cmd_calibrate(args):
+    if not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
+        raise DataError(f"cannot write {args.out}: no writable directory")
     slices = to_date_slices(_load_quotes(args))
-    cfg = CalibrationConfig(
-        max_iter=int(_merged(args, "max_iter", 200, int)),
-        restarts=int(_merged(args, "restarts", 3, int)),
-        seed=int(_merged(args, "seed", 0, int)),
-    )
+    cfg = CalibrationConfig(**_given(args, ("max_iter", "restarts", "seed"),
+                                     int))
     quad = _quad_config(args)
     r = float(_merged(args, "r", 0.02))
     if args.model == "heston":
@@ -354,13 +352,17 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _read_result(path, params_of, state_of):
-    """(params, {date: state}) of a calibration result file, through
-    params_of(its params) and state_of(each state); DataError naming the
-    file if it is not JSON or lacks a key or value they need."""
+def _read_result(path, model, params_of, state_of):
+    """(params, {date: state}) of a calibration result file of model,
+    through params_of(its params) and state_of(each state); DataError
+    naming the file if it is not JSON, is another model's result or lacks
+    a key or value they need."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
+            if doc["model"] != model:
+                raise DataError(f"calibration result {path} is of model "
+                                f"{doc['model']!r}, not {model!r}")
             return (params_of(doc["params"]),
                     {s["date"]: state_of(s) for s in doc["states"]})
         except (ValueError, KeyError, TypeError) as exc:
@@ -372,11 +374,11 @@ def cmd_error_report(args):
     quotes = _load_quotes(args)
     quad = _quad_config(args)
     h, h_z = _read_result(
-        args.heston_result,
+        args.heston_result, "heston",
         lambda p: {k: p[k] for k in ("kappa", "theta", "sigma", "rho", "r")},
         lambda s: s["z"])
     params, m_state = _read_result(
-        args.msv_result, lambda p: ModelParams(**p),
+        args.msv_result, "msv", lambda p: ModelParams(**p),
         lambda s: HiddenState(y=s["y"], z=s["z"]))
 
     slices = to_date_slices(quotes)
@@ -445,21 +447,17 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("price-spx", help="price SPX options on a strike grid")
-    _add_param_flags(sp)
+    _add_param_flags(sp, "y", "z")
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--strikes", required=True, help="comma-separated")
     sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--y", type=float)
-    sp.add_argument("--z", type=float)
     sp.add_argument("--put", action="store_true")
     sp.set_defaults(func=cmd_price_spx)
 
     vp = sub.add_parser("price-vix", help="price VIX options on a strike grid")
-    _add_param_flags(vp)
+    _add_param_flags(vp, "y", "z")
     vp.add_argument("--strikes", required=True)
     vp.add_argument("--tau", type=float, required=True)
-    vp.add_argument("--y", type=float)
-    vp.add_argument("--z", type=float)
     vp.add_argument("--put", action="store_true")
     vp.add_argument("--uncorrected", action="store_true",
                     help="leading term only (epsilon -> 0 surface)")
@@ -467,25 +465,16 @@ def build_parser() -> _Parser:
 
     cp = sub.add_parser("calibrate", help="two-step calibration from quotes")
     _add_param_flags(cp)
+    _add_quote_flags(cp)
     cp.add_argument("--model", choices=["heston", "msv"], required=True)
-    cp.add_argument("--quotes", required=True)
     cp.add_argument("--out", required=True)
-    cp.add_argument("--split-date")
-    cp.add_argument("--use", choices=["train", "test"], default="train")
-    cp.add_argument("--no-filters", action="store_true")
-    cp.add_argument("--max-iter", type=int, dest="max_iter")
-    cp.add_argument("--restarts", type=int)
-    cp.add_argument("--seed", type=int)
+    _flags(cp, ("max_iter", "restarts", "seed"), int)
     cp.set_defaults(func=cmd_calibrate)
 
     ip = sub.add_parser("imvol-surface",
                         help="corrected/uncorrected implied-vol grids")
-    _add_param_flags(ip)
+    _add_param_flags(ip, "x", "y", "z", "uncorrected_z")
     ip.add_argument("--kind", choices=["spx", "vix"], required=True)
-    ip.add_argument("--x", type=float)
-    ip.add_argument("--y", type=float)
-    ip.add_argument("--z", type=float)
-    ip.add_argument("--uncorrected-z", type=float, dest="uncorrected_z")
     ip.add_argument("--strikes", required=True)
     ip.add_argument("--taus", required=True)
     ip.add_argument("--out-corrected", required=True)
@@ -494,42 +483,31 @@ def build_parser() -> _Parser:
     ip.set_defaults(func=cmd_imvol_surface)
 
     vl = sub.add_parser("validate", help="Monte Carlo vs analytic report")
-    _add_param_flags(vl)
-    vl.add_argument("--x", type=float)
-    vl.add_argument("--y", type=float)
-    vl.add_argument("--z", type=float)
-    vl.add_argument("--eta", type=float)
+    _add_param_flags(vl, "x", "y", "z", "eta")
     vl.add_argument("--spx-strikes", default="", dest="spx_strikes")
     vl.add_argument("--spx-tau", type=float, default=0.25, dest="spx_tau")
     vl.add_argument("--vix-strikes", default="", dest="vix_strikes")
     vl.add_argument("--vix-tau", type=float, default=30 / 365, dest="vix_tau")
-    vl.add_argument("--paths", type=int)
-    vl.add_argument("--seed", type=int)
-    vl.add_argument("--steps-per-eps", type=int, dest="steps_per_eps")
+    _flags(vl, _MC_KEYS, int)
     vl.set_defaults(func=cmd_validate)
 
     ep = sub.add_parser("error-report",
                         help="bucketed two-model error tables from quotes")
     _add_param_flags(ep)
-    ep.add_argument("--quotes", required=True)
+    _add_quote_flags(ep)
     ep.add_argument("--heston-result", required=True, dest="heston_result")
     ep.add_argument("--msv-result", required=True, dest="msv_result")
     ep.add_argument("--out", required=True)
-    ep.add_argument("--split-date")
-    ep.add_argument("--use", choices=["train", "test"], default="train")
-    ep.add_argument("--no-filters", action="store_true")
     ep.set_defaults(func=cmd_error_report)
 
     mp = sub.add_parser("make-synthetic",
                         help="generate a synthetic quote CSV from known parameters")
-    _add_param_flags(mp)
+    _add_param_flags(mp, "x")
     mp.add_argument("--out", required=True)
     mp.add_argument("--n-dates", type=int, default=6, dest="n_dates")
     mp.add_argument("--start-date", default="2016-01-05", dest="start_date")
-    mp.add_argument("--x", type=float)
     mp.add_argument("--noise", type=float, default=0.0)
-    mp.add_argument("--seed", type=int)
-    mp.add_argument("--state-seed", type=int, dest="state_seed")
+    _flags(mp, ("seed", "state_seed"), int)
     mp.set_defaults(func=cmd_make_synthetic)
 
     return p

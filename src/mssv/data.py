@@ -201,17 +201,10 @@ def to_date_slices(quotes) -> list[DateSlice]:
                             f"{q.underlying_level:g} on {q.trade_date}")
         slot[bucket].append(Quote(q.strike, q.tau, q.is_call, q.mid_price))
         slot[f"{bucket}_level"] = q.underlying_level
-    out = []
-    for date in sorted(by_date):
-        slot = by_date[date]
-        out.append(DateSlice(
-            date=date.isoformat(),
-            spx_level=slot["spx_level"],
-            vix_level=slot["vix_level"],
-            vix_quotes=tuple(slot["vix"]),
-            spx_quotes=tuple(slot["spx"]),
-        ))
-    return out
+    return [DateSlice(date=date.isoformat(), spx_level=slot["spx_level"],
+                      vix_level=slot["vix_level"], vix_quotes=tuple(slot["vix"]),
+                      spx_quotes=tuple(slot["spx"]))
+            for date, slot in sorted(by_date.items())]
 
 
 # ---------------------------------------------------------------------------

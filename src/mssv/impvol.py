@@ -50,17 +50,10 @@ def _newton_bisect(price_fn, target, lo, hi, x0, scale):
         resid = p - target
         if abs(resid) < tol:
             return x
-        if resid > 0:
-            hi = x
-        else:
-            lo = x
-        if dp > 0 and math.isfinite(dp):
-            x_new = x - resid / dp
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
+        lo, hi = (lo, x) if resid > 0 else (x, hi)
+        # a Newton step that leaves the bracket (or none) bisects it
+        x_new = x - resid / dp if dp > 0 and math.isfinite(dp) else math.nan
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     raise NoRootError(
         f"no convergence in {_MAX_ITER} iterations (residual {resid:.3e}, "
         f"scale {scale})"

@@ -18,7 +18,8 @@ from scipy.special import gammaln
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, heston_star_weights, vix_weights)
-from .quadrature import integrate
+from .quadrature import (NODES, NODES_PER_PANEL, WEIGHTS_G, WEIGHTS_K,
+                         integrate)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,30 @@ def _log_sum_exp(a):
     return out
 
 
+def _poisson_log_weights(lam: float, max_terms: int = 100_000):
+    """Log Poisson(lam/2) weights of the ncx2 terms, to ~12 sd past lam/2."""
+    half = lam / 2.0
+    if half == 0.0:
+        return np.array([0.0])
+    n_terms = int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
+    if n_terms > max_terms:
+        raise QuadratureError(
+            f"ncx2 series needs {n_terms} terms > budget {max_terms} "
+            f"(lam = {lam}); widen the budget"
+        )
+    j = np.arange(n_terms)
+    return -half + j * math.log(half) - gammaln(j + 1)
+
+
+def _log_central_chi2(zeta, dof: float, n_terms: int):
+    """(terms, points) log densities of chi-square(dof + 2j) at zeta > 0."""
+    m_half = dof / 2.0 + np.arange(n_terms)  # half-dof of each term
+    return ((m_half[:, None] - 1.0) * np.log(zeta)[None, :]
+            - zeta[None, :] / 2.0
+            - m_half[:, None] * math.log(2.0)
+            - gammaln(m_half)[:, None])
+
+
 def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     """Non-central chi-square density via its Poisson mixture of central
     chi-square densities, each term evaluated in log space.
@@ -95,31 +120,13 @@ def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     zeta = np.atleast_1d(zeta)
     out = np.zeros_like(zeta)
     pos = zeta > 0
-    half = params.lam / 2.0
-    if half == 0.0:
-        n_terms = 1
-    else:
-        # Poisson weights are negligible beyond ~12 standard deviations
-        n_terms = int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
-    if n_terms > max_terms:
-        raise QuadratureError(
-            f"ncx2 series needs {n_terms} terms > budget {max_terms} "
-            f"(lam = {params.lam}); widen the budget"
-        )
-    j = np.arange(n_terms)
-    log_pois = -half + j * math.log(half) - gammaln(j + 1) if half > 0 \
-        else np.array([0.0])
-    m_half = params.dof / 2.0 + j  # half-dof of each central term
-    zp = zeta[pos]
-    log_chi2 = ((m_half[:, None] - 1.0) * np.log(zp)[None, :]
-                - zp[None, :] / 2.0
-                - m_half[:, None] * math.log(2.0)
-                - gammaln(m_half)[:, None])
+    log_pois = _poisson_log_weights(params.lam, max_terms)
+    log_chi2 = _log_central_chi2(zeta[pos], params.dof, len(log_pois))
     out[pos] = np.exp(_log_sum_exp(log_chi2 + log_pois[:, None]))
     if np.any(zeta == 0.0):
         at0 = math.inf if params.dof < 2.0 else 0.0
         if params.dof == 2.0:
-            at0 = 0.5 * math.exp(-half)
+            at0 = 0.5 * math.exp(-params.lam / 2.0)
         out[zeta == 0.0] = at0
     return float(out[0]) if scalar else out
 
@@ -143,12 +150,21 @@ def _payoff_block(strikes, slope, intercept, numer=None):
     return kinks, rows
 
 
-def _correction_numer(v, state, tau, params, w):
-    """Strike-free numerator of the correction rows, with y - z frozen at
-    its time-t value; the e^{-tau/eps} transient is exactly 0 past 745."""
+def _correction_coeffs(state, tau, params, w):
+    """(c1, c2) of the correction rows' strike-free numerator c1 + c2
+    (v - theta), with y - z frozen at its time-t value; the e^{-tau/eps}
+    transient is exactly 0 past 745."""
     transient = math.exp(-tau / params.epsilon) if tau / params.epsilon < 745 else 0.0
-    return (2.0 * transient * w.a1 * (state.y - state.z)
-            + params.kappa * params.epsilon * w.a2_star * (v - params.theta))
+    return (2.0 * transient * w.a1 * (state.y - state.z),
+            params.kappa * params.epsilon * w.a2_star)
+
+
+def _core_range(ncx2: Ncx2Params, vstar: float):
+    """[zeta*, zmax]: first kink to mean + 40 sd (>= 1.5 zeta* + 10)."""
+    zstar = max(vstar / ncx2.delta, 0.0)
+    zmax = (ncx2.dof + ncx2.lam
+            + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)))
+    return zstar, max(zmax, zstar * 1.5 + 10.0)
 
 
 def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
@@ -161,10 +177,7 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
     integrand.  The upper limit starts at the mean plus 40 mixed-moment
     standard deviations and doubles until the tail adds less than abs_tol.
     """
-    zstar = max(vstar / ncx2.delta, 0.0)
-    zmax = (ncx2.dof + ncx2.lam
-            + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)))
-    zmax = max(zmax, zstar * 1.5 + 10.0)
+    zstar, zmax = _core_range(ncx2, vstar)
 
     def integrand(zeta):
         return rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2)
@@ -228,11 +241,96 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
     "uncorrected" surface), which depends on z only.
     """
     w = vix_weights(params.kappa, params.epsilon)
-    numer = (lambda v: _correction_numer(v, state, tau, params, w)) \
+    c1, c2 = _correction_coeffs(state, tau, params, w)
+    numer = (lambda v: c1 + c2 * (v - params.theta)) \
         if include_correction else None
     return _density_pass(strikes, tau, state.z, params.kappa, params.theta,
                          params.sigma, params.r, w.a2_star,
                          (1.0 + w.a4_star) * params.theta, quad, numer)
+
+
+#: a fixed rule's first panel count and its most doublings; the most
+#: floats it may hold (8 MB); mass within d of 0 grows like d^(dof/2), so
+#: 80/dof halvings of the first panel leave ~2^-40 in the innermost one
+_PANELS, _DOUBLINGS, _RULE_CAP, _HALVINGS = 16, 3, 1_000_000, 80.0
+
+
+def fixed_density_rule(strikes, tau: float, params: ModelParams, ends,
+                       quad: QuadratureConfig = QuadratureConfig()):
+    """price(state) = `price_vix_strike_batch(strikes, tau, state, params,
+    quad)` for states whose z is at most that of ends, on K15 panels fixed
+    at the largest noncentrality: the ncx2 basis and payoff rows become
+    per-panel K15 and G7 blocks, and a state is one Poisson weight vector
+    times them.  A state failing a check of the adaptive pass is priced
+    by it; so is every state if the ends fail after _DOUBLINGS doublings
+    of the panel count, or past _RULE_CAP.
+    """
+    def adaptive(state):
+        return price_vix_strike_batch(strikes, tau, state, params, quad)
+
+    ks = [float(k) for k in strikes]
+    if not (ks and min(ks) >= 0 and math.isfinite(tau + sum(ks))):
+        return adaptive  # which raises, or prices no strikes
+    w = vix_weights(params.kappa, params.epsilon)
+    kinks, unit_rows = _payoff_block(ks, w.a2_star, (1.0 + w.a4_star)
+                                     * params.theta, lambda v: 1.0)
+    top = Ncx2Params.from_cir(params.kappa, params.theta, params.sigma,
+                              max(s.z for s in ends), tau)
+    try:
+        n_terms = len(_poisson_log_weights(top.lam))
+    except QuadratureError:
+        return adaptive
+    zstar, zmax = _core_range(top, min(kinks))
+    halvings = min(math.ceil(_HALVINGS / top.dof), 200)
+    n, disc, panels = len(ks), math.exp(-params.r * tau), _PANELS
+
+    def fixed(block, state):
+        """The state's decompositions on the rule, None if a check fails."""
+        log_pois = _poisson_log_weights(Ncx2Params.from_cir(
+            params.kappa, params.theta, params.sigma, state.z, tau).lam)
+        if len(log_pois) > n_terms:
+            return None
+        est = np.exp(log_pois) @ block[:len(log_pois)]
+        c1, c2 = _correction_coeffs(state, tau, params, w)
+        # K15 and G7 rows (leading, then correction), panel by panel
+        k, g = (np.array([[1.0, 0.0, 0.0], [0.0, c1, c2]])
+                @ est.reshape(2, 3, -1)).reshape(2, 2 * n, -1)
+        total = k.sum(axis=1)
+        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))
+        if not (np.all(np.abs(k - g).sum(axis=1) <= tol)
+                and np.all(np.abs(k[:, -4:].sum(axis=1)) < quad.abs_tol)):
+            return None
+        total = (disc * total).tolist()
+        return [PriceDecomposition(total[i], total[n + i]) for i in range(n)]
+
+    for _ in range(_DOUBLINGS + 1):
+        edges = np.linspace(math.sqrt(zstar), math.sqrt(zmax), panels + 1)**2
+        grade = zstar + (edges[1] - zstar) * 0.5**np.arange(1, halvings + 1)
+        edges = np.unique(np.concatenate(
+            [[zstar, zmax], edges[1:-1], grade[grade - zstar >= zstar],
+             np.clip(kinks / top.delta, zstar, zmax),
+             np.linspace(zmax, 2.0 * zmax, 5)]))
+        m = len(edges) - 1
+        if (m * NODES_PER_PANEL > quad.max_nodes
+                or n_terms * m * (NODES_PER_PANEL + 6 * n) > _RULE_CAP):
+            return adaptive
+        half = np.diff(edges)[:, None] / 2.0
+        zeta = (edges[:-1, None] + half + half * NODES).ravel()
+        v = top.delta * zeta
+        rows = unit_rows(v) * half.ravel().repeat(NODES_PER_PANEL)
+        rows = np.concatenate([rows, rows[n:] * (v - params.theta)])
+        # per panel: (terms x nodes) @ (nodes x K15/G7-weighted rows)
+        weighted = (np.stack([WEIGHTS_K, WEIGHTS_G])[:, None, None, :]
+                    * rows.reshape(1, 3 * n, m, NODES_PER_PANEL))
+        block = (np.exp(_log_central_chi2(zeta, top.dof, n_terms))
+                 .reshape(n_terms, m, NODES_PER_PANEL).transpose(1, 0, 2)
+                 @ weighted.transpose(2, 3, 0, 1).reshape(
+                     m, NODES_PER_PANEL, 6 * n)).transpose(1, 2, 0).reshape(
+                         n_terms, -1)
+        if all(fixed(block, s) is not None for s in ends):
+            return lambda state: fixed(block, state) or adaptive(state)
+        panels *= 2
+    return adaptive
 
 
 def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,

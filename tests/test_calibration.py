@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mssv.calibration as calibration
+import mssv.vix
 from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   Quote, QuadratureConfig, calibrate_heston, calibrate_msv,
                   inner_state_fit, make_synthetic_quotes,
@@ -99,6 +100,21 @@ def _tiny_dataset(params):
                         taus=(30 / 365,))
         slices.append(sl)
     return slices
+
+
+def test_inner_fit_prices_every_candidate_on_the_fixed_rule(monkeypatch,
+                                                            params):
+    slices = _tiny_dataset(params)
+    passes = []
+    real = mssv.vix._density_pass
+    monkeypatch.setattr(mssv.vix, "_density_pass",
+                        lambda *a, **k: passes.append(1) or real(*a, **k))
+    for sl in slices:
+        state, obj = inner_state_fit(sl, params.kappa, params.theta,
+                                     params.sigma, params.epsilon, params.r,
+                                     QUAD)
+        assert obj < 1e-8
+    assert passes == []  # no candidate fell back to the adaptive pass
 
 
 def test_calibrate_heston_runs_and_snaps_bounds(params):

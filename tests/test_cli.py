@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import mssv.cli
 from mssv import (HiddenState, ModelParams, QuadratureConfig, SpxOptionSpec,
                   VixOptionSpec, price_heston_call_batch, price_spx, price_vix,
                   price_vix_heston_strike_batch)
@@ -289,6 +290,34 @@ def test_error_report_heston_result_as_msv_result_is_a_data_error(tmp_path,
     # the valid pair goes through
     assert main([*argv, "--heston-result", str(tmp_path / "heston.json"),
                  "--msv-result", str(tmp_path / "msv.json")]) == 0
+
+
+def test_error_report_result_of_the_other_model_is_a_data_error(tmp_path,
+                                                                 capsys):
+    argv = _error_report_files(tmp_path)
+    rc = main([*argv, "--heston-result", str(tmp_path / "msv.json"),
+               "--msv-result", str(tmp_path / "msv.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "msv.json" in err and "'msv', not 'heston'" in err
+
+
+def test_calibrate_into_a_missing_directory_fails_before_fitting(
+        tmp_path, capsys, monkeypatch):
+    quotes = tmp_path / "quotes.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "1"]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("calibrated although --out is not writable")
+
+    monkeypatch.setattr(mssv.cli, "calibrate_msv", no_fit)
+    out = tmp_path / "absent" / "msv.json"
+    rc = main(["calibrate", "--model", "msv", "--quotes", str(quotes),
+               "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_error_report_result_not_json_is_a_data_error(tmp_path, capsys):
