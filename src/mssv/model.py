@@ -107,6 +107,11 @@ class QuadratureConfig:
     max_nodes: int = 200_000
 
     def __post_init__(self):
+        settings = (self.contour_shift, self.truncation, self.abs_tol,
+                    self.rel_tol)
+        if not all(map(math.isfinite, settings)):
+            raise ValueError(f"contour_shift, truncation and tolerances "
+                             f"must be finite, got {settings}")
         if self.contour_shift <= 1.0:
             raise ValueError(
                 f"contour_shift must exceed 1 for payoff-transform "
@@ -116,6 +121,9 @@ class QuadratureConfig:
             raise ValueError("truncation must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_nodes < 1:
+            raise ValueError(
+                f"max_nodes must be at least 1, got {self.max_nodes}")
 
 
 @dataclass(frozen=True)

@@ -111,38 +111,33 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
         errs = np.concatenate([errs[:, keep], new_errs], axis=1)
 
 
-def integrate_with_tail_doubling(f, half_width: float, abs_tol: float,
+def integrate_with_tail_doubling(f, a: float, b: float, abs_tol: float,
                                  rel_tol: float, max_nodes: int,
-                                 max_doublings: int = 5):
-    """Integrate f over [-L, L], doubling L until the added tails are
-    below abs_tol.
+                                 initial_panels: int = 8, breakpoints=None):
+    """Integrate f over [a, inf): the core [a, b] as `integrate` does,
+    then 4-panel tails [b, 2b], [2b, 4b], ... on the budget left, until
+    every component of a tail is below abs_tol.
 
-    Used for Fourier contours where the integrand decays fast but the
-    safe truncation is not known in advance.
+    Used where the integrand decays fast but the safe truncation is not
+    known in advance.  Raises QuadratureError when the budget is spent
+    or after 6 tails.
     """
-    total, err, nodes = integrate(f, -half_width, half_width,
-                                  abs_tol, rel_tol, max_nodes)
-    length = half_width
-    for _ in range(max_doublings):
-        budget = max_nodes - nodes
-        if budget <= 0:
+    total, err, nodes = integrate(f, a, b, abs_tol, rel_tol, max_nodes,
+                                  initial_panels, breakpoints)
+    lo = b
+    for _ in range(6):
+        if nodes >= max_nodes:
             raise QuadratureError(
-                "node budget exhausted during tail doubling",
-                estimate=total, error_estimate=err,
-            )
-        t_right, e_r, n_r = integrate(f, length, 2 * length,
-                                      abs_tol, rel_tol, budget, 4)
-        t_left, e_l, n_l = integrate(f, -2 * length, -length,
-                                     abs_tol, rel_tol, budget, 4)
-        nodes += n_r + n_l
-        tail = np.abs(t_right) + np.abs(t_left)
-        total = total + t_right + t_left
-        err = err + e_r + e_l
-        length *= 2
-        if np.all(tail < abs_tol):
+                f"node budget {max_nodes} spent before the tail",
+                estimate=total, error_estimate=err)
+        tail, terr, tn = integrate(f, lo, 2.0 * lo, abs_tol, rel_tol,
+                                   max_nodes - nodes, initial_panels=4)
+        nodes += tn
+        total = total + tail
+        err = err + terr
+        if np.all(np.abs(tail) < abs_tol):
             return total, err, nodes
-    raise QuadratureError(
-        f"tail still above abs_tol after {max_doublings} doublings "
-        f"(half-width {length})",
-        estimate=total, error_estimate=err,
-    )
+        lo *= 2.0
+    raise QuadratureError(f"tail not under abs_tol after 6 doublings "
+                          f"(upper limit {lo})",
+                          estimate=total, error_estimate=err)

@@ -19,7 +19,8 @@ from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, heston_star_weights, vix_weights)
 from .quadrature import (NODES, NODES_PER_PANEL, WEIGHTS_G, WEIGHTS_K,
-                         integrate)
+                         integrate_with_tail_doubling)
+from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,15 @@ def _core_range(ncx2: Ncx2Params, vstar: float):
     return zstar, max(zmax, zstar * 1.5 + 10.0)
 
 
+def _graded_edges(zstar: float, edge: float, dof: float):
+    """Halvings of [zstar, edge] toward zstar, none nearer zstar than
+    zstar itself: mass within d of 0 grows like d^(dof/2), so 80/dof
+    halvings (at most 200) leave ~2^-40 of it in the innermost panel."""
+    halvings = min(math.ceil(80.0 / dof), 200)
+    grade = zstar + (edge - zstar) * 0.5**np.arange(1, halvings + 1)
+    return grade[grade - zstar >= zstar]
+
+
 def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
                       quad: QuadratureConfig, kinks=()):
     """Integrate payoff rows against the ncx2 density over [zeta*, inf).
@@ -176,32 +186,22 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
     (batched strikes) become panel edges, so each panel sees a smooth
     integrand.  The upper limit starts at the mean plus 40 mixed-moment
     standard deviations and doubles until the tail adds less than abs_tol.
+    A density singular at zeta* = 0 (dof < 2) is graded toward it as the
+    fixed rule is, since the K15 - G7 estimate understates the error of
+    the panels next to the singularity.
     """
     zstar, zmax = _core_range(ncx2, vstar)
+    edges = [v / ncx2.delta for v in kinks]
+    if ncx2.dof < 2.0 and zstar == 0.0:  # integrate's first panel: [0, zmax/8]
+        edges = np.concatenate([edges, _graded_edges(0.0, zmax / 8, ncx2.dof)])
 
     def integrand(zeta):
         return rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2)
 
-    total, err, nodes = integrate(integrand, zstar, zmax, quad.abs_tol,
-                                  quad.rel_tol, quad.max_nodes,
-                                  breakpoints=[v / ncx2.delta for v in kinks])
-    lo = zmax
-    for _ in range(6):
-        if nodes >= quad.max_nodes:
-            raise QuadratureError(
-                f"node budget {quad.max_nodes} spent before the ncx2 tail",
-                estimate=total, error_estimate=err)
-        tail, terr, tn = integrate(integrand, lo, 2.0 * lo, quad.abs_tol,
-                                   quad.rel_tol, quad.max_nodes - nodes,
-                                   initial_panels=4)
-        nodes += tn
-        total = total + tail
-        err = err + terr
-        if np.all(np.abs(tail) < quad.abs_tol):
-            return total, err
-        lo *= 2.0
-    raise QuadratureError("ncx2 tail not under abs_tol after 6 doublings",
-                          estimate=total, error_estimate=err)
+    total, err, _ = integrate_with_tail_doubling(
+        integrand, zstar, zmax, quad.abs_tol, quad.rel_tol, quad.max_nodes,
+        breakpoints=edges)
+    return total, err
 
 
 def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
@@ -250,9 +250,8 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
 
 
 #: a fixed rule's first panel count and its most doublings; the most
-#: floats it may hold (8 MB); mass within d of 0 grows like d^(dof/2), so
-#: 80/dof halvings of the first panel leave ~2^-40 in the innermost one
-_PANELS, _DOUBLINGS, _RULE_CAP, _HALVINGS = 16, 3, 1_000_000, 80.0
+#: floats it may hold (8 MB)
+_PANELS, _DOUBLINGS, _RULE_CAP = 16, 3, 1_000_000
 
 
 def fixed_density_rule(strikes, tau: float, params: ModelParams, ends,
@@ -281,7 +280,6 @@ def fixed_density_rule(strikes, tau: float, params: ModelParams, ends,
     except QuadratureError:
         return adaptive
     zstar, zmax = _core_range(top, min(kinks))
-    halvings = min(math.ceil(_HALVINGS / top.dof), 200)
     n, disc, panels = len(ks), math.exp(-params.r * tau), _PANELS
 
     def fixed(block, state):
@@ -305,9 +303,9 @@ def fixed_density_rule(strikes, tau: float, params: ModelParams, ends,
 
     for _ in range(_DOUBLINGS + 1):
         edges = np.linspace(math.sqrt(zstar), math.sqrt(zmax), panels + 1)**2
-        grade = zstar + (edges[1] - zstar) * 0.5**np.arange(1, halvings + 1)
         edges = np.unique(np.concatenate(
-            [[zstar, zmax], edges[1:-1], grade[grade - zstar >= zstar],
+            [[zstar, zmax], edges[1:-1],
+             _graded_edges(zstar, edges[1], top.dof),
              np.clip(kinks / top.delta, zstar, zmax),
              np.linspace(zmax, 2.0 * zmax, 5)]))
         m = len(edges) - 1

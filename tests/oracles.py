@@ -167,6 +167,15 @@ def vix_from_z_heston(z: float, kappa: float, theta: float) -> float:
     return 100.0 * math.sqrt(radicand)
 
 
+def _cir_ncx2(z: float, tau: float, params: ModelParams):
+    """(delta, dof, lam): the slow factor at tau, started at z, is delta
+    times a non-central chi-square with dof degrees and noncentrality lam."""
+    decay = math.exp(-params.kappa * tau)
+    delta = (1.0 - decay) * params.sigma**2 / (4.0 * params.kappa)
+    return (delta, 4.0 * params.kappa * params.theta / params.sigma**2,
+            z * decay / delta)
+
+
 def vix_call_z_only(strike: float, tau: float, z: float,
                     params: ModelParams) -> float:
     """VIX call with the fast factor set to the slow one at expiry:
@@ -175,10 +184,7 @@ def vix_call_z_only(strike: float, tau: float, z: float,
     against scipy's non-central chi-square density."""
     w = vix_weights(params.kappa, params.epsilon)
     slope, intercept = w.a1 + w.a2, (w.a3 + w.a4) * params.theta
-    decay = math.exp(-params.kappa * tau)
-    delta = (1.0 - decay) * params.sigma**2 / (4.0 * params.kappa)
-    dof = 4.0 * params.kappa * params.theta / params.sigma**2
-    lam = z * decay / delta
+    delta, dof, lam = _cir_ncx2(z, tau, params)
     lo = max(((strike / 100.0) ** 2 - intercept) / (slope * delta), 0.0)
     hi = max(dof + lam + 60.0 * math.sqrt(2.0 * (dof + 2.0 * lam)) + 20.0,
              2.0 * lo)
@@ -186,3 +192,50 @@ def vix_call_z_only(strike: float, tau: float, z: float,
                           - strike) * ncx2.pdf(x, dof, lam),
                lo, hi, limit=500, epsabs=1e-12, epsrel=1e-12)[0]
     return math.exp(-params.r * tau) * val
+
+
+def vix_call_quad(strike: float, tau: float, state: HiddenState,
+                  params: ModelParams) -> tuple[float, float]:
+    """(leading, correction) of the two-factor VIX call by QUADPACK
+    against scipy's non-central chi-square density, re-derived from the
+    payoffs: leading pays (100 sqrt(a2* v + (1 + a4*) theta) - K)+ and the
+    correction 100 (c1 + c2 (v - theta)) / (4 sqrt(...)) past the kink,
+    with c1 = 2 e^{-tau/eps} a1 (y - z) and c2 = kappa eps a2*.  Below
+    dof 2 the density's singularity x^(dof/2 - 1) at 0 is QUADPACK's
+    algebraic weight on [0, 1]."""
+    w = vix_weights(params.kappa, params.epsilon)
+    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
+    transient = math.exp(-tau / params.epsilon)
+    c1 = 2.0 * transient * w.a1 * (state.y - state.z)
+    c2 = params.kappa * params.epsilon * w.a2_star
+    delta, dof, lam = _cir_ncx2(state.z, tau, params)
+    lo = max(((strike / 100.0) ** 2 - intercept) / (slope * delta), 0.0)
+    hi = max(dof + lam + 60.0 * math.sqrt(2.0 * (dof + 2.0 * lam)) + 20.0,
+             2.0 * lo)
+
+    def payoffs(x):
+        v = delta * x
+        root = math.sqrt(slope * v + intercept)
+        return (100.0 * root - strike,
+                100.0 * (c1 + c2 * (v - params.theta)) / (4.0 * root))
+
+    alpha = dof / 2.0 - 1.0
+    # the density over x^alpha at 0: the first Poisson term's limit
+    at0 = math.exp(-lam / 2.0 - (dof / 2.0) * math.log(2.0)
+                   - gammaln(dof / 2.0))
+    out = []
+    for i in (0, 1):
+        def f(x):
+            return payoffs(x)[i] * ncx2.pdf(x, dof, lam)
+
+        def smooth(x):
+            return payoffs(x)[i] * at0 if x == 0.0 else f(x) / x**alpha
+        if lo == 0.0 and dof < 2.0:
+            near = quad(smooth, 0.0, 1.0, weight="alg", wvar=(alpha, 0.0),
+                        epsabs=1e-14, epsrel=1e-13)[0]
+            val = near + quad(f, 1.0, hi, limit=500, epsabs=1e-14,
+                              epsrel=1e-13)[0]
+        else:
+            val = quad(f, lo, hi, limit=500, epsabs=1e-14, epsrel=1e-13)[0]
+        out.append(math.exp(-params.r * tau) * val)
+    return out[0], out[1]

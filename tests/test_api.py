@@ -1,10 +1,15 @@
 """The package's public surface: every re-exported name and calibration
-setting is listed here, so adding one is a deliberate change."""
+setting is listed here, so adding one is a deliberate change; the
+module-level names the benchmark tracer wraps must stay bound."""
 
 import dataclasses
+import importlib.util
 import inspect
+import pathlib
 
 import mssv
+import mssv.quadrature
+import mssv.vix
 from mssv import CalibrationConfig
 
 EXPORTS = [
@@ -37,3 +42,42 @@ def test_reexported_names():
 def test_calibration_settings():
     assert [f.name for f in dataclasses.fields(CalibrationConfig)] == \
         ["max_iter", "restarts", "seed"]
+
+
+def _load_tracer():
+    """perfbench/tracing.py, which wraps module-level names of `mssv`."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_and_restores_every_name(params,
+                                                        state_high_y):
+    # a name the tracer wraps that the package drops fails here, not in a
+    # traced benchmark run
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        assert patched
+        for module, name, original in patched:
+            assert getattr(module, name) is not original, (module, name)
+        tracer.begin_round()
+        mssv.price_spx_strike_batch(2000.0, [1900.0, 2100.0], 0.25,
+                                    state_high_y, params)
+        mssv.price_vix_strike_batch([18.0, 22.0], 0.1, state_high_y, params)
+        tracer.end_round()
+    finally:
+        tracer.uninstall()
+    for module, name, original in patched:
+        assert getattr(module, name) is original, (module, name)
+    assert mssv.vix.integrate is mssv.quadrature.integrate
+    counts = tracer.rounds[0]
+    assert counts["spx.contour_passes"] == 1
+    assert counts["vix.density_passes"] == 1
+    for layer in ("spx", "vix"):
+        assert counts[f"{layer}.strikes_per_pass"] == 2
+        assert counts[f"{layer}.nodes_per_pass"] > 0

@@ -8,6 +8,7 @@ import math
 import pytest
 
 import mssv.cli
+import mssv.quadrature
 from mssv import (HiddenState, ModelParams, QuadratureConfig, SpxOptionSpec,
                   VixOptionSpec, price_heston_call_batch, price_spx, price_vix,
                   price_vix_heston_strike_batch)
@@ -94,6 +95,22 @@ def test_numerical_error_exit_code(capsys):
                "--w3-eps", "0.015", *STATE_FLAGS,
                "--strikes", "20", "--tau", "0.1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--contour-shift", "1"), ("--contour-shift", "nan"),
+    ("--truncation", "nan"), ("--truncation", "inf"), ("--abs-tol", "nan"),
+    ("--rel-tol", "inf"), ("--max-nodes", "0")])
+def test_bad_quadrature_setting_fails_before_quadrature(monkeypatch, capsys,
+                                                        flag, value):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a bad setting")
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    rc = main(["price-spx", *PARAM_FLAGS, *STATE_FLAGS, "--x", "2000",
+               "--strikes", "2000", "--tau", "0.25", flag, value])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_full_pipeline(tmp_path, capsys):

@@ -173,6 +173,47 @@ def test_short_maturity_warning(params, state_high_y):
     assert not d2.short_maturity_warning
 
 
+class _Captured(Exception):
+    pass
+
+
+def _contour_integrand(monkeypatch, price):
+    """The integrand a contour pass hands to the quadrature."""
+    seen = []
+
+    def capture(f, *args, **kwargs):
+        seen.append(f)
+        raise _Captured
+
+    monkeypatch.setattr(mssv.spx, "integrate_with_tail_doubling", capture)
+    with pytest.raises(_Captured):
+        price()
+    return seen[0]
+
+
+@pytest.mark.parametrize("tau", (1 / 365, 30 / 365, 0.25, 2.0))
+@pytest.mark.parametrize("rho, sigma", ((-1.0, 0.347), (0.0, 0.347),
+                                        (-1.0, 1.2), (0.0, 2.5)))
+def test_contour_integrand_is_conjugate_symmetric(monkeypatch, state_high_y,
+                                                  rho, sigma, tau):
+    # f(-u) = conj(f(u)) exactly, for the leading and correction rows
+    # alike: the pass integrates 2 Re f over [0, inf) in place of f over
+    # the real line
+    params = ModelParams(**{**FITTED, "rho": rho, "sigma": sigma})
+    strikes = [1500.0, 2000.0, 2500.0]
+    u = np.concatenate([np.linspace(0.0, 200.0, 401),
+                        np.geomspace(200.0, 12_800.0, 61)])
+    passes = [lambda: price_spx_strike_batch(2000.0, strikes, tau,
+                                             state_high_y, params),
+              lambda: price_heston_call_batch(
+                  2000.0, strikes, tau, 0.02, 3.43, 0.04, sigma, rho, 0.04)]
+    for price, rows in zip(passes, (2 * len(strikes), len(strikes))):
+        f = _contour_integrand(monkeypatch, price)
+        right, left = f(u), f(-u)
+        assert right.shape == (rows, len(u))
+        assert np.array_equal(left, np.conj(right))
+
+
 @pytest.mark.parametrize("strikes", ([math.nan, 2000.0], [2000.0, math.nan],
                                      [2000.0, math.inf]))
 def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,

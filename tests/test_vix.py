@@ -10,6 +10,7 @@ from scipy.special import gammaln, logsumexp
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import ncx2 as scipy_ncx2
 
+import mssv.quadrature
 import mssv.vix
 from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
                   Ncx2Params,
@@ -22,7 +23,7 @@ from mssv.model import TAU0
 from mssv.vix import _correction_coeffs, _payoff_block, fixed_density_rule
 
 from .conftest import FITTED
-from .oracles import vix_call_z_only
+from .oracles import vix_call_quad, vix_call_z_only
 
 DOF_GRID = (0.5, 2.0, 10.0, 50.0)
 LAM_GRID = (0.0, 1.0, 10.0, 100.0)
@@ -267,7 +268,7 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran on a non-finite input")
 
-    monkeypatch.setattr(mssv.vix, "integrate", no_quadrature)
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
     two_factor = [lambda ks, tau, st: price_vix_strike_batch(
         ks, tau, st, params, include_correction=c) for c in (True, False)]
     benchmark = lambda ks, tau, st: price_vix_heston_strike_batch(
@@ -325,6 +326,21 @@ def test_expansion_error_against_z_only_price_is_second_order(state_high_y):
         errs = [abs(g[i]) for g in gaps]
         slope = np.polyfit(np.log(eps_set), np.log(errs), 1)[0]
         assert 1.5 <= slope <= 2.5, (k, errs, slope)
+
+
+@pytest.mark.parametrize("tau", (7 / 365, TAU0))
+@pytest.mark.parametrize("sigma, kappa", ((0.8, 3.58), (0.347, 1.0)))
+def test_zero_strike_leg_below_dof_2_matches_quadpack(sigma, kappa, tau,
+                                                      state_high_y):
+    # dof 0.47 and 0.70: the density is singular at 0, the K = 0 leg's
+    # lower limit, where the K15 - G7 estimate understates the error
+    params = ModelParams(**{**FITTED, "sigma": sigma, "kappa": kappa})
+    quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-10)
+    got = price_vix_strike_batch([0.0, 20.0], tau, state_high_y, params, quad)
+    for d, k in zip(got, (0.0, 20.0)):
+        leading, correction = vix_call_quad(k, tau, state_high_y, params)
+        assert abs(d.leading - leading) <= quad.abs_tol, (k, d, leading)
+        assert abs(d.correction - correction) <= quad.abs_tol, (k, d)
 
 
 def _call_put_zero(strike, calls, r):
@@ -409,9 +425,10 @@ def _count_adaptive_passes(monkeypatch):
 
 # (parameters, with puts): the fit's dof 2.50 with and without puts,
 # dof 0.47 and 0.70, and dof 30.1 (lam up to 424 at 7 days, 418 terms).
-# For dof < 2 the K = 0 leg's density is singular at 0, where the adaptive
-# pass itself is off by 1.7e-8 (against scipy's quad with the algebraic
-# weight), so puts are tested at dof > 2
+# For dof < 2 the K = 0 leg's density is singular at 0: the adaptive pass
+# grades its panels toward 0 (test_zero_strike_leg_below_dof_2_*), but
+# the fixed rule falls back whole on such a batch at some maturities, so
+# puts are tested at dof > 2
 RULE_GRID = [(FITTED, False), (FITTED, True), ({**FITTED, "sigma": 0.8}, False),
              ({**FITTED, "kappa": 1.0, "epsilon": 0.05}, False),
              ({**FITTED, "sigma": 0.1}, False)]
