@@ -8,16 +8,16 @@ over the fast factor y_i (z_i follows from the VIX constraint).  Step 2
 fits the index-leg parameters (rho for the benchmark, rho and w3_eps for
 the two-factor model) to SPX options, holding step-1 output fixed.
 
-All optimizer work runs on unconstrained coordinates via logit
-transforms of the bounded parameters; Nelder-Mead with seeded random
-restarts does the outer search.  The per-date terms of every objective
-evaluation, and the per-date state recovery between the steps, are
-independent, so they run on one process per usable core (at most one
-per date): each step forks its workers once, they evaluate a fixed
-share of the dates, and the terms come back to the calling process,
-which sums them in date order.  A date's term is the same number in
-any process, so fits are bitwise reproducible for a given seed on any
-core count.
+Step 1 runs Nelder-Mead with seeded random restarts on logit-transformed
+coordinates.  Step 2 is one bounded search over rho: SPX prices are
+affine in w3_eps, so its optimum at each rho is closed-form (variable
+projection).  The per-date terms of every objective evaluation, and the
+per-date state recovery between the steps, are independent, so they run
+on one process per usable core (at most one per date): each step forks
+its workers once, they evaluate a fixed share of the dates, and the
+terms come back to the calling process, which sums them in date order.
+A date's term is the same number in any process, so fits are bitwise
+reproducible for a given seed on any core count.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ _BOUNDS = {"kappa": (1e-3, 20.0), "theta": (1e-5, 1.0), "sigma": (1e-3, 3.0),
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Optimizer iteration budget, restart count and restart seed."""
+    """Optimizer iteration budget; restart count and seed of step 1."""
 
     max_iter: int = 200
     restarts: int = 3
@@ -93,7 +93,7 @@ class CalibrationResult:
     #: date order; "error" is the exception's class name
     skipped_dates: list = field(default_factory=list)
     #: {"step", "restart", "success", "nit", "nfev", "message"} of each
-    #: Nelder-Mead restart
+    #: step-1 Nelder-Mead restart and of step 2's one bounded search
     restarts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -105,9 +105,8 @@ def weighted_sse(model_prices, market_prices, floor: float = 0.1) -> float:
     model_prices = np.asarray(model_prices, dtype=float)
     market_prices = np.asarray(market_prices, dtype=float)
     if model_prices.shape != market_prices.shape:
-        raise ValueError(
-            f"length mismatch: {model_prices.shape} vs {market_prices.shape}"
-        )
+        raise ValueError(f"length mismatch: {model_prices.shape} vs "
+                         f"{market_prices.shape}")
     resid = (model_prices - market_prices) / (floor + market_prices)
     return float(resid @ resid)
 
@@ -128,51 +127,55 @@ class _Box:
 
     def snap(self, x, tol=1e-3):
         """Snap components within tol of a boundary onto it."""
-        x = np.array(x, dtype=float)
-        span = self.hi - self.lo
-        x[np.abs(x - self.lo) < tol * span] = self.lo[np.abs(x - self.lo) < tol * span]
-        x[np.abs(x - self.hi) < tol * span] = self.hi[np.abs(x - self.hi) < tol * span]
-        return x
+        x, span = np.array(x, dtype=float), self.hi - self.lo
+        x = np.where(np.abs(x - self.lo) < tol * span, self.lo, x)
+        return np.where(np.abs(x - self.hi) < tol * span, self.hi, x)
 
 
-def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
-    """Restarted Nelder-Mead in transformed coordinates.
+def _traced(fun, trace, step):
+    """fun, recording in trace each new running best and its evaluation."""
+    evals, running = itertools.count(), [math.inf]
 
-    Records the running-best objective in trace with the number of the
-    evaluation that reached it, counted within the step across restarts
-    (the accepted-step sequence, non-increasing by construction).
-    Returns the snapped minimizer, its objective value and each
-    restart's outcome.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    starts = [box.to_internal(x0)]
-    for _ in range(max(cfg.restarts - 1, 0)):
-        starts.append(box.to_internal(x0) + rng.normal(0.0, 1.0, size=len(x0)))
-
-    running = [math.inf]
-    evals = itertools.count()
-    outcomes = []
-
-    def wrapped(u):
-        n = next(evals)
-        val = fun(box.to_external(u))
+    def wrapped(x):
+        n, val = next(evals), fun(x)
         if val < running[0]:
             running[0] = val
             trace.append({"step": step, "eval": n, "objective": val})
         return val
+    return wrapped
 
-    for k, u0 in enumerate(starts):
-        res = minimize(wrapped, u0, method="Nelder-Mead",
-                       options={"maxiter": cfg.max_iter, "fatol": _FTOL,
-                                "xatol": _XTOL, "adaptive": True})
-        outcomes.append({"step": step, "restart": k,
-                         "success": bool(res.success), "nit": int(res.nit),
-                         "nfev": int(res.nfev), "message": str(res.message)})
-        if best is None or res.fun < best.fun:
-            best = res
-    x = box.snap(box.to_external(best.x))
-    return x, float(fun(x)), outcomes
+
+def _outcome(res, step, restart):
+    return {"step": step, "restart": restart, "success": bool(res.success),
+            "nit": int(res.nit), "nfev": int(res.nfev),
+            "message": str(res.message)}
+
+
+def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
+    """Restarted Nelder-Mead in transformed coordinates; returns the
+    snapped minimizer, its objective value and each restart's outcome."""
+    rng = np.random.default_rng(cfg.seed)
+    u0 = box.to_internal(x0)
+    starts = [u0] + [u0 + rng.normal(0.0, 1.0, size=len(x0))
+                     for _ in range(cfg.restarts - 1)]
+    wrapped = _traced(lambda u: fun(box.to_external(u)), trace, step)
+    runs = [minimize(wrapped, u, method="Nelder-Mead",
+                     options={"maxiter": cfg.max_iter, "fatol": _FTOL,
+                              "xatol": _XTOL, "adaptive": True})
+            for u in starts]
+    x = box.snap(box.to_external(min(runs, key=lambda res: res.fun).x))
+    return x, float(fun(x)), [_outcome(res, step, k)
+                              for k, res in enumerate(runs)]
+
+
+def _rho_search(fun, cfg: CalibrationConfig, trace, step):
+    """Bounded search of fun(rho), snapped; returns rho, fun(rho) (the
+    last evaluation) and the search's outcome."""
+    res = minimize_scalar(_traced(fun, trace, step), bounds=_BOUNDS["rho"],
+                          method="bounded",
+                          options={"xatol": _XTOL, "maxiter": cfg.max_iter})
+    rho = float(_Box([_BOUNDS["rho"]]).snap([res.x])[0])
+    return rho, float(fun(rho)), [_outcome(res, step, 0)]
 
 
 def price_quotes(quotes, calls, r: float, spot: float | None = None
@@ -207,9 +210,9 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
     return out
 
 
-def _sse(quotes, calls, r, floor, spot=None):
-    """Weighted SSE of the model prices of quotes against their prices."""
-    prices = [d.total for d in price_quotes(quotes, calls, r, spot)]
+def _sse(quotes, calls, r, floor):
+    """Weighted SSE of the model prices of VIX quotes against their prices."""
+    prices = [d.total for d in price_quotes(quotes, calls, r)]
     return weighted_sse(prices, [q.price for q in quotes], floor)
 
 
@@ -225,9 +228,8 @@ class _DateMap:
     value, or the exception the date raised.  Calibration starts no
     threads, so at fork time the only others are the BLAS pools, which
     OpenBLAS stops and restarts around a fork.  With n = 1 nothing is
-    forked.  close()
-    stops the workers; those of a map dropped unclosed exit when its
-    pipe ends are collected.
+    forked.  close() stops the workers; those of a map dropped unclosed
+    exit when its pipe ends are collected.
     """
 
     def __init__(self, dates, fn):
@@ -328,18 +330,19 @@ def _sum_over_dates(terms):
     return total
 
 
-def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
-              step2_start, step2_objective):
+def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
+              date_state, step2_objective):
     """The two-step calibration both models share.
 
     Step 1 searches the parameters named in start (x0 overrides their
-    starting values) with step1_objective(usable dates, date_map);
-    date_state(sl, p) then recovers each date's hidden state as a dict
-    under the step-1 fit p, and step 2 searches the parameters named in
-    step2_start with step2_objective(dates, p, date_map), dates being
-    the (slice, state) pairs of the dates with a state and SPX quotes.
-    date_map(dates, fn) makes the step's _DateMap; each step's workers
-    are stopped before the next step forks its own.
+    starting values) with step1_objective(usable dates, r, floor, quad,
+    date_map); date_state(sl, p) then recovers each date's hidden state
+    as a dict under the step-1 fit p, and step 2 searches rho with
+    step2_objective(dates, p, r, floor, quad, profiled, date_map), dates
+    being the (slice, state) pairs of the dates with a state and SPX
+    quotes; its last call, at the fitted rho, sets the profiled-out
+    parameters.  date_map(dates, fn) makes the step's _DateMap; each
+    step's workers are stopped before the next step forks its own.
     """
     usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
     if not usable:
@@ -355,7 +358,8 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
     trace = []
     try:
         x1, obj1, restarts1 = _nelder_mead(
-            step1_objective(usable, date_map), [(x0 or start)[n] for n in start],
+            step1_objective(usable, r, _WEIGHT_FLOOR, quad, date_map),
+            [(x0 or start)[n] for n in start],
             _Box([_BOUNDS[n] for n in start]), cfg, trace, "step1")
         p = dict(zip(start, x1))
 
@@ -368,13 +372,14 @@ def _two_step(model, slices, cfg, r, x0, start, step1_objective, date_state,
 
         dates = [(sl, states[sl.date]) for sl in slices if sl.date in states
                  and sl.spx_quotes and sl.spx_level is not None]
-        x2, obj2, restarts2 = _nelder_mead(
-            step2_objective(dates, p, date_map), list(step2_start.values()),
-            _Box([_BOUNDS[n] for n in step2_start]), cfg, trace, "step2")
+        profiled = {}
+        rho, obj2, restarts2 = _rho_search(step2_objective(
+            dates, p, r, _WEIGHT_FLOOR, quad, profiled, date_map),
+            cfg, trace, "step2")
     finally:
         while live:
             live.pop().close()
-    fitted = {**p, **dict(zip(step2_start, x2))}
+    fitted = {**p, "rho": rho, **profiled}
     return CalibrationResult(
         model=model,
         params={**{n: fitted[n] for n in _PARAM_ORDER if n in fitted}, "r": r},
@@ -403,17 +408,43 @@ def _heston_step1_objective(slices, r, floor, quad, date_map=_DateMap):
     return lambda x: _sum_over_dates(terms(*x))
 
 
-def _heston_step2_objective(dates, p, r, floor, quad, date_map=_DateMap):
-    def date_sse(date, rho):
+def _spx_objective(dates, r, floor, calls, profiled, date_map):
+    """objective(rho): the weighted SSE at the w3_eps minimising it, set
+    in profiled["w3_eps"].  calls(sl, st, rho) prices a date's strikes as
+    leading terms L and corrections U at w3_eps = 1 (U = 0 for the
+    benchmark), so a date's SSE is quadratic in w3_eps with coefficients
+    the sums of a^2, ab and b^2, a = (L - P)/(floor + P), b = U/(floor + P)."""
+    def date_sums(date, rho):
         sl, st = date
-        return _sse(sl.spx_quotes,
-                    lambda ks, tau: price_heston_call_batch(
-                        sl.spx_level, ks, tau, r, p["kappa"], p["theta"],
-                        p["sigma"], rho, st["z"], quad),
-                    r, floor, sl.spx_level)
+        decomps = price_quotes(sl.spx_quotes, calls(sl, st, rho), r,
+                               sl.spx_level)
+        a, b = np.array([[(d.leading - q.price) / (floor + q.price),
+                          d.correction / (floor + q.price)]
+                         for d, q in zip(decomps, sl.spx_quotes)]).T
+        return np.array([a @ a, a @ b, b @ b])
 
-    terms = date_map(dates, date_sse)
-    return lambda x: _sum_over_dates(terms(float(x[0])))
+    terms = date_map(dates, date_sums)
+
+    def fun(rho):
+        sums = terms(float(rho))
+        _, ab, bb = sum((t for t in sums if not isinstance(t, MssvError)),
+                        np.zeros(3))
+        profiled["w3_eps"] = w = (
+            float(np.clip(-ab / bb, *_BOUNDS["w3_eps"])) if bb > 0 else 0.0)
+        # max: rounding may take the quadratic a hair below 0
+        return _sum_over_dates([
+            t if isinstance(t, MssvError)
+            else max(float(t @ [1.0, 2.0 * w, w * w]), 0.0) for t in sums])
+    return fun
+
+
+def _heston_step2_objective(dates, p, r, floor, quad, profiled,
+                            date_map=_DateMap):  # profiled: no w3_eps here
+    return _spx_objective(
+        dates, r, floor, lambda sl, st, rho: lambda ks, tau: (
+            price_heston_call_batch(sl.spx_level, ks, tau, r, p["kappa"],
+                                    p["theta"], p["sigma"], rho, st["z"],
+                                    quad)), {}, date_map)
 
 
 def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -423,15 +454,11 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
     """Two-step benchmark calibration: (kappa, theta, sigma) on VIX
     options with z_i pinned by the VIX close, then rho on SPX options."""
     return _two_step(
-        "heston", slices, cfg, r, x0,
-        {"kappa": 3.0, "theta": 0.04, "sigma": 0.5},
-        lambda usable, date_map: _heston_step1_objective(
-            usable, r, _WEIGHT_FLOOR, quad, date_map),
+        "heston", slices, cfg, quad, r, x0,
+        {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}, _heston_step1_objective,
         lambda sl, p: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
                                               p["theta"])},
-        {"rho": -0.7},
-        lambda dates, p, date_map: _heston_step2_objective(
-            dates, p, r, _WEIGHT_FLOOR, quad, date_map))
+        _heston_step2_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -496,24 +523,14 @@ def _msv_step1_objective(slices, r, floor, quad, xtol, date_map=_DateMap):
     return fun
 
 
-def _msv_step2_objective(dates, p, r, floor, quad, date_map=_DateMap):
-    def date_sse(date, params):
-        sl, st = date
-        state = HiddenState(**st)
-        return _sse(sl.spx_quotes,
-                    lambda ks, tau: price_spx_strike_batch(
-                        sl.spx_level, ks, tau, state, params, quad),
-                    r, floor, sl.spx_level)
+def _msv_step2_objective(dates, p, r, floor, quad, profiled,
+                         date_map=_DateMap):
+    def calls(sl, st, rho):
+        params = ModelParams(**p, rho=rho, w3_eps=1.0, r=r)
+        return lambda ks, tau: price_spx_strike_batch(
+            sl.spx_level, ks, tau, HiddenState(**st), params, quad)
 
-    terms = date_map(dates, date_sse)
-
-    def fun(x):
-        try:
-            params = ModelParams(**p, rho=float(x[0]), w3_eps=float(x[1]), r=r)
-        except ValueError:
-            return _PENALTY
-        return _sum_over_dates(terms(params))
-    return fun
+    return _spx_objective(dates, r, floor, calls, profiled, date_map)
 
 
 def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -523,8 +540,9 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
     """Two-step two-factor calibration.
 
     Step 1 searches (kappa, theta, sigma, epsilon) with a nested
-    per-date fit of (y_i, z_i); step 2 searches (rho, w3_eps) on SPX
-    quotes.  Step 2 never touches step-1 output.
+    per-date fit of (y_i, z_i); step 2 searches rho on SPX quotes, with
+    w3_eps solved in closed form at each rho.  Step 2 never touches
+    step-1 output.
     """
     def date_state(sl, p):
         st, _ = inner_state_fit(sl, p["kappa"], p["theta"], p["sigma"],
@@ -533,10 +551,8 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
         return {"y": st.y, "z": st.z}
 
     return _two_step(
-        "msv", slices, cfg, r, x0,
+        "msv", slices, cfg, quad, r, x0,
         {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
-        lambda usable, date_map: _msv_step1_objective(
-            usable, r, _WEIGHT_FLOOR, quad, _INNER_XTOL, date_map),
-        date_state, {"rho": -0.7, "w3_eps": 0.01},
-        lambda dates, p, date_map: _msv_step2_objective(
-            dates, p, r, _WEIGHT_FLOOR, quad, date_map))
+        lambda usable, r, floor, quad, date_map: _msv_step1_objective(
+            usable, r, floor, quad, _INNER_XTOL, date_map),
+        date_state, _msv_step2_objective)

@@ -171,8 +171,8 @@ def _core_range(ncx2: Ncx2Params, vstar: float):
 def _graded_edges(zstar: float, edge: float, dof: float):
     """Halvings of [zstar, edge] toward zstar, none nearer zstar than
     zstar itself: mass within d of 0 grows like d^(dof/2), so 80/dof
-    halvings (at most 200) leave ~2^-40 of it in the innermost panel."""
-    halvings = min(math.ceil(80.0 / dof), 200)
+    halvings leave ~2^-40 of it inside (at most 1000: normal floats)."""
+    halvings = min(math.ceil(80.0 / dof), 1000)
     grade = zstar + (edge - zstar) * 0.5**np.arange(1, halvings + 1)
     return grade[grade - zstar >= zstar]
 

@@ -10,7 +10,7 @@ import pathlib
 import mssv
 import mssv.quadrature
 import mssv.vix
-from mssv import CalibrationConfig
+from mssv import CalibrationConfig, HiddenState, QuadratureConfig
 
 EXPORTS = [
     "CalibrationConfig", "CalibrationResult", "CharFnOverflowError",
@@ -81,3 +81,34 @@ def test_benchmark_tracer_finds_and_restores_every_name(params,
     for layer in ("spx", "vix"):
         assert counts[f"{layer}.strikes_per_pass"] == 2
         assert counts[f"{layer}.nodes_per_pass"] > 0
+
+
+def test_traced_calibration_equals_the_untraced_one(params):
+    # the tracer's wrappers return plain functions: whatever step 2 hands
+    # back beside its objective must survive them
+    quad = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    quotes = mssv.make_synthetic_quotes(
+        params, [("2016-03-07", HiddenState(y=0.0234, z=0.0194)),
+                 ("2016-03-08", HiddenState(y=0.0110, z=0.0203))],
+        vix_taus=(30 / 365,), spx_taus=(0.1,),
+        spx_moneyness=(0.95, 1.0, 1.05), vix_moneyness=(0.9, 1.1, 1.3),
+        quad=quad)
+    slices = mssv.to_date_slices(quotes)
+    cfg = CalibrationConfig(max_iter=15, restarts=1, seed=2)
+
+    def fits():
+        return [fit(slices, cfg, quad, r=params.r)
+                for fit in (mssv.calibrate_heston, mssv.calibrate_msv)]
+
+    untraced = fits()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_round()
+        traced = fits()
+        tracer.end_round()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert "w3_eps" in traced[1].params
+    assert tracer.rounds[0]["calibration.step2_evals"] > 0

@@ -3,7 +3,9 @@ state fit, constraint preservation, determinism, step decoupling.
 (Full parameter-recovery round trips run in the acceptance suite.)"""
 
 import contextlib
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -15,11 +17,12 @@ import mssv.calibration as calibration
 import mssv.vix
 from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   Quote, QuadratureConfig, calibrate_heston, calibrate_msv,
-                  inner_state_fit, make_synthetic_quotes,
-                  price_vix_strike_batch, to_date_slices, vix_from_state,
-                  weighted_sse, y_max_for_vix)
-from mssv.calibration import (_Box, _DateMap, _msv_step1_objective,
-                              _nelder_mead, _sum_over_dates)
+                  inner_state_fit, make_synthetic_quotes, price_quotes,
+                  price_spx_strike_batch, price_vix_strike_batch,
+                  to_date_slices, vix_from_state, weighted_sse, y_max_for_vix)
+from mssv.calibration import (_BOUNDS, _Box, _DateMap, _msv_step1_objective,
+                              _msv_step2_objective, _nelder_mead, _rho_search,
+                              _sum_over_dates)
 from mssv.exceptions import DomainError, MssvError
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
@@ -219,8 +222,9 @@ def test_restart_outcomes_are_recorded(monkeypatch, params):
                             counted(getattr(calibration, name), step))
     cfg = CalibrationConfig(max_iter=30, restarts=2, seed=0)
     res = calibrate_heston(_tiny_dataset(params), cfg, QUAD, r=params.r)
+    # step 1 restarts Nelder-Mead; step 2 is one bounded search over rho
     assert [(e["step"], e["restart"]) for e in res.restarts] == [
-        ("step1", 0), ("step1", 1), ("step2", 0), ("step2", 1)]
+        ("step1", 0), ("step1", 1), ("step2", 0)]
     for step, n in evals.items():
         # the optimizer's evaluations, plus one at the snapped minimizer
         assert sum(e["nfev"] for e in res.restarts
@@ -249,13 +253,17 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _five_date_panel(params):
+def _five_date_states(params):
     rng = np.random.default_rng(5)
-    states = [(f"2016-03-{7 + i:02d}",
-               HiddenState(y=params.theta * float(np.exp(0.4 * a)),
-                           z=params.theta * float(np.exp(0.4 * b))))
-              for i, (a, b) in enumerate(rng.standard_normal((5, 2)))]
-    quotes = make_synthetic_quotes(params, states, vix_taus=(30 / 365,),
+    return [(f"2016-03-{7 + i:02d}",
+             HiddenState(y=params.theta * float(np.exp(0.4 * a)),
+                         z=params.theta * float(np.exp(0.4 * b))))
+            for i, (a, b) in enumerate(rng.standard_normal((5, 2)))]
+
+
+def _five_date_panel(params):
+    quotes = make_synthetic_quotes(params, _five_date_states(params),
+                                   vix_taus=(30 / 365,),
                                    spx_taus=(0.1,),
                                    spx_moneyness=(0.95, 1.0, 1.05),
                                    vix_moneyness=(0.9, 1.1, 1.3), quad=QUAD)
@@ -327,3 +335,124 @@ def test_worker_error_is_raised_in_the_caller(monkeypatch, params):
     assert str(err.value) != f"injected in {os.getpid()}"
     assert "broken" in "".join(err.value.__notes__)
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# step 2: a bounded search over rho with w3_eps profiled out
+# ---------------------------------------------------------------------------
+
+def _step2_dates(params, scale=(1.0, 1.0)):
+    """The five-date panel made under params, each date's SPX calls joined
+    by puts at the same strikes (priced by parity), paired with its state
+    as (y, z) scaled by scale (1 reproduces the quotes' own states)."""
+    dates = []
+    for sl, (_, st) in zip(_five_date_panel(params),
+                           _five_date_states(params)):
+        puts = tuple(Quote(q.strike, q.tau, False, q.price - sl.spx_level
+                           + q.strike * math.exp(-params.r * q.tau))
+                     for q in sl.spx_quotes)
+        dates.append((dataclasses.replace(sl, spx_quotes=sl.spx_quotes + puts),
+                      {"y": st.y * scale[0], "z": st.z * scale[1]}))
+    return dates
+
+
+def _date_prices(date, params, rho, w3_eps):
+    """A date's SPX quote prices, one pass per maturity at (rho, w3_eps)."""
+    sl, st = date
+    at = dataclasses.replace(params, rho=rho, w3_eps=w3_eps)
+    return price_quotes(sl.spx_quotes, lambda ks, tau: price_spx_strike_batch(
+        sl.spx_level, ks, tau, HiddenState(**st), at, QUAD), params.r,
+        sl.spx_level)
+
+
+def _direct_sse(dates, params, rho, w3_eps):
+    """Step 2's objective as passes priced at (rho, w3_eps) give it."""
+    return sum(weighted_sse([d.total for d in _date_prices(date, params, rho,
+                                                           w3_eps)],
+                            [q.price for q in date[0].spx_quotes],
+                            calibration._WEIGHT_FLOOR)
+               for date in dates)
+
+
+def _profiled(dates, params):
+    """The two-factor objective(rho) under params' step-1 values, and the
+    dict it sets the profiled w3_eps in."""
+    p = {n: getattr(params, n) for n in ("kappa", "theta", "sigma", "epsilon")}
+    profiled = {}
+    fun = _msv_step2_objective(dates, p, params.r, calibration._WEIGHT_FLOOR,
+                               QUAD, profiled=profiled)
+    return fun, profiled
+
+
+def test_one_pass_at_unit_w3_eps_prices_every_w3_eps(params):
+    # calls and puts: the parity shift sits in the leading term only.
+    # Measured deviation 3e-11 index points; the passes' own absolute
+    # tolerance is abs_tol x max strike, about 2e-4
+    date = _step2_dates(params)[0]
+    assert not all(q.is_call for q in date[0].spx_quotes)
+    for rho in (-1.0, -0.4):
+        unit = _date_prices(date, params, rho, 1.0)
+        for w in (-0.5, 0.015, 0.5):
+            direct = _date_prices(date, params, rho, w)
+            for d1, dw in zip(unit, direct):
+                assert abs(d1.leading + w * d1.correction - dw.total) <= 1e-9
+
+
+@pytest.mark.parametrize("truth, expected", ((0.015, None), (2.0, 0.5),
+                                             (-2.0, -0.5)))
+def test_profiled_w3_eps_is_the_constrained_minimiser(monkeypatch, params,
+                                                      truth, expected):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    dates = _step2_dates(dataclasses.replace(params, w3_eps=truth))
+    fun, profiled = _profiled(dates, params)
+    value = fun(params.rho)
+    brute = calibration.minimize_scalar(
+        lambda w: _direct_sse(dates, params, params.rho, w),
+        bounds=_BOUNDS["w3_eps"], method="bounded", options={"xatol": 1e-10})
+    # to the brute force's own tolerance, about 3 sqrt(eps) |w|
+    assert profiled["w3_eps"] == pytest.approx(brute.x, abs=1e-7)
+    if expected is None:  # the quotes are rounded to the cent
+        assert profiled["w3_eps"] == pytest.approx(truth, abs=1e-3)
+    else:
+        assert profiled["w3_eps"] == expected
+    assert value <= brute.fun * (1.0 + 1e-6) + 1e-20
+
+
+def test_step2_charges_a_failed_date_as_sum_over_dates(monkeypatch, params):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    dates = _step2_dates(params, scale=(1.2, 0.9))
+    bad_y, real = dates[2][1]["y"], calibration.price_spx_strike_batch
+
+    def failing(x, strikes, tau, state, *args):
+        if state.y == bad_y:
+            raise DomainError("injected")
+        return real(x, strikes, tau, state, *args)
+
+    monkeypatch.setattr(calibration, "price_spx_strike_batch", failing)
+    fun, profiled = _profiled(dates, params)
+    value, w = fun(-0.8), profiled["w3_eps"]
+    # w3_eps minimises the priced dates' SSE alone
+    priced = dates[:2] + dates[3:]
+    alone, alone_profiled = _profiled(priced, params)
+    alone(-0.8)
+    assert alone_profiled["w3_eps"] == w
+    terms = [_direct_sse([d], params, -0.8, w) for d in priced]
+    expected = _sum_over_dates(terms[:2] + [DomainError("failed")] + terms[2:])
+    assert value == pytest.approx(expected, rel=1e-8)
+
+
+def test_profiled_step2_is_no_worse_than_nelder_mead_over_both(monkeypatch,
+                                                               params):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    # states off the quotes' own, so no (rho, w3_eps) fits exactly
+    dates = _step2_dates(params, scale=(1.2, 0.9))
+    fun, profiled = _profiled(dates, params)
+    rho, obj, outcome = _rho_search(fun, CalibrationConfig(), [], "step2")
+    assert [e["restart"] for e in outcome] == [0] and outcome[0]["success"]
+    box = _Box([_BOUNDS["rho"], _BOUNDS["w3_eps"]])
+    _, nm_obj, _ = _nelder_mead(
+        lambda x: _direct_sse(dates, params, x[0], x[1]), [-0.7, 0.01], box,
+        CalibrationConfig(max_iter=200, restarts=2, seed=0), [], "step2")
+    assert obj <= nm_obj * (1.0 + 1e-9)
+    assert obj == pytest.approx(
+        _direct_sse(dates, params, rho, profiled["w3_eps"]), rel=1e-6)

@@ -328,17 +328,23 @@ def test_expansion_error_against_z_only_price_is_second_order(state_high_y):
         assert 1.5 <= slope <= 2.5, (k, errs, slope)
 
 
-@pytest.mark.parametrize("tau", (7 / 365, TAU0))
-@pytest.mark.parametrize("sigma, kappa", ((0.8, 3.58), (0.347, 1.0)))
-def test_zero_strike_leg_below_dof_2_matches_quadpack(sigma, kappa, tau,
-                                                      state_high_y):
-    # dof 0.47 and 0.70: the density is singular at 0, the K = 0 leg's
-    # lower limit, where the K15 - G7 estimate understates the error
+@pytest.mark.parametrize("sigma, kappa, tau, z, tol", [
+    pytest.param(sigma, kappa, tau, 0.0194, (1e-8, 1e-10),
+                 id=f"{sigma}-{kappa}-{tau}")
+    for tau in (7 / 365, TAU0) for sigma, kappa in ((0.8, 3.58), (0.347, 1.0))
+] + [pytest.param(1.17, 3.58, 7 / 365, 0.0224, (1e-7, 1e-7),
+                  id="dof-0.22-lam-3.3")])
+def test_zero_strike_leg_below_dof_2_matches_quadpack(sigma, kappa, tau, z,
+                                                      tol):
+    # dof 0.47, 0.70 and 0.22: the density is singular at 0, the K = 0
+    # leg's lower limit, where the K15 - G7 estimate understates the
+    # error; at dof 0.22 the grading needs 364 halvings
     params = ModelParams(**{**FITTED, "sigma": sigma, "kappa": kappa})
-    quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-10)
-    got = price_vix_strike_batch([0.0, 20.0], tau, state_high_y, params, quad)
+    state = HiddenState(y=0.0234, z=z)
+    quad = QuadratureConfig(abs_tol=tol[0], rel_tol=tol[1])
+    got = price_vix_strike_batch([0.0, 20.0], tau, state, params, quad)
     for d, k in zip(got, (0.0, 20.0)):
-        leading, correction = vix_call_quad(k, tau, state_high_y, params)
+        leading, correction = vix_call_quad(k, tau, state, params)
         assert abs(d.leading - leading) <= quad.abs_tol, (k, d, leading)
         assert abs(d.correction - correction) <= quad.abs_tol, (k, d)
 
