@@ -3,41 +3,44 @@
 Step 1 fits the variance-process parameters to VIX options, with each
 date's hidden state pinned to that date's VIX close: the one-factor
 benchmark determines its state z_i uniquely, while the two-factor model
-keeps one degree of freedom, resolved by a per-date one-dimensional fit
-over the fast factor y_i (z_i follows from the VIX constraint).  Step 2
-fits the index-leg parameters (rho for the benchmark, rho and w3_eps for
-the two-factor model) to SPX options, holding step-1 output fixed.
+keeps one degree of freedom per date, its fast factor y_i = s_i ymax_i
+with s_i in [0, 1] (z_i follows from the VIX close).  Step 2 fits the
+index-leg parameters (rho for the benchmark, rho and w3_eps for the
+two-factor model) to SPX options, holding step-1 output fixed.
 
-Step 1 runs Nelder-Mead with seeded random restarts on logit-transformed
-coordinates.  Step 2 is one bounded search over rho: SPX prices are
-affine in w3_eps, so its optimum at each rho is closed-form (variable
-projection).  The per-date terms of every objective evaluation, and the
-per-date state recovery between the steps, are independent, so they run
-on one process per usable core (at most one per date): each step forks
-its workers once, they evaluate a fixed share of the dates, and the
-terms come back to the calling process, which sums them in date order.
-A date's term is the same number in any process, so fits are bitwise
-reproducible for a given seed on any core count.
+Step 1 is one bounded trust-region least-squares solve (TRF, Branch,
+Coleman & Li 1999) of the per-quote weighted residuals over the
+parameters and every s_i, plus seeded extra starts; a date's rows depend
+on the parameters and its own s_i alone, so the finite-difference
+Jacobian groups all s_i columns into one sweep (Curtis, Powell & Reid
+1974).  Step 2 is one bounded search over rho: SPX prices are affine in
+w3_eps, so its optimum at each rho is closed-form (variable projection).
+The per-date terms of every evaluation are independent, so they run on
+one process per usable core (at most one per date): the start fits and
+each step fork their workers once, they evaluate a fixed share of the
+dates, and the terms come back to the calling process, which joins them
+in date order.  A date's term is the same number in any process, so
+fits are bitwise reproducible for a given seed on any core count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import expit, logit
+from scipy.linalg import block_diag
+from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import minimize  # noqa: F401  perfbench's tracer patches it
 
 from .cores import usable_cores
-from .exceptions import InfeasibleStateError, MssvError
+from .exceptions import MssvError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, vix_weights, y_max_for_vix,
                     z_from_vix_given_y, z_from_vix_heston)
 from .spx import price_heston_call_batch, price_spx_strike_batch
-from .vix import fixed_density_rule, price_vix_heston_strike_batch
+from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
 _PENALTY = 1e8
 #: order of the fitted parameters in a CalibrationResult
@@ -65,20 +68,30 @@ class DateSlice:
     spx_quotes: tuple[Quote, ...] = ()
 
 
-#: Nelder-Mead tolerances, inner y-fit tolerance, price floor of the
-#: weighted SSE and the parameter search box
-_FTOL, _XTOL, _INNER_XTOL, _WEIGHT_FLOOR = 1e-9, 1e-6, 1e-6, 0.1
+#: step-2 rho tolerance, inner state-fit tolerance, price floor of the
+#: weighted residuals, step-1 least-squares tolerances and the parameter
+#: box; epsilon's upper bound keeps kappa epsilon <= 0.998 in the whole
+#: box, so the time scales stay apart (the weights need kappa eps < 1)
+_XTOL, _INNER_XTOL, _WEIGHT_FLOOR = 1e-6, 1e-6, 0.1
+_LSQ_TOL = {"xtol": 1e-10, "ftol": 1e-12, "gtol": 1e-12}
 _BOUNDS = {"kappa": (1e-3, 20.0), "theta": (1e-5, 1.0), "sigma": (1e-3, 3.0),
-           "rho": (-1.0, 0.0), "epsilon": (1e-4, 0.1), "w3_eps": (-0.5, 0.5)}
+           "rho": (-1.0, 0.0), "epsilon": (1e-4, 0.0499),
+           "w3_eps": (-0.5, 0.5)}
+#: rho within this distance of a bound is snapped onto it
+_SNAP = 1e-3
 
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Optimizer iteration budget; restart count and seed of step 1."""
+    """Evaluation budget of each solve; restart count and seed of step 1."""
 
     max_iter: int = 200
     restarts: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -93,7 +106,9 @@ class CalibrationResult:
     #: date order; "error" is the exception's class name
     skipped_dates: list = field(default_factory=list)
     #: {"step", "restart", "success", "nit", "nfev", "message"} of each
-    #: step-1 Nelder-Mead restart and of step 2's one bounded search
+    #: step-1 least-squares solve ("nit" its Jacobian count, "nfev" every
+    #: residual evaluation, the Jacobians' included) and of step 2's one
+    #: search over rho
     restarts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -111,71 +126,68 @@ def weighted_sse(model_prices, market_prices, floor: float = 0.1) -> float:
     return float(resid @ resid)
 
 
-class _Box:
-    """Logit map between a bounded box and unconstrained coordinates."""
-
-    def __init__(self, bounds):
-        self.lo = np.array([b[0] for b in bounds])
-        self.hi = np.array([b[1] for b in bounds])
-
-    def to_internal(self, x):
-        frac = (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo)
-        return logit(np.clip(frac, 1e-12, 1.0 - 1e-12))
-
-    def to_external(self, u):
-        return self.lo + (self.hi - self.lo) * expit(np.asarray(u, dtype=float))
-
-    def snap(self, x, tol=1e-3):
-        """Snap components within tol of a boundary onto it."""
-        x, span = np.array(x, dtype=float), self.hi - self.lo
-        x = np.where(np.abs(x - self.lo) < tol * span, self.lo, x)
-        return np.where(np.abs(x - self.hi) < tol * span, self.hi, x)
-
-
 def _traced(fun, trace, step):
-    """fun, recording in trace each new running best and its evaluation."""
-    evals, running = itertools.count(), [math.inf]
+    """fun, recording in trace each new running best of its value (the sum
+    of squares of a residual vector) and that evaluation's index;
+    wrapped.count is the number of evaluations so far."""
+    best = [math.inf]
 
     def wrapped(x):
-        n, val = next(evals), fun(x)
-        if val < running[0]:
-            running[0] = val
-            trace.append({"step": step, "eval": n, "objective": val})
+        val = fun(x)
+        obj = float(val @ val) if np.ndim(val) else val
+        n, wrapped.count = wrapped.count, wrapped.count + 1
+        if obj < best[0]:
+            best[0] = obj
+            trace.append({"step": step, "eval": n, "objective": obj})
         return val
+    wrapped.count = 0
     return wrapped
 
 
-def _outcome(res, step, restart):
-    return {"step": step, "restart": restart, "success": bool(res.success),
-            "nit": int(res.nit), "nfev": int(res.nfev),
-            "message": str(res.message)}
+def _outcome(step, restart, success, nit, nfev, message):
+    return {"step": step, "restart": restart, "success": bool(success),
+            "nit": int(nit), "nfev": int(nfev), "message": str(message)}
 
 
-def _nelder_mead(fun, x0, box: _Box, cfg: CalibrationConfig, trace, step):
-    """Restarted Nelder-Mead in transformed coordinates; returns the
-    snapped minimizer, its objective value and each restart's outcome."""
-    rng = np.random.default_rng(cfg.seed)
-    u0 = box.to_internal(x0)
-    starts = [u0] + [u0 + rng.normal(0.0, 1.0, size=len(x0))
-                     for _ in range(cfg.restarts - 1)]
-    wrapped = _traced(lambda u: fun(box.to_external(u)), trace, step)
-    runs = [minimize(wrapped, u, method="Nelder-Mead",
-                     options={"maxiter": cfg.max_iter, "fatol": _FTOL,
-                              "xatol": _XTOL, "adaptive": True})
-            for u in starts]
-    x = box.snap(box.to_external(min(runs, key=lambda res: res.fun).x))
-    return x, float(fun(x)), [_outcome(res, step, k)
-                              for k, res in enumerate(runs)]
+def _least_squares(fun, x0, bounds, pattern, cfg: CalibrationConfig, trace):
+    """Bounded TRF solves of the residual vector fun(x) from x0 and from
+    cfg.restarts - 1 seeded starts (x0 scaled by e^N(0, 1/4), clipped into
+    the box); returns the best solution, its SSE and each solve's outcome."""
+    lo, hi = np.array(bounds, dtype=float).T
+    x0, rng = np.array(x0, dtype=float), np.random.default_rng(cfg.seed)
+    starts = [x0] + [np.clip(x0 * np.exp(rng.normal(0.0, 0.5, len(x0))),
+                             lo, hi) for _ in range(cfg.restarts - 1)]
+    traced, runs, outcomes = _traced(fun, trace, "step1"), [], []
+    for k, x in enumerate(starts):
+        before = traced.count
+        res = least_squares(traced, x, bounds=(lo, hi), method="trf",
+                            jac_sparsity=pattern, x_scale="jac",
+                            max_nfev=cfg.max_iter, **_LSQ_TOL)
+        runs.append(res)
+        outcomes.append(_outcome("step1", k, res.success, res.njev,
+                                 traced.count - before, res.message))
+    best = min(runs, key=lambda res: res.cost)
+    return best.x, 2.0 * float(best.cost), outcomes
 
 
 def _rho_search(fun, cfg: CalibrationConfig, trace, step):
-    """Bounded search of fun(rho), snapped; returns rho, fun(rho) (the
-    last evaluation) and the search's outcome."""
-    res = minimize_scalar(_traced(fun, trace, step), bounds=_BOUNDS["rho"],
-                          method="bounded",
+    """Search of fun(rho) over the rho bounds, snapped to a bound within
+    _SNAP of it; returns rho, fun(rho) (the last evaluation) and the
+    search's outcome.  fun is taken as unimodal, as a bounded Brent search
+    takes it, so a bound no worse than the point _SNAP inside it is the
+    snapped minimiser: each bound is tried so before any search."""
+    traced = _traced(fun, trace, step)
+    lo, hi = _BOUNDS["rho"]
+    for bound, inside in ((lo, lo + _SNAP), (hi, hi - _SNAP)):
+        near = traced(inside)
+        if (value := traced(bound)) <= near:
+            return bound, value, [_outcome(step, 0, True, 0, traced.count,
+                                           f"rho at its bound {bound:g}")]
+    res = minimize_scalar(traced, bounds=(lo, hi), method="bounded",
                           options={"xatol": _XTOL, "maxiter": cfg.max_iter})
-    rho = float(_Box([_BOUNDS["rho"]]).snap([res.x])[0])
-    return rho, float(fun(rho)), [_outcome(res, step, 0)]
+    rho = lo if res.x - lo < _SNAP else hi if hi - res.x < _SNAP else res.x
+    return float(rho), float(traced(rho)), [_outcome(
+        step, 0, res.success, res.nit, traced.count, res.message)]
 
 
 def price_quotes(quotes, calls, r: float, spot: float | None = None
@@ -210,10 +222,11 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
     return out
 
 
-def _sse(quotes, calls, r, floor):
-    """Weighted SSE of the model prices of VIX quotes against their prices."""
-    prices = [d.total for d in price_quotes(quotes, calls, r)]
-    return weighted_sse(prices, [q.price for q in quotes], floor)
+def _residuals(quotes, calls, r):
+    """(model - P)/(floor + P) of each VIX quote, in the quotes' order."""
+    model = np.array([d.total for d in price_quotes(quotes, calls, r)])
+    market = np.array([q.price for q in quotes])
+    return (model - market) / (_WEIGHT_FLOOR + market)
 
 
 class _DateMap:
@@ -310,39 +323,59 @@ class _DateMap:
             proc.join()
 
 
-def _sum_over_dates(terms):
-    """Objective value: the per-date terms summed in date order.
+def _charged(terms):
+    """The per-date terms, where a date whose pricing failed (its term is
+    an MssvError) is charged ten times the median of the dates that
+    priced, or _PENALTY / dates if none did."""
+    priced = [t for t in terms if not isinstance(t, MssvError)]
+    charge = (10.0 * float(np.median(priced)) if priced
+              else _PENALTY / max(len(terms), 1))
+    return [charge if isinstance(t, MssvError) else t for t in terms]
 
-    A date whose pricing failed (its term is an MssvError) is skipped
-    and charged ten times the median of the dates that priced.
-    """
-    per_date, skipped = [], 0
-    for term in terms:
-        if isinstance(term, MssvError):
-            skipped += 1
-        else:
-            per_date.append(term)
-    if not per_date:
-        return _PENALTY
-    total = sum(per_date)
-    if skipped:
-        total += skipped * 10.0 * float(np.median(per_date))
-    return total
+
+def _sum_over_dates(terms):
+    """Objective value: the charged per-date terms summed in date order."""
+    return sum(_charged(terms)) if terms else _PENALTY
+
+
+def _rows_over_dates(terms, slices):
+    """Residual vector: each date's residual rows (one per VIX quote),
+    joined in date order; a failed date's are equal rows whose squares
+    add up to its charge."""
+    sse = _charged([t if isinstance(t, MssvError) else float(t @ t)
+                    for t in terms])
+    return np.concatenate([
+        np.full(len(sl.vix_quotes), math.sqrt(c / len(sl.vix_quotes)))
+        if isinstance(t, MssvError) else t
+        for t, c, sl in zip(terms, sse, slices)])
+
+
+def _jac_sparsity(slices, n_params, state_columns):
+    """Step 1's Jacobian pattern: every residual row depends on the n_params
+    parameters and, with state_columns, date i's rows on column n_params + i
+    too, the date's s_i."""
+    sizes = [len(sl.vix_quotes) for sl in slices]
+    pattern = np.ones((sum(sizes), n_params))
+    if not state_columns:
+        return pattern
+    return np.hstack([pattern, block_diag(*[np.ones((n, 1)) for n in sizes])])
 
 
 def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
-              date_state, step2_objective):
+              date_state, step2_objective, state_start=None):
     """The two-step calibration both models share.
 
-    Step 1 searches the parameters named in start (x0 overrides their
-    starting values) with step1_objective(usable dates, r, floor, quad,
-    date_map); date_state(sl, p) then recovers each date's hidden state
-    as a dict under the step-1 fit p, and step 2 searches rho with
-    step2_objective(dates, p, r, floor, quad, profiled, date_map), dates
-    being the (slice, state) pairs of the dates with a state and SPX
-    quotes; its last call, at the fitted rho, sets the profiled-out
-    parameters.  date_map(dates, fn) makes the step's _DateMap; each
-    step's workers are stopped before the next step forks its own.
+    Step 1 fits the parameters named in start (x0 overrides their
+    starting values, clipped into the box) and, if state_start is given,
+    one s_i in [0, 1] per usable date, started at state_start(sl, *p);
+    step1_objective(usable dates, r, quad, date_map)(x) is the residual
+    vector.  date_state(sl, p, s_i) then gives each date's hidden state as
+    a dict under the step-1 fit p (s_i None without state columns), and
+    step 2 searches rho with step2_objective(dates, p, r, quad, profiled,
+    date_map), dates being the (slice, state) pairs of the dates with a
+    state and SPX quotes; its last call, at the fitted rho, sets the
+    profiled-out parameters.  date_map(dates, fn) makes a _DateMap; each
+    map's workers are stopped before the next map forks its own.
     """
     usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
     if not usable:
@@ -355,27 +388,32 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
         live.append(_DateMap(dates, fn))
         return live[0]
 
+    names = list(start)
+    p0 = [float(np.clip((x0 or start)[n], *_BOUNDS[n])) for n in names]
     trace = []
     try:
-        x1, obj1, restarts1 = _nelder_mead(
-            step1_objective(usable, r, _WEIGHT_FLOOR, quad, date_map),
-            [(x0 or start)[n] for n in start],
-            _Box([_BOUNDS[n] for n in start]), cfg, trace, "step1")
-        p = dict(zip(start, x1))
+        s0 = [] if state_start is None else [
+            0.5 if isinstance(s, MssvError) else s
+            for s in date_map(usable, state_start)(*p0)]
+        x, obj1, restarts1 = _least_squares(
+            step1_objective(usable, r, quad, date_map), p0 + s0,
+            [_BOUNDS[n] for n in names] + [(0.0, 1.0)] * len(s0),
+            _jac_sparsity(usable, len(names), bool(s0)), cfg, trace)
+        p = {n: float(v) for n, v in zip(names, x)}
 
         states, skipped = {}, []
-        for sl, st in zip(usable, date_map(usable, date_state)(p)):
-            if isinstance(st, MssvError):
-                skipped.append({"date": sl.date, "error": type(st).__name__})
-            else:
-                states[sl.date] = st
+        per_date = x[len(names):] if s0 else [None] * len(usable)
+        for sl, s in zip(usable, per_date):
+            try:
+                states[sl.date] = date_state(sl, p, s)
+            except MssvError as exc:
+                skipped.append({"date": sl.date, "error": type(exc).__name__})
 
         dates = [(sl, states[sl.date]) for sl in slices if sl.date in states
                  and sl.spx_quotes and sl.spx_level is not None]
         profiled = {}
         rho, obj2, restarts2 = _rho_search(step2_objective(
-            dates, p, r, _WEIGHT_FLOOR, quad, profiled, date_map),
-            cfg, trace, "step2")
+            dates, p, r, quad, profiled, date_map), cfg, trace, "step2")
     finally:
         while live:
             live.pop().close()
@@ -396,19 +434,18 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
 # one-factor benchmark
 # ---------------------------------------------------------------------------
 
-def _heston_step1_objective(slices, r, floor, quad, date_map=_DateMap):
-    def date_sse(sl, kappa, theta, sigma):
+def _heston_step1_objective(slices, r, quad, date_map=_DateMap):
+    def date_rows(sl, kappa, theta, sigma):
         z = z_from_vix_heston(sl.vix_level, kappa, theta)
-        return _sse(sl.vix_quotes,
-                    lambda ks, tau: price_vix_heston_strike_batch(
-                        ks, tau, z, kappa, theta, sigma, r, quad),
-                    r, floor)
+        return _residuals(sl.vix_quotes,
+                          lambda ks, tau: price_vix_heston_strike_batch(
+                              ks, tau, z, kappa, theta, sigma, r, quad), r)
 
-    terms = date_map(slices, date_sse)
-    return lambda x: _sum_over_dates(terms(*x))
+    terms = date_map(slices, date_rows)
+    return lambda x: _rows_over_dates(terms(*x), slices)
 
 
-def _spx_objective(dates, r, floor, calls, profiled, date_map):
+def _spx_objective(dates, r, calls, profiled, date_map):
     """objective(rho): the weighted SSE at the w3_eps minimising it, set
     in profiled["w3_eps"].  calls(sl, st, rho) prices a date's strikes as
     leading terms L and corrections U at w3_eps = 1 (U = 0 for the
@@ -418,8 +455,8 @@ def _spx_objective(dates, r, floor, calls, profiled, date_map):
         sl, st = date
         decomps = price_quotes(sl.spx_quotes, calls(sl, st, rho), r,
                                sl.spx_level)
-        a, b = np.array([[(d.leading - q.price) / (floor + q.price),
-                          d.correction / (floor + q.price)]
+        a, b = np.array([[(d.leading - q.price) / (_WEIGHT_FLOOR + q.price),
+                          d.correction / (_WEIGHT_FLOOR + q.price)]
                          for d, q in zip(decomps, sl.spx_quotes)]).T
         return np.array([a @ a, a @ b, b @ b])
 
@@ -438,10 +475,10 @@ def _spx_objective(dates, r, floor, calls, profiled, date_map):
     return fun
 
 
-def _heston_step2_objective(dates, p, r, floor, quad, profiled,
+def _heston_step2_objective(dates, p, r, quad, profiled,
                             date_map=_DateMap):  # profiled: no w3_eps here
     return _spx_objective(
-        dates, r, floor, lambda sl, st, rho: lambda ks, tau: (
+        dates, r, lambda sl, st, rho: lambda ks, tau: (
             price_heston_call_batch(sl.spx_level, ks, tau, r, p["kappa"],
                                     p["theta"], p["sigma"], rho, st["z"],
                                     quad)), {}, date_map)
@@ -456,8 +493,8 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
     return _two_step(
         "heston", slices, cfg, quad, r, x0,
         {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}, _heston_step1_objective,
-        lambda sl, p: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
-                                              p["theta"])},
+        lambda sl, p, s: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
+                                                 p["theta"])},
         _heston_step2_objective)
 
 
@@ -465,72 +502,68 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
 # two-factor model
 # ---------------------------------------------------------------------------
 
+def _vix_params(kappa, theta, sigma, epsilon, r):
+    """Parameters for VIX pricing, which reads neither rho nor w3_eps."""
+    return ModelParams(kappa, theta, sigma, -0.5, epsilon, 0.0, r)
+
+
+def _vix_state(sl, params, s):
+    """The date's state at y = s ymax: z falls linearly in y along the
+    VIX close's line, from z(0) at y = 0 to exactly 0 at ymax."""
+    w = vix_weights(params.kappa, params.epsilon)
+    return HiddenState(
+        y=s * y_max_for_vix(sl.vix_level, params, w),
+        z=(1.0 - s) * z_from_vix_given_y(sl.vix_level, 0.0, params, w))
+
+
+def _vix_residuals(sl, params, quad, s):
+    """The date's VIX residual rows at y = s ymax."""
+    state = _vix_state(sl, params, s)
+    return _residuals(sl.vix_quotes, lambda ks, tau: price_vix_strike_batch(
+        ks, tau, state, params, quad), params.r)
+
+
 def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
                     sigma: float, epsilon: float, r: float,
-                    quad: QuadratureConfig = QuadratureConfig(),
-                    floor: float = 0.1, xtol: float = 1e-6):
+                    quad: QuadratureConfig = QuadratureConfig()):
     """Fit the date's hidden state under the VIX-close constraint.
 
     The constraint z = z(y) is linear and exact, so the two-dimensional
-    per-date fit reduces losslessly to a bounded search over y alone,
-    each maturity priced by one `fixed_density_rule` for all of [0, ymax].
-    Returns (state, objective).
+    per-date fit reduces losslessly to a bounded search over y in
+    [0, ymax], as y = s ymax with s in [0, 1].  Step 1 of the two-factor
+    calibration starts each date's s here.  Returns (state, objective).
     """
     if not date_slice.vix_quotes or not date_slice.vix_level:
         raise MssvError(f"date {date_slice.date} has no VIX data")
-    params = ModelParams(kappa=kappa, theta=theta, sigma=sigma, rho=-0.5,
-                         epsilon=epsilon, w3_eps=0.0, r=r)
-    w = vix_weights(kappa, epsilon)
-    ymax = y_max_for_vix(date_slice.vix_level, params, w)
-    # z falls as y rises (a1, a2 > 0), so these ends bound lam
-    ends = (HiddenState(y=0.0, z=z_from_vix_given_y(date_slice.vix_level,
-                                                     0.0, params, w)),
-            HiddenState(y=ymax, z=0.0))
-    rules = {}
 
-    def objective(y):
-        try:
-            z = z_from_vix_given_y(date_slice.vix_level, y, params, w)
-            state = HiddenState(y=y, z=z)
-        except InfeasibleStateError:
-            return _PENALTY
+    params = _vix_params(kappa, theta, sigma, epsilon, r)
 
-        def calls(ks, tau):
-            if tau not in rules:
-                rules[tau] = fixed_density_rule(ks, tau, params, ends, quad)
-            return rules[tau](state)
-        return _sse(date_slice.vix_quotes, calls, r, floor)
+    def objective(s):
+        rows = _vix_residuals(date_slice, params, quad, s)
+        return float(rows @ rows)
 
-    res = minimize_scalar(objective, bounds=(0.0, ymax), method="bounded",
-                          options={"xatol": xtol})
-    y = float(res.x)
-    z = z_from_vix_given_y(date_slice.vix_level, y, params, w)
-    return HiddenState(y=y, z=z), float(res.fun)
+    res = minimize_scalar(objective, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": _INNER_XTOL})
+    return _vix_state(date_slice, params, float(res.x)), float(res.fun)
 
 
-def _msv_step1_objective(slices, r, floor, quad, xtol, date_map=_DateMap):
-    def date_sse(sl, kappa, theta, sigma, epsilon):
-        return inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad,
-                               floor, xtol)[1]
+def _msv_step1_objective(slices, r, quad, date_map=_DateMap):
+    def date_rows(date, kappa, theta, sigma, epsilon, s):
+        i, sl = date
+        return _vix_residuals(
+            sl, _vix_params(kappa, theta, sigma, epsilon, r), quad, s[i])
 
-    terms = date_map(slices, date_sse)
-
-    def fun(x):
-        kappa, epsilon = x[0], x[3]
-        if kappa * epsilon >= 0.999:
-            return _PENALTY * (1.0 + kappa * epsilon)
-        return _sum_over_dates(terms(*x))
-    return fun
+    terms = date_map(list(enumerate(slices)), date_rows)
+    return lambda x: _rows_over_dates(terms(*x[:4], tuple(x[4:])), slices)
 
 
-def _msv_step2_objective(dates, p, r, floor, quad, profiled,
-                         date_map=_DateMap):
+def _msv_step2_objective(dates, p, r, quad, profiled, date_map=_DateMap):
     def calls(sl, st, rho):
         params = ModelParams(**p, rho=rho, w3_eps=1.0, r=r)
         return lambda ks, tau: price_spx_strike_batch(
             sl.spx_level, ks, tau, HiddenState(**st), params, quad)
 
-    return _spx_objective(dates, r, floor, calls, profiled, date_map)
+    return _spx_objective(dates, r, calls, profiled, date_map)
 
 
 def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -539,20 +572,22 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
                   x0: dict | None = None) -> CalibrationResult:
     """Two-step two-factor calibration.
 
-    Step 1 searches (kappa, theta, sigma, epsilon) with a nested
-    per-date fit of (y_i, z_i); step 2 searches rho on SPX quotes, with
-    w3_eps solved in closed form at each rho.  Step 2 never touches
-    step-1 output.
+    Step 1 fits (kappa, theta, sigma, epsilon) and every date's y_i =
+    s_i ymax_i in one least-squares solve, each s_i started by
+    `inner_state_fit` at the start parameters; step 2 searches rho on SPX
+    quotes, with w3_eps solved in closed form at each rho.  Step 2 never
+    touches step-1 output.
     """
-    def date_state(sl, p):
-        st, _ = inner_state_fit(sl, p["kappa"], p["theta"], p["sigma"],
-                                p["epsilon"], r, quad, _WEIGHT_FLOOR,
-                                _INNER_XTOL)
+    def date_state(sl, p, s):
+        st = _vix_state(sl, _vix_params(**p, r=r), float(s))
         return {"y": st.y, "z": st.z}
+
+    def state_start(sl, *p):
+        st, _ = inner_state_fit(sl, *p, r, quad)
+        ymax = y_max_for_vix(sl.vix_level, _vix_params(*p, r))
+        return min(st.y / ymax, 1.0) if ymax > 0 else 0.0
 
     return _two_step(
         "msv", slices, cfg, quad, r, x0,
         {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
-        lambda usable, r, floor, quad, date_map: _msv_step1_objective(
-            usable, r, floor, quad, _INNER_XTOL, date_map),
-        date_state, _msv_step2_objective)
+        _msv_step1_objective, date_state, _msv_step2_objective, state_start)

@@ -305,7 +305,8 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
     states is a list of (iso-date, HiddenState).  Prices are the model's
     own (so calibration round trips are exact up to optimizer noise);
     multiplicative Gaussian noise of relative size `noise` is optional.
-    All quotes are calls with volume 100.
+    All quotes are calls with volume 100.  A maturity is rounded to whole
+    days, as the expiry is written, and priced at that rounded maturity.
     """
     rng = np.random.default_rng(seed)
     quotes = []
@@ -319,9 +320,11 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
                                                         state, params, quad)))
         for und, level, taus, moneyness, calls in legs:
             for tau in taus:
-                expiry = date + dt.timedelta(days=round(tau * DAYS_PER_YEAR))
+                days = round(tau * DAYS_PER_YEAR)
+                expiry = date + dt.timedelta(days=days)
                 strikes = [float(round(m * level)) for m in moneyness]
-                for strike, d in zip(strikes, calls(strikes, tau)):
+                for strike, d in zip(strikes,
+                                     calls(strikes, days / DAYS_PER_YEAR)):
                     price = d.total * (1.0 + noise * rng.standard_normal()
                                        if noise else 1.0)
                     if price <= 0:

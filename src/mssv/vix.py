@@ -18,8 +18,7 @@ from scipy.special import gammaln
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, heston_star_weights, vix_weights)
-from .quadrature import (NODES, NODES_PER_PANEL, WEIGHTS_G, WEIGHTS_K,
-                         integrate_with_tail_doubling)
+from .quadrature import integrate_with_tail_doubling
 from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
 
@@ -101,15 +100,6 @@ def _poisson_log_weights(lam: float, max_terms: int = 100_000):
     return -half + j * math.log(half) - gammaln(j + 1)
 
 
-def _log_central_chi2(zeta, dof: float, n_terms: int):
-    """(terms, points) log densities of chi-square(dof + 2j) at zeta > 0."""
-    m_half = dof / 2.0 + np.arange(n_terms)  # half-dof of each term
-    return ((m_half[:, None] - 1.0) * np.log(zeta)[None, :]
-            - zeta[None, :] / 2.0
-            - m_half[:, None] * math.log(2.0)
-            - gammaln(m_half)[:, None])
-
-
 def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     """Non-central chi-square density via its Poisson mixture of central
     chi-square densities, each term evaluated in log space.
@@ -122,7 +112,10 @@ def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     out = np.zeros_like(zeta)
     pos = zeta > 0
     log_pois = _poisson_log_weights(params.lam, max_terms)
-    log_chi2 = _log_central_chi2(zeta[pos], params.dof, len(log_pois))
+    # (terms, points) log densities of chi-square(dof + 2j) at zeta > 0
+    m_half, z = params.dof / 2.0 + np.arange(len(log_pois)), zeta[pos]
+    log_chi2 = ((m_half[:, None] - 1.0) * np.log(z)[None, :] - z[None, :] / 2.0
+                - m_half[:, None] * math.log(2.0) - gammaln(m_half)[:, None])
     out[pos] = np.exp(_log_sum_exp(log_chi2 + log_pois[:, None]))
     if np.any(zeta == 0.0):
         at0 = math.inf if params.dof < 2.0 else 0.0
@@ -160,23 +153,6 @@ def _correction_coeffs(state, tau, params, w):
             params.kappa * params.epsilon * w.a2_star)
 
 
-def _core_range(ncx2: Ncx2Params, vstar: float):
-    """[zeta*, zmax]: first kink to mean + 40 sd (>= 1.5 zeta* + 10)."""
-    zstar = max(vstar / ncx2.delta, 0.0)
-    zmax = (ncx2.dof + ncx2.lam
-            + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)))
-    return zstar, max(zmax, zstar * 1.5 + 10.0)
-
-
-def _graded_edges(zstar: float, edge: float, dof: float):
-    """Halvings of [zstar, edge] toward zstar, none nearer zstar than
-    zstar itself: mass within d of 0 grows like d^(dof/2), so 80/dof
-    halvings leave ~2^-40 of it inside (at most 1000: normal floats)."""
-    halvings = min(math.ceil(80.0 / dof), 1000)
-    grade = zstar + (edge - zstar) * 0.5**np.arange(1, halvings + 1)
-    return grade[grade - zstar >= zstar]
-
-
 def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
                       quad: QuadratureConfig, kinks=()):
     """Integrate payoff rows against the ncx2 density over [zeta*, inf).
@@ -185,15 +161,22 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
     kink at vstar is the lower endpoint and any further payoff kinks
     (batched strikes) become panel edges, so each panel sees a smooth
     integrand.  The upper limit starts at the mean plus 40 mixed-moment
-    standard deviations and doubles until the tail adds less than abs_tol.
-    A density singular at zeta* = 0 (dof < 2) is graded toward it as the
-    fixed rule is, since the K15 - G7 estimate understates the error of
-    the panels next to the singularity.
+    standard deviations (at least 1.5 zeta* + 10) and doubles until the
+    tail adds less than abs_tol.  A density singular at zeta* = 0 (dof <
+    2) gets breakpoints halving the first core panel [0, zmax/8] toward 0,
+    since the K15 - G7 estimate understates the error of the panels next
+    to the singularity: mass within d of 0 grows like d^(dof/2), so 80/dof
+    halvings leave ~2^-40 of it inside (at most 1000: normal floats).
     """
-    zstar, zmax = _core_range(ncx2, vstar)
+    zstar = max(vstar / ncx2.delta, 0.0)
+    zmax = max(ncx2.dof + ncx2.lam
+               + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)),
+               zstar * 1.5 + 10.0)
     edges = [v / ncx2.delta for v in kinks]
-    if ncx2.dof < 2.0 and zstar == 0.0:  # integrate's first panel: [0, zmax/8]
-        edges = np.concatenate([edges, _graded_edges(0.0, zmax / 8, ncx2.dof)])
+    if ncx2.dof < 2.0 and zstar == 0.0:
+        halvings = min(math.ceil(80.0 / ncx2.dof), 1000)
+        edges = np.concatenate(
+            [edges, zmax / 8 * 0.5**np.arange(1, halvings + 1)])
 
     def integrand(zeta):
         return rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2)
@@ -247,88 +230,6 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
     return _density_pass(strikes, tau, state.z, params.kappa, params.theta,
                          params.sigma, params.r, w.a2_star,
                          (1.0 + w.a4_star) * params.theta, quad, numer)
-
-
-#: a fixed rule's first panel count and its most doublings; the most
-#: floats it may hold (8 MB)
-_PANELS, _DOUBLINGS, _RULE_CAP = 16, 3, 1_000_000
-
-
-def fixed_density_rule(strikes, tau: float, params: ModelParams, ends,
-                       quad: QuadratureConfig = QuadratureConfig()):
-    """price(state) = `price_vix_strike_batch(strikes, tau, state, params,
-    quad)` for states whose z is at most that of ends, on K15 panels fixed
-    at the largest noncentrality: the ncx2 basis and payoff rows become
-    per-panel K15 and G7 blocks, and a state is one Poisson weight vector
-    times them.  A state failing a check of the adaptive pass is priced
-    by it; so is every state if the ends fail after _DOUBLINGS doublings
-    of the panel count, or past _RULE_CAP.
-    """
-    def adaptive(state):
-        return price_vix_strike_batch(strikes, tau, state, params, quad)
-
-    ks = [float(k) for k in strikes]
-    if not (ks and min(ks) >= 0 and math.isfinite(tau + sum(ks))):
-        return adaptive  # which raises, or prices no strikes
-    w = vix_weights(params.kappa, params.epsilon)
-    kinks, unit_rows = _payoff_block(ks, w.a2_star, (1.0 + w.a4_star)
-                                     * params.theta, lambda v: 1.0)
-    top = Ncx2Params.from_cir(params.kappa, params.theta, params.sigma,
-                              max(s.z for s in ends), tau)
-    try:
-        n_terms = len(_poisson_log_weights(top.lam))
-    except QuadratureError:
-        return adaptive
-    zstar, zmax = _core_range(top, min(kinks))
-    n, disc, panels = len(ks), math.exp(-params.r * tau), _PANELS
-
-    def fixed(block, state):
-        """The state's decompositions on the rule, None if a check fails."""
-        log_pois = _poisson_log_weights(Ncx2Params.from_cir(
-            params.kappa, params.theta, params.sigma, state.z, tau).lam)
-        if len(log_pois) > n_terms:
-            return None
-        est = np.exp(log_pois) @ block[:len(log_pois)]
-        c1, c2 = _correction_coeffs(state, tau, params, w)
-        # K15 and G7 rows (leading, then correction), panel by panel
-        k, g = (np.array([[1.0, 0.0, 0.0], [0.0, c1, c2]])
-                @ est.reshape(2, 3, -1)).reshape(2, 2 * n, -1)
-        total = k.sum(axis=1)
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(total))
-        if not (np.all(np.abs(k - g).sum(axis=1) <= tol)
-                and np.all(np.abs(k[:, -4:].sum(axis=1)) < quad.abs_tol)):
-            return None
-        total = (disc * total).tolist()
-        return [PriceDecomposition(total[i], total[n + i]) for i in range(n)]
-
-    for _ in range(_DOUBLINGS + 1):
-        edges = np.linspace(math.sqrt(zstar), math.sqrt(zmax), panels + 1)**2
-        edges = np.unique(np.concatenate(
-            [[zstar, zmax], edges[1:-1],
-             _graded_edges(zstar, edges[1], top.dof),
-             np.clip(kinks / top.delta, zstar, zmax),
-             np.linspace(zmax, 2.0 * zmax, 5)]))
-        m = len(edges) - 1
-        if (m * NODES_PER_PANEL > quad.max_nodes
-                or n_terms * m * (NODES_PER_PANEL + 6 * n) > _RULE_CAP):
-            return adaptive
-        half = np.diff(edges)[:, None] / 2.0
-        zeta = (edges[:-1, None] + half + half * NODES).ravel()
-        v = top.delta * zeta
-        rows = unit_rows(v) * half.ravel().repeat(NODES_PER_PANEL)
-        rows = np.concatenate([rows, rows[n:] * (v - params.theta)])
-        # per panel: (terms x nodes) @ (nodes x K15/G7-weighted rows)
-        weighted = (np.stack([WEIGHTS_K, WEIGHTS_G])[:, None, None, :]
-                    * rows.reshape(1, 3 * n, m, NODES_PER_PANEL))
-        block = (np.exp(_log_central_chi2(zeta, top.dof, n_terms))
-                 .reshape(n_terms, m, NODES_PER_PANEL).transpose(1, 0, 2)
-                 @ weighted.transpose(2, 3, 0, 1).reshape(
-                     m, NODES_PER_PANEL, 6 * n)).transpose(1, 2, 0).reshape(
-                         n_terms, -1)
-        if all(fixed(block, s) is not None for s in ends):
-            return lambda state: fixed(block, state) or adaptive(state)
-        panels *= 2
-    return adaptive
 
 
 def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,

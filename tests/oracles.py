@@ -6,13 +6,16 @@ Runge-Kutta integration of the underlying Riccati system, prices from
 Gil-Pelaez inversion with scipy's QUADPACK, and the correction factors
 from adaptive quadrature of their defining time integrals.  The factor
 moments, the spectral projection and the benchmark's forward VIX map are
-reference closed forms that the package itself never evaluates.
+reference closed forms that the package itself never evaluates.  The
+black-box minimiser is scipy's Nelder-Mead, which the package no longer
+calls.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from scipy.stats import ncx2
 
@@ -239,3 +242,16 @@ def vix_call_quad(strike: float, tau: float, state: HiddenState,
             val = quad(f, lo, hi, limit=500, epsabs=1e-14, epsrel=1e-13)[0]
         out.append(math.exp(-params.r * tau) * val)
     return out[0], out[1]
+
+
+def nelder_mead_min(fun, x0, bounds, restarts=2, seed=0, max_iter=200):
+    """The least fun that scipy's bounded Nelder-Mead finds from x0 and
+    from restarts - 1 seeded starts drawn uniformly in the bounds."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(bounds, dtype=float).T
+    starts = [np.asarray(x0, dtype=float)] + [rng.uniform(lo, hi)
+                                             for _ in range(restarts - 1)]
+    return min(minimize(fun, x, method="Nelder-Mead", bounds=bounds,
+                        options={"maxiter": max_iter, "fatol": 1e-9,
+                                 "xatol": 1e-6, "adaptive": True}).fun
+               for x in starts)

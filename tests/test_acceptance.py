@@ -317,7 +317,8 @@ def _heston_synthetic(noise=0.0, seed=0, n_dates=4):
                     quotes.append(OptionQuote(date, "VIX", "call", k, expiry,
                                               p, 100.0, vix))
         for tau in (0.1, 0.25):
-            expiry = date + dtm.timedelta(days=round(tau * 365))
+            days = round(tau * 365)  # priced at the written expiry
+            expiry, tau = date + dtm.timedelta(days=days), days / 365
             ks = [float(round(m * X0)) for m in (0.9, 0.95, 1.0, 1.05, 1.1)]
             ps = price_heston_call_batch(X0, ks, tau, PARAMS.r, kap, th, sig,
                                          rho, z, CAL_QUAD)

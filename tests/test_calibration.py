@@ -1,6 +1,7 @@
-"""Calibration mechanics on small fixtures: the objective, the inner
-state fit, constraint preservation, determinism, step decoupling.
-(Full parameter-recovery round trips run in the acceptance suite.)"""
+"""Calibration mechanics on small fixtures: the residuals and their
+Jacobian pattern, the inner state fit, constraint preservation,
+determinism, step decoupling.  (Full parameter-recovery round trips run
+in the acceptance suite.)"""
 
 import contextlib
 import dataclasses
@@ -14,16 +15,19 @@ import numpy as np
 import pytest
 
 import mssv.calibration as calibration
-import mssv.vix
 from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
-                  Quote, QuadratureConfig, calibrate_heston, calibrate_msv,
-                  inner_state_fit, make_synthetic_quotes, price_quotes,
-                  price_spx_strike_batch, price_vix_strike_batch,
-                  to_date_slices, vix_from_state, weighted_sse, y_max_for_vix)
-from mssv.calibration import (_BOUNDS, _Box, _DateMap, _msv_step1_objective,
-                              _msv_step2_objective, _nelder_mead, _rho_search,
+                  Quote, QuadratureConfig, apply_filters, calibrate_heston,
+                  calibrate_msv, inner_state_fit, make_synthetic_quotes,
+                  price_quotes, price_spx_strike_batch,
+                  price_vix_strike_batch, to_date_slices, vix_from_state,
+                  weighted_sse, y_max_for_vix)
+from mssv.calibration import (_BOUNDS, _DateMap, _jac_sparsity,
+                              _least_squares, _msv_step1_objective,
+                              _msv_step2_objective, _rho_search,
                               _sum_over_dates)
 from mssv.exceptions import DomainError, MssvError
+
+from .oracles import nelder_mead_min
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 FAST = CalibrationConfig(max_iter=60, restarts=1, seed=0)
@@ -94,30 +98,16 @@ def test_inner_state_fit_requires_vix_data(params):
                         params.epsilon, params.r, QUAD)
 
 
+def _state_panel(params, states, taus=(30 / 365,)):
+    """One VIX-only date per state, priced at params."""
+    return [_vix_slice(params, st, date=f"2016-01-{5 + i:02d}", taus=taus)
+            for i, st in enumerate(states)]
+
+
 def _tiny_dataset(params):
-    slices = []
-    for i, (y, z) in enumerate([(0.0234, 0.0194), (0.0110, 0.0203),
-                                (0.0300, 0.0260)]):
-        state = HiddenState(y=y, z=z)
-        sl = _vix_slice(params, state, date=f"2016-01-{5 + i:02d}",
-                        taus=(30 / 365,))
-        slices.append(sl)
-    return slices
-
-
-def test_inner_fit_prices_every_candidate_on_the_fixed_rule(monkeypatch,
-                                                            params):
-    slices = _tiny_dataset(params)
-    passes = []
-    real = mssv.vix._density_pass
-    monkeypatch.setattr(mssv.vix, "_density_pass",
-                        lambda *a, **k: passes.append(1) or real(*a, **k))
-    for sl in slices:
-        state, obj = inner_state_fit(sl, params.kappa, params.theta,
-                                     params.sigma, params.epsilon, params.r,
-                                     QUAD)
-        assert obj < 1e-8
-    assert passes == []  # no candidate fell back to the adaptive pass
+    return _state_panel(params, [HiddenState(0.0234, 0.0194),
+                                 HiddenState(0.0110, 0.0203),
+                                 HiddenState(0.0300, 0.0260)])
 
 
 def test_calibrate_heston_runs_and_snaps_bounds(params):
@@ -148,13 +138,18 @@ def test_calibrate_msv_mechanics(params):
         vix = vix_from_state(state, fitted)
         assert vix == pytest.approx(by_date[entry["date"]].vix_level,
                                     rel=1e-10)
-    # step 2 never touches step-1 output: states recompute bit-identically
+    # step 2 never touches step-1 output: the states and parameters
+    # reprice the VIX quotes to the step-1 objective
+    sse = 0.0
     for entry in res.states:
-        st, _ = inner_state_fit(by_date[entry["date"]], fitted.kappa,
-                                fitted.theta, fitted.sigma, fitted.epsilon,
-                                fitted.r, QUAD, calibration._WEIGHT_FLOOR,
-                                calibration._INNER_XTOL)
-        assert st.y == entry["y"] and st.z == entry["z"]
+        sl = by_date[entry["date"]]
+        state = HiddenState(y=entry["y"], z=entry["z"])
+        sse += weighted_sse(
+            [d.total for d in price_quotes(
+                sl.vix_quotes, lambda ks, tau: price_vix_strike_batch(
+                    ks, tau, state, fitted, QUAD), fitted.r)],
+            [q.price for q in sl.vix_quotes], calibration._WEIGHT_FLOOR)
+    assert sse == pytest.approx(res.step_objectives[0], rel=1e-12, abs=1e-30)
 
 
 def test_calibration_determinism(params):
@@ -185,22 +180,31 @@ def test_no_usable_dates_raises(params):
 
 
 def test_trace_numbers_evaluations_within_each_step():
-    calls = []
+    calls = {"step1": [], "step2": []}
 
-    def logged(x):
-        calls.append(float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2))
-        return calls[-1]
+    def residuals(x):
+        calls["step1"].append(np.array([x[0] - 0.3, x[1] + 0.2,
+                                        0.1 * x[0] * x[1]]))
+        return calls["step1"][-1]
+
+    def logged(rho):
+        calls["step2"].append((rho + 0.4) ** 2)
+        return calls["step2"][-1]
 
     cfg = CalibrationConfig(max_iter=40, restarts=2, seed=3)
     trace = []
-    _nelder_mead(lambda x: 1.0, [0.0, 0.0], _Box([(-1, 1), (-1, 1)]), cfg,
-                 trace, "step1")
-    _nelder_mead(logged, [0.5, 0.5], _Box([(-1, 1), (-1, 1)]), cfg, trace,
-                 "step2")
-    step2 = [t for t in trace if t["step"] == "step2"]
-    assert len(step2) > 3
-    for entry in step2:
-        assert calls[entry["eval"]] == entry["objective"]
+    _least_squares(residuals, [0.5, 0.5], [(-1.0, 1.0)] * 2, np.ones((3, 2)),
+                   cfg, trace)
+    _rho_search(logged, cfg, trace, "step2")
+    for step, values in calls.items():
+        entries = [t for t in trace if t["step"] == step]
+        assert len(entries) > 3
+        for entry in entries:
+            value = values[entry["eval"]]
+            assert entry["objective"] == (value @ value if step == "step1"
+                                          else value)
+        objs = [t["objective"] for t in entries]
+        assert objs == sorted(objs, reverse=True)
 
 
 def test_restart_outcomes_are_recorded(monkeypatch, params):
@@ -220,18 +224,112 @@ def test_restart_outcomes_are_recorded(monkeypatch, params):
         name = f"_heston_{step}_objective"
         monkeypatch.setattr(calibration, name,
                             counted(getattr(calibration, name), step))
+    solves, real = [], calibration.least_squares
+    monkeypatch.setattr(calibration, "least_squares",
+                        lambda *a, **k: solves.append(real(*a, **k))
+                        or solves[-1])
     cfg = CalibrationConfig(max_iter=30, restarts=2, seed=0)
     res = calibrate_heston(_tiny_dataset(params), cfg, QUAD, r=params.r)
-    # step 1 restarts Nelder-Mead; step 2 is one bounded search over rho
+    # one least-squares solve per step-1 start; step 2 searches rho once
     assert [(e["step"], e["restart"]) for e in res.restarts] == [
         ("step1", 0), ("step1", 1), ("step2", 0)]
     for step, n in evals.items():
-        # the optimizer's evaluations, plus one at the snapped minimizer
+        # every evaluation, those of the finite-difference Jacobians too
         assert sum(e["nfev"] for e in res.restarts
-                   if e["step"] == step) == n - 1
-    for e in res.restarts:
-        assert isinstance(e["success"], bool) and e["nit"] > 0 and e["message"]
+                   if e["step"] == step) == n
+    for e, sol in zip(res.restarts, solves, strict=False):
+        assert e["nit"] == sol.njev > 0 and e["success"] == sol.success
+        assert e["message"] == sol.message and e["nfev"] > sol.nfev
+    assert len(solves) == 2
     json.dumps(res.as_dict())
+
+
+def test_step1_recovers_the_study_panel(params):
+    # make-synthetic's default 2-date panel (state seed 1), as the
+    # benchmark's study workload fits it
+    rng = np.random.default_rng(1)
+    states = [(f"2016-01-{5 + 7 * i:02d}",
+               HiddenState(y=params.theta * math.exp(0.5 * a),
+                           z=params.theta * math.exp(0.5 * b)))
+              for i, (a, b) in enumerate(rng.standard_normal((2, 2)))]
+    quotes, _ = apply_filters(make_synthetic_quotes(params, states, quad=QUAD))
+    res = calibrate_msv(to_date_slices(quotes),
+                        CalibrationConfig(max_iter=200, restarts=1, seed=1),
+                        QUAD, r=params.r)
+    assert res.step_objectives[0] <= 1e-15
+    for name in ("kappa", "theta", "sigma", "epsilon"):
+        assert res.params[name] == pytest.approx(getattr(params, name),
+                                                 rel=1e-4), name
+    assert res.restarts[0]["success"]
+
+
+def test_a_solve_needs_an_evaluation():
+    with pytest.raises(ValueError, match="max_iter"):
+        CalibrationConfig(max_iter=0)
+
+
+def test_jac_sparsity_matches_the_residual_rows(monkeypatch, params):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    slices = _state_panel(params, [HiddenState(0.0234, 0.0194),
+                                   HiddenState(0.0110, 0.0203)],
+                          taus=(30 / 365, 60 / 365))
+    slices.append(_state_panel(params, [HiddenState(0.03, 0.026)])[0])
+    fun = _msv_step1_objective(slices, params.r, QUAD)
+    x = np.array([params.kappa, params.theta, params.sigma, params.epsilon,
+                  0.3, 0.5, 0.7])
+    base = fun(x)
+    pattern = _jac_sparsity(slices, 4, True)
+    assert base.shape == (6 + 6 + 3,) and pattern.shape == (15, 7)
+    # every parameter moves every row; s_i moves its date's rows alone
+    for j in range(7):
+        step = x.copy()
+        step[j] += 1e-4
+        moved = fun(step) != base
+        assert np.array_equal(moved, pattern[:, j].astype(bool)), j
+    assert np.array_equal(_jac_sparsity(slices, 3, False), np.ones((15, 3)))
+
+
+def test_states_at_both_ends_of_the_vix_line(monkeypatch, params):
+    # one date at s = 0 (y = 0) and one at s = 1 (z = 0)
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    probe = _vix_slice(params, HiddenState(0.0234, 0.0194))
+    ymax = y_max_for_vix(probe.vix_level, params)
+    truth = [HiddenState(0.0, 0.0194), HiddenState(ymax, 0.0),
+             HiddenState(0.0110, 0.0203)]
+    slices = _state_panel(params, truth, taus=(30 / 365, 60 / 365))
+    p0 = {n: getattr(params, n) for n in ("kappa", "theta", "sigma",
+                                           "epsilon")}
+    res = calibrate_msv(slices, CalibrationConfig(max_iter=100, restarts=1),
+                        QUAD, r=params.r, x0=p0)
+    assert res.step_objectives[0] < 1e-12
+    # y enters the VIX prices through the e^{-tau/eps} transient alone, so
+    # it is the weaker-identified coordinate: its fraction s of ymax is
+    # recovered to 1e-4, z to 1e-7
+    for entry, st, sl in zip(res.states, truth, slices):
+        ymax = y_max_for_vix(sl.vix_level, params)
+        assert entry["y"] / ymax == pytest.approx(st.y / ymax, abs=1e-4)
+        assert entry["z"] == pytest.approx(st.z, abs=1e-7)
+        assert entry["y"] >= 0.0 and entry["z"] >= 0.0
+
+
+def test_time_scales_stay_apart_in_the_whole_box(monkeypatch, params):
+    # kappa epsilon < 0.999 is a bound: the box's corner satisfies it, and
+    # a fit started beyond it is clipped into the box
+    assert _BOUNDS["kappa"][1] * _BOUNDS["epsilon"][1] < 0.999
+    seen, real = [], calibration._msv_step1_objective
+
+    def watched(*args):
+        fun = real(*args)
+        return lambda x: seen.append(x[0] * x[3]) or fun(x)
+
+    monkeypatch.setattr(calibration, "_msv_step1_objective", watched)
+    res = calibrate_msv(_tiny_dataset(params),
+                        CalibrationConfig(max_iter=8, restarts=2, seed=1),
+                        QUAD, r=params.r,
+                        x0={"kappa": 20.0, "theta": 0.03, "sigma": 0.4,
+                            "epsilon": 0.1})
+    assert seen and max(seen) < 0.999
+    assert res.params["kappa"] * res.params["epsilon"] < 0.999
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +372,7 @@ def test_fits_do_not_depend_on_the_core_count(monkeypatch, params):
     slices = _five_date_panel(params)
     points = [(3.0, 0.03, 0.4, 0.02), (3.58, 0.021, 0.347, 0.0096),
               (8.0, 0.05, 1.2, 0.09)]
+    states = [(0.0, 0.25, 0.5, 0.75, 1.0), (0.6,) * 5]
     cfg = CalibrationConfig(max_iter=12, restarts=1, seed=4)
     values, fits = {}, {}
     for cores in (1, 2, 3):
@@ -284,11 +383,11 @@ def test_fits_do_not_depend_on_the_core_count(monkeypatch, params):
             maps.append(_DateMap(dates, fn))
             return maps[-1]
 
-        fun = _msv_step1_objective(slices, params.r, 0.1, QUAD, 1e-6,
-                                   date_map)
+        fun = _msv_step1_objective(slices, params.r, QUAD, date_map)
         try:
             assert len(maps[0].workers) == cores - 1
-            values[cores] = [fun(x) for x in points]
+            values[cores] = [fun(np.array(x + s)).tolist()
+                             for x in points for s in states]
         finally:
             maps[0].close()
         fits[cores] = calibrate_msv(slices, cfg, QUAD, r=params.r).as_dict()
@@ -379,8 +478,7 @@ def _profiled(dates, params):
     dict it sets the profiled w3_eps in."""
     p = {n: getattr(params, n) for n in ("kappa", "theta", "sigma", "epsilon")}
     profiled = {}
-    fun = _msv_step2_objective(dates, p, params.r, calibration._WEIGHT_FLOOR,
-                               QUAD, profiled=profiled)
+    fun = _msv_step2_objective(dates, p, params.r, QUAD, profiled=profiled)
     return fun, profiled
 
 
@@ -405,17 +503,21 @@ def test_profiled_w3_eps_is_the_constrained_minimiser(monkeypatch, params,
     monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
     dates = _step2_dates(dataclasses.replace(params, w3_eps=truth))
     fun, profiled = _profiled(dates, params)
-    value = fun(params.rho)
+    fun(params.rho)
     brute = calibration.minimize_scalar(
         lambda w: _direct_sse(dates, params, params.rho, w),
         bounds=_BOUNDS["w3_eps"], method="bounded", options={"xatol": 1e-10})
     # to the brute force's own tolerance, about 3 sqrt(eps) |w|
     assert profiled["w3_eps"] == pytest.approx(brute.x, abs=1e-7)
-    if expected is None:  # the quotes are rounded to the cent
-        assert profiled["w3_eps"] == pytest.approx(truth, abs=1e-3)
+    if expected is None:  # the quotes are priced at their own maturities
+        assert profiled["w3_eps"] == pytest.approx(truth, abs=1e-9)
     else:
         assert profiled["w3_eps"] == expected
-    assert value <= brute.fun * (1.0 + 1e-6) + 1e-20
+    # priced as the brute force prices it; the profiled objective itself
+    # carries the w3_eps = 1 pass's quadrature error (1e-15 at truth
+    # 0.015, where the directly priced SSE is 1e-24)
+    assert (_direct_sse(dates, params, params.rho, profiled["w3_eps"])
+            <= brute.fun * (1.0 + 1e-6) + 1e-20)
 
 
 def test_step2_charges_a_failed_date_as_sum_over_dates(monkeypatch, params):
@@ -449,10 +551,32 @@ def test_profiled_step2_is_no_worse_than_nelder_mead_over_both(monkeypatch,
     fun, profiled = _profiled(dates, params)
     rho, obj, outcome = _rho_search(fun, CalibrationConfig(), [], "step2")
     assert [e["restart"] for e in outcome] == [0] and outcome[0]["success"]
-    box = _Box([_BOUNDS["rho"], _BOUNDS["w3_eps"]])
-    _, nm_obj, _ = _nelder_mead(
-        lambda x: _direct_sse(dates, params, x[0], x[1]), [-0.7, 0.01], box,
-        CalibrationConfig(max_iter=200, restarts=2, seed=0), [], "step2")
+    nm_obj = nelder_mead_min(
+        lambda x: _direct_sse(dates, params, x[0], x[1]), [-0.7, 0.01],
+        [_BOUNDS["rho"], _BOUNDS["w3_eps"]], restarts=2, seed=0,
+        max_iter=200)
     assert obj <= nm_obj * (1.0 + 1e-9)
     assert obj == pytest.approx(
         _direct_sse(dates, params, rho, profiled["w3_eps"]), rel=1e-6)
+
+
+def test_rho_at_a_bound_takes_two_evaluations():
+    # every study fit lands on rho = -1: the bound is tried first
+    values = []
+    rho, value, outcome = _rho_search(
+        lambda rho: values.append((rho + 1.2) ** 2) or values[-1],
+        CalibrationConfig(), [], "step2")
+    assert rho == -1.0 and value == pytest.approx(0.04)
+    assert len(values) == outcome[0]["nfev"] == 2 and values[-1] == value
+
+
+@pytest.mark.parametrize("centre, expected", ((-0.4, -0.4), (-0.9995, -1.0),
+                                              (-0.0004, 0.0)))
+def test_rho_search_matches_bounded_brent(centre, expected):
+    values = []
+    rho, value, outcome = _rho_search(
+        lambda rho: values.append(1.0 + (rho - centre) ** 2) or values[-1],
+        CalibrationConfig(), [], "step2")
+    assert rho == pytest.approx(expected, abs=1e-5)
+    assert value == values[-1] and outcome[0]["nfev"] == len(values)
+    assert outcome[0]["success"]

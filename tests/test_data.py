@@ -6,7 +6,8 @@ import pytest
 
 from mssv import (FilterRules, HiddenState, OptionQuote,
                   QuadratureConfig, apply_filters, error_report, load_quotes,
-                  make_synthetic_quotes, split_train_test, to_date_slices,
+                  make_synthetic_quotes, price_quotes, price_spx_strike_batch,
+                  price_vix_strike_batch, split_train_test, to_date_slices,
                   write_quotes_csv)
 from mssv.data import (BUCKET_LABELS, RejectedRow, bucket_label, option_error,
                        write_error_table_csv)
@@ -182,6 +183,29 @@ def test_synthetic_round_trip(tmp_path, params):
     assert sl.vix_level == pytest.approx(19.912873322645112, abs=1e-6)
     assert sl.spx_level == 2000.0
     assert len(sl.vix_quotes) + len(sl.spx_quotes) == len(quotes)
+
+
+def test_synthetic_quotes_reprice_at_their_written_maturities(tmp_path,
+                                                             params):
+    # spx_taus 0.1 and 0.25 are written as 36 and 91 days: the quotes must
+    # be the model's prices at those maturities, to the CSV's 10 digits
+    state = HiddenState(y=0.0234, z=0.0194)
+    quad = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
+    path = tmp_path / "synthetic.csv"
+    write_quotes_csv(path, make_synthetic_quotes(
+        params, [("2016-01-05", state)], quad=quad))
+    loaded, rejects = load_quotes(path)
+    assert not rejects
+    sl, = to_date_slices(loaded)
+    assert {round(q.tau * 365) for q in sl.spx_quotes} == {36, 91}
+    for quotes, calls, spot in (
+            (sl.vix_quotes, lambda ks, tau: price_vix_strike_batch(
+                ks, tau, state, params, quad), None),
+            (sl.spx_quotes, lambda ks, tau: price_spx_strike_batch(
+                sl.spx_level, ks, tau, state, params, quad), sl.spx_level)):
+        assert quotes
+        for q, d in zip(quotes, price_quotes(quotes, calls, params.r, spot)):
+            assert d.total == pytest.approx(q.price, rel=1e-9), q
 
 
 def test_date_slices_reject_disagreeing_closes():

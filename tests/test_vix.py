@@ -17,10 +17,9 @@ from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
                   QuadratureConfig, QuadratureError, Quote, VixOptionSpec,
                   heston_star_weights, ncx2_pdf, price_quotes, price_vix,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
-                  vix_from_state, vix_weights, y_max_for_vix,
-                  z_from_vix_given_y)
+                  vix_weights)
 from mssv.model import TAU0
-from mssv.vix import _correction_coeffs, _payoff_block, fixed_density_rule
+from mssv.vix import _correction_coeffs, _payoff_block
 
 from .conftest import FITTED
 from .oracles import vix_call_quad, vix_call_z_only
@@ -403,92 +402,6 @@ def test_node_budget_below_breakpoint_panels_raises(params, state_high_y):
     with pytest.raises(QuadratureError):
         price_vix_strike_batch(strikes, TAU0, state_high_y, params,
                                QuadratureConfig(max_nodes=500))
-
-
-def _inner_fit_batch(params, tau, puts=True):
-    """An inner y fit's quotes at one maturity, the ends of its y range
-    and 12 candidate states across [0, ymax)."""
-    w = vix_weights(params.kappa, params.epsilon)
-    vix = vix_from_state(HiddenState(y=0.0234, z=0.0194), params)
-    ymax = y_max_for_vix(vix, params, w)
-    ends = (HiddenState(y=0.0, z=z_from_vix_given_y(vix, 0.0, params, w)),
-            HiddenState(y=ymax, z=0.0))
-    states = [HiddenState(y=y, z=z_from_vix_given_y(vix, y, params, w))
-              for y in ymax * np.arange(12) / 12]
-    quotes = [Quote(k, tau, True, math.nan) for k in (17.0, 20.0, 23.0, 26.0)]
-    if puts:
-        quotes += [Quote(k, tau, False, math.nan) for k in (17.0, 20.0)]
-    return quotes, ends, states
-
-
-def _count_adaptive_passes(monkeypatch):
-    calls = []
-    real = mssv.vix._density_pass
-    monkeypatch.setattr(mssv.vix, "_density_pass",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    return calls
-
-
-# (parameters, with puts): the fit's dof 2.50 with and without puts,
-# dof 0.47 and 0.70, and dof 30.1 (lam up to 424 at 7 days, 418 terms).
-# For dof < 2 the K = 0 leg's density is singular at 0: the adaptive pass
-# grades its panels toward 0 (test_zero_strike_leg_below_dof_2_*), but
-# the fixed rule falls back whole on such a batch at some maturities, so
-# puts are tested at dof > 2
-RULE_GRID = [(FITTED, False), (FITTED, True), ({**FITTED, "sigma": 0.8}, False),
-             ({**FITTED, "kappa": 1.0, "epsilon": 0.05}, False),
-             ({**FITTED, "sigma": 0.1}, False)]
-
-
-@pytest.mark.parametrize("tau", (7 / 365, TAU0, 60 / 365))
-@pytest.mark.parametrize("fields, puts", RULE_GRID)
-def test_fixed_rule_matches_the_adaptive_pass(monkeypatch, fields, puts, tau):
-    params = ModelParams(**fields)
-    quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-10)
-    quotes, ends, states = _inner_fit_batch(params, tau, puts)
-    rules = {}
-
-    def calls(ks, t):  # as the inner fit builds it
-        if t not in rules:
-            rules[t] = fixed_density_rule(ks, t, params, ends, quad)
-        return rules[t](state)
-
-    adaptive = _count_adaptive_passes(monkeypatch)
-    for state in states:
-        got = price_quotes(quotes, calls, params.r)
-        assert not adaptive  # the rule took every candidate
-        ref = price_quotes(quotes, lambda ks, t: price_vix_strike_batch(
-            ks, t, state, params, quad), params.r)
-        adaptive.clear()
-        for a, b in zip(got, ref):
-            assert abs(a.total - b.total) <= quad.abs_tol, (state, a, b)
-        if puts:  # parity to rounding against the batch's K = 0 leg
-            forward = rules[tau](state)[-1].total
-            disc = math.exp(-params.r * tau)
-            for c, p, k in ((got[0], got[4], 17.0), (got[1], got[5], 20.0)):
-                assert c.total - p.total == pytest.approx(
-                    forward - k * disc, abs=1e-12)
-
-
-def test_fixed_rule_falls_back_to_the_adaptive_pass(monkeypatch, params):
-    quotes, ends, states = _inner_fit_batch(params, TAU0)
-    strikes = [q.strike for q in quotes] + [0.0]
-    quad = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
-    adaptive = _count_adaptive_passes(monkeypatch)
-    # sized for the smallest z only: a larger z needs more terms
-    narrow = fixed_density_rule(strikes, TAU0, params, (ends[1],), quad)
-    # four panels and no doubling: the ends fail, so every state falls back
-    monkeypatch.setattr(mssv.vix, "_PANELS", 4)
-    monkeypatch.setattr(mssv.vix, "_DOUBLINGS", 0)
-    coarse = fixed_density_rule(strikes, TAU0, params, ends, quad)
-    for rule, state in ((coarse, states[3]), (narrow, states[0])):
-        got = rule(state)
-        assert len(adaptive) == 1
-        assert got == price_vix_strike_batch(strikes, TAU0, state, params,
-                                             quad)
-        adaptive.clear()
-    narrow(ends[1])
-    assert not adaptive
 
 
 def test_spec_validation():
