@@ -19,9 +19,9 @@ from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx_strikes,
                  simulate_variance_terminal)
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
                           Quote, calibrate_heston, calibrate_msv,
-                          inner_state_fit, price_quotes, weighted_sse)
-from .data import (FilterRules, OptionQuote, apply_filters, error_report,
-                   load_quotes, make_synthetic_quotes, split_train_test,
-                   to_date_slices, write_quotes_csv)
+                          inner_state_fit, price_quotes)
+from .data import (OptionQuote, apply_filters, error_report, load_quotes,
+                   make_synthetic_quotes, split_train_test, to_date_slices,
+                   write_quotes_csv)
 
 __version__ = "0.1.0"

@@ -43,6 +43,9 @@ from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
 _PENALTY = 1e8
+#: the price floor of the weighted error (model - P)/(WEIGHT_FLOOR + P)
+#: that calibration minimises and the error tables report
+WEIGHT_FLOOR = 0.1
 #: order of the fitted parameters in a CalibrationResult
 _PARAM_ORDER = ("kappa", "theta", "sigma", "rho", "epsilon", "w3_eps")
 
@@ -68,11 +71,11 @@ class DateSlice:
     spx_quotes: tuple[Quote, ...] = ()
 
 
-#: step-2 rho tolerance, inner state-fit tolerance, price floor of the
-#: weighted residuals, step-1 least-squares tolerances and the parameter
-#: box; epsilon's upper bound keeps kappa epsilon <= 0.998 in the whole
-#: box, so the time scales stay apart (the weights need kappa eps < 1)
-_XTOL, _INNER_XTOL, _WEIGHT_FLOOR = 1e-6, 1e-6, 0.1
+#: step-2 rho tolerance, inner state-fit tolerance, step-1 least-squares
+#: tolerances and the parameter box; epsilon's upper bound keeps kappa
+#: epsilon <= 0.998 in the whole box, so the time scales stay apart (the
+#: weights need kappa eps < 1)
+_XTOL, _INNER_XTOL = 1e-6, 1e-6
 _LSQ_TOL = {"xtol": 1e-10, "ftol": 1e-12, "gtol": 1e-12}
 _BOUNDS = {"kappa": (1e-3, 20.0), "theta": (1e-5, 1.0), "sigma": (1e-3, 3.0),
            "rho": (-1.0, 0.0), "epsilon": (1e-4, 0.0499),
@@ -108,22 +111,11 @@ class CalibrationResult:
     #: {"step", "restart", "success", "nit", "nfev", "message"} of each
     #: step-1 least-squares solve ("nit" its Jacobian count, "nfev" every
     #: residual evaluation, the Jacobians' included) and of step 2's one
-    #: search over rho
+    #: search over rho, or of its skip when no date has SPX quotes
     restarts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def weighted_sse(model_prices, market_prices, floor: float = 0.1) -> float:
-    """Sum of squared residuals scaled by 1/(floor + market price)."""
-    model_prices = np.asarray(model_prices, dtype=float)
-    market_prices = np.asarray(market_prices, dtype=float)
-    if model_prices.shape != market_prices.shape:
-        raise ValueError(f"length mismatch: {model_prices.shape} vs "
-                         f"{market_prices.shape}")
-    resid = (model_prices - market_prices) / (floor + market_prices)
-    return float(resid @ resid)
 
 
 def _traced(fun, trace, step):
@@ -223,10 +215,10 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
 
 
 def _residuals(quotes, calls, r):
-    """(model - P)/(floor + P) of each VIX quote, in the quotes' order."""
+    """(model - P)/(WEIGHT_FLOOR + P) of each quote, in the quotes' order."""
     model = np.array([d.total for d in price_quotes(quotes, calls, r)])
     market = np.array([q.price for q in quotes])
-    return (model - market) / (_WEIGHT_FLOOR + market)
+    return (model - market) / (WEIGHT_FLOOR + market)
 
 
 class _DateMap:
@@ -335,7 +327,7 @@ def _charged(terms):
 
 def _sum_over_dates(terms):
     """Objective value: the charged per-date terms summed in date order."""
-    return sum(_charged(terms)) if terms else _PENALTY
+    return sum(_charged(terms))
 
 
 def _rows_over_dates(terms, slices):
@@ -374,8 +366,11 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
     step 2 searches rho with step2_objective(dates, p, r, quad, profiled,
     date_map), dates being the (slice, state) pairs of the dates with a
     state and SPX quotes; its last call, at the fitted rho, sets the
-    profiled-out parameters.  date_map(dates, fn) makes a _DateMap; each
-    map's workers are stopped before the next map forks its own.
+    profiled-out parameters.  With no such date step 2 is skipped: the
+    result has no rho, its step-2 objective is None and its one step-2
+    record says so, with success false and no evaluation.
+    date_map(dates, fn) makes a _DateMap; each map's workers are stopped
+    before the next map forks its own.
     """
     usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
     if not usable:
@@ -411,13 +406,18 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
 
         dates = [(sl, states[sl.date]) for sl in slices if sl.date in states
                  and sl.spx_quotes and sl.spx_level is not None]
-        profiled = {}
-        rho, obj2, restarts2 = _rho_search(step2_objective(
-            dates, p, r, quad, profiled, date_map), cfg, trace, "step2")
+        fitted = dict(p)
+        if dates:
+            rho, obj2, restarts2 = _rho_search(step2_objective(
+                dates, p, r, quad, fitted, date_map), cfg, trace, "step2")
+            fitted["rho"] = rho
+        else:
+            obj2, restarts2 = None, [_outcome(
+                "step2", 0, False, 0, 0,
+                "step 2 skipped: no date has SPX quotes and a state")]
     finally:
         while live:
             live.pop().close()
-    fitted = {**p, "rho": rho, **profiled}
     return CalibrationResult(
         model=model,
         params={**{n: fitted[n] for n in _PARAM_ORDER if n in fitted}, "r": r},
@@ -450,13 +450,14 @@ def _spx_objective(dates, r, calls, profiled, date_map):
     in profiled["w3_eps"].  calls(sl, st, rho) prices a date's strikes as
     leading terms L and corrections U at w3_eps = 1 (U = 0 for the
     benchmark), so a date's SSE is quadratic in w3_eps with coefficients
-    the sums of a^2, ab and b^2, a = (L - P)/(floor + P), b = U/(floor + P)."""
+    the sums of a^2, ab and b^2, a = (L - P)/(WEIGHT_FLOOR + P), b =
+    U/(WEIGHT_FLOOR + P)."""
     def date_sums(date, rho):
         sl, st = date
         decomps = price_quotes(sl.spx_quotes, calls(sl, st, rho), r,
                                sl.spx_level)
-        a, b = np.array([[(d.leading - q.price) / (_WEIGHT_FLOOR + q.price),
-                          d.correction / (_WEIGHT_FLOOR + q.price)]
+        a, b = np.array([[(d.leading - q.price) / (WEIGHT_FLOOR + q.price),
+                          d.correction / (WEIGHT_FLOOR + q.price)]
                          for d, q in zip(decomps, sl.spx_quotes)]).T
         return np.array([a @ a, a @ b, b @ b])
 

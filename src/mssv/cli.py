@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .calibration import (CalibrationConfig, Quote, calibrate_heston,
                           calibrate_msv, price_quotes)
-from .data import (FilterRules, apply_filters, error_report, load_quotes,
+from .data import (apply_filters, error_report, load_quotes,
                    make_synthetic_quotes, split_train_test, to_date_slices,
                    write_error_table_csv, write_quotes_csv)
 from .exceptions import DataError, MssvError, NoRootError
@@ -191,7 +191,7 @@ def _load_quotes(args):
               f"(first: line {rejects[0].line}: {rejects[0].reason})",
               file=sys.stderr)
     if not args.no_filters:
-        quotes, stats = apply_filters(quotes, FilterRules())
+        quotes, stats = apply_filters(quotes)
         print(f"filters: kept {stats.kept}, removed "
               f"{stats.removed_by_volume} by volume, "
               f"{stats.removed_by_price} by price, "
@@ -235,8 +235,9 @@ def cmd_calibrate(args):
     print(f"wrote {args.out}")
     for key, val in result.params.items():
         print(f"{key} = {_g(val)}")
-    print(f"objectives: step1 = {_g(result.step_objectives[0])}, "
-          f"step2 = {_g(result.step_objectives[1])}")
+    obj1, obj2 = result.step_objectives
+    print(f"objectives: step1 = {_g(obj1)}, "
+          f"step2 = {'skipped' if obj2 is None else _g(obj2)}")
     if result.n_skipped_dates:
         print(f"skipped dates: {result.n_skipped_dates}")
     for skip in result.skipped_dates:
@@ -373,12 +374,16 @@ def _read_result(path, model, params_of, state_of):
 def cmd_error_report(args):
     quotes = _load_quotes(args)
     quad = _quad_config(args)
+    # a fit to quotes with no SPX quote skipped step 2 and has no rho or
+    # w3_eps: it prices VIX quotes, which read neither, and no SPX quote
     h, h_z = _read_result(
         args.heston_result, "heston",
-        lambda p: {k: p[k] for k in ("kappa", "theta", "sigma", "rho", "r")},
-        lambda s: s["z"])
-    params, m_state = _read_result(
-        args.msv_result, "msv", lambda p: ModelParams(**p),
+        lambda p: {k: p[k] for k in ("kappa", "theta", "sigma", "r")}
+        | {"rho": p.get("rho")}, lambda s: s["z"])
+    (params, m_spx), m_state = _read_result(
+        args.msv_result, "msv",
+        lambda p: (ModelParams(**{"rho": -0.5, "w3_eps": 0.0, **p}),
+                   {"rho", "w3_eps"} <= set(p)),
         lambda s: HiddenState(y=s["y"], z=s["z"]))
 
     slices = to_date_slices(quotes)
@@ -387,6 +392,9 @@ def cmd_error_report(args):
         z, st, x = h_z.get(sl.date), m_state.get(sl.date), sl.spx_level
         if z is None or st is None:
             continue
+        if sl.spx_quotes and (h["rho"] is None or not m_spx):
+            raise DataError(f"{sl.date} has SPX quotes, but a calibration "
+                            "result has no rho: it was fitted without them")
         dates.add(sl.date)
         heston += price_quotes(sl.vix_quotes, lambda ks, tau: (
             price_vix_heston_strike_batch(ks, tau, z, h["kappa"], h["theta"],

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import DateSlice, Quote
+from .calibration import WEIGHT_FLOOR, DateSlice, Quote
 from .exceptions import DataError
 from .model import ModelParams, QuadratureConfig, vix_from_state
 from .spx import price_spx_strike_batch
@@ -40,6 +40,11 @@ BUCKET_EDGES = (0.05, 0.1, 0.2)
 BUCKET_LABELS = ("tau<0.05", "0.05<=tau<0.1", "0.1<=tau<0.2", "tau>=0.2")
 
 DAYS_PER_YEAR = 365.0
+
+#: the study's liquidity filters: a quote is kept with volume at least
+#: MIN_VOLUME, price at least MIN_PRICE and expiry at least
+#: MIN_DAYS_TO_EXPIRY days out (strictly more than 3)
+MIN_VOLUME, MIN_PRICE, MIN_DAYS_TO_EXPIRY = 50.0, 0.5, 4
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,6 @@ class OptionQuote:
     @property
     def is_call(self) -> bool:
         return self.option_type == "call"
-
-
-@dataclass(frozen=True)
-class FilterRules:
-    """Liquidity filters; defaults follow the study's cleaning rules."""
-
-    min_volume: float = 50.0
-    min_price: float = 0.5
-    min_days_to_expiry: int = 4  # strictly more than 3 days out
-
-    def __post_init__(self):
-        if self.min_volume < 0 or self.min_price < 0 or self.min_days_to_expiry < 0:
-            raise ValueError("filter thresholds must be non-negative")
 
 
 @dataclass
@@ -146,16 +138,16 @@ class FilterStats:
     kept: int = 0
 
 
-def apply_filters(quotes, rules: FilterRules = FilterRules()):
-    """Apply the liquidity rules; each rule's removal count is reported
-    independently (a quote failing two rules counts in both)."""
+def apply_filters(quotes):
+    """Apply the liquidity filters; each filter's removal count is reported
+    independently (a quote failing two filters counts in both)."""
     stats = FilterStats()
     kept = []
     for q in quotes:
         days = (q.expiry_date - q.trade_date).days
-        bad_volume = q.volume < rules.min_volume
-        bad_price = q.mid_price < rules.min_price
-        bad_expiry = days < rules.min_days_to_expiry
+        bad_volume = q.volume < MIN_VOLUME
+        bad_price = q.mid_price < MIN_PRICE
+        bad_expiry = days < MIN_DAYS_TO_EXPIRY
         stats.removed_by_volume += bad_volume
         stats.removed_by_price += bad_price
         stats.removed_by_expiry += bad_expiry
@@ -211,10 +203,9 @@ def to_date_slices(quotes) -> list[DateSlice]:
 # error reporting
 # ---------------------------------------------------------------------------
 
-def option_error(model_price: float, market_price: float,
-                 floor: float = 0.1) -> float:
-    """Per-option weighted error |model - market| / (floor + market)."""
-    return abs(model_price - market_price) / (floor + market_price)
+def option_error(model_price: float, market_price: float) -> float:
+    """Per-option weighted error |model - market|/(WEIGHT_FLOOR + market)."""
+    return abs(model_price - market_price) / (WEIGHT_FLOOR + market_price)
 
 
 def bucket_label(tau: float) -> str:
@@ -242,7 +233,7 @@ class ErrorReport:
         return self.cells.get((underlying, label), ErrorCell(math.nan, math.nan, 0))
 
 
-def error_report(model_prices, quotes, floor: float = 0.1) -> ErrorReport:
+def error_report(model_prices, quotes) -> ErrorReport:
     """Bucketed weighted-error table for one model's prices."""
     if len(model_prices) != len(quotes):
         raise ValueError(
@@ -251,7 +242,7 @@ def error_report(model_prices, quotes, floor: float = 0.1) -> ErrorReport:
         )
     groups = defaultdict(list)
     for p, q in zip(model_prices, quotes):
-        e = option_error(p, q.mid_price, floor)
+        e = option_error(p, q.mid_price)
         groups[(q.underlying_kind, bucket_label(q.tau))].append(e)
         groups[(q.underlying_kind, "total")].append(e)
     report = ErrorReport(total_count=len(quotes))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,25 +65,19 @@ class McModelParams:
         nu = -math.sqrt(2.0) * params.w3_eps / (eta * math.sqrt(params.epsilon))
         return cls(params=params, eta=eta, nu=nu)
 
-    @classmethod
-    def from_eta_nu(cls, params: ModelParams, eta: float, nu: float) -> "McModelParams":
-        """Rebuild params with the w3_eps implied by (eta, nu)."""
-        w3 = -eta * nu * math.sqrt(params.epsilon / 2.0)
-        return cls(params=replace(params, w3_eps=w3), eta=eta, nu=nu)
-
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation settings; steps_per_eps fixes dt = epsilon / steps_per_eps.
+    """Simulation settings: the path count, the seed of the chunk streams,
+    and steps_per_eps, which fixes dt = epsilon / steps_per_eps.
 
-    n_jobs threads simulate the chunks, by default one per usable core;
-    the estimates do not depend on it.
+    The chunks run on one thread per usable core, counted at each run;
+    the estimates do not depend on the thread count.
     """
 
     paths: int = 1_000_000
     seed: int = 0
     steps_per_eps: int = 20
-    n_jobs: int = field(default_factory=usable_cores)
 
     def __post_init__(self):
         if self.paths < 10_000:
@@ -102,9 +96,6 @@ class McEstimate:
     mean: float
     standard_error: float
     paths_used: int
-
-    def within(self, value: float, n_se: float, slack: float = 0.0) -> bool:
-        return abs(value - self.mean) <= n_se * self.standard_error + slack
 
 
 def _chunk_rngs(seed: int, n_chunks: int):
@@ -161,8 +152,9 @@ def _simulate(mp: McModelParams, state0: HiddenState, x0, horizon: float,
         return _sim_exact(rngs[i], sizes[i], mp, state0.y, state0.z,
                           x0 if with_x else 1.0, horizon, n_steps, with_x)
 
-    if cfg.n_jobs > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
+    jobs = usable_cores()
+    if jobs > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(run, range(len(sizes))))
     else:
         parts = [run(i) for i in range(len(sizes))]

@@ -57,11 +57,6 @@ class ModelParams:
                 f"{self.kappa * self.epsilon:.4f} >= 1"
             )
 
-    @property
-    def feller_ok(self) -> bool:
-        """Feller condition of the slow factor (recorded, never enforced)."""
-        return 2.0 * self.kappa * self.theta > self.sigma**2
-
 
 @dataclass(frozen=True)
 class HiddenState:
@@ -89,7 +84,6 @@ class VixWeights:
     a4: float
     a2_star: float
     a4_star: float
-    tau0: float = TAU0
 
 
 @dataclass(frozen=True)

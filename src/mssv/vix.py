@@ -21,6 +21,9 @@ from .model import (HiddenState, ModelParams, PriceDecomposition,
 from .quadrature import integrate_with_tail_doubling
 from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
+#: the ncx2 series' term budget, which lam up to about 1.9e5 fits
+_MAX_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class VixOptionSpec:
@@ -85,22 +88,22 @@ def _log_sum_exp(a):
     return out
 
 
-def _poisson_log_weights(lam: float, max_terms: int = 100_000):
+def _poisson_log_weights(lam: float):
     """Log Poisson(lam/2) weights of the ncx2 terms, to ~12 sd past lam/2."""
     half = lam / 2.0
     if half == 0.0:
         return np.array([0.0])
     n_terms = int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
-    if n_terms > max_terms:
+    if n_terms > _MAX_TERMS:
         raise QuadratureError(
-            f"ncx2 series needs {n_terms} terms > budget {max_terms} "
-            f"(lam = {lam}); widen the budget"
+            f"ncx2 series needs {n_terms} terms > budget {_MAX_TERMS} "
+            f"(lam = {lam})"
         )
     j = np.arange(n_terms)
     return -half + j * math.log(half) - gammaln(j + 1)
 
 
-def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
+def ncx2_pdf(zeta, params: Ncx2Params):
     """Non-central chi-square density via its Poisson mixture of central
     chi-square densities, each term evaluated in log space.
 
@@ -111,7 +114,7 @@ def ncx2_pdf(zeta, params: Ncx2Params, max_terms: int = 100_000):
     zeta = np.atleast_1d(zeta)
     out = np.zeros_like(zeta)
     pos = zeta > 0
-    log_pois = _poisson_log_weights(params.lam, max_terms)
+    log_pois = _poisson_log_weights(params.lam)
     # (terms, points) log densities of chi-square(dof + 2j) at zeta > 0
     m_half, z = params.dof / 2.0 + np.arange(len(log_pois)), zeta[pos]
     log_chi2 = ((m_half[:, None] - 1.0) * np.log(z)[None, :] - z[None, :] / 2.0

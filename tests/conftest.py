@@ -7,9 +7,6 @@ FITTED = dict(kappa=3.58, theta=0.021, sigma=0.347, rho=-1.0,
               epsilon=0.0096, w3_eps=0.0150, r=0.02)
 # its fitted one-factor benchmark
 FITTED_HESTON = dict(kappa=3.43, theta=0.04, sigma=0.424, rho=-1.0)
-# threads for the large Monte Carlo runs: chunks carry their own RNG
-# streams and reduce in order, so estimates are bitwise those of n_jobs=1
-MC_JOBS = 2
 
 
 @pytest.fixture

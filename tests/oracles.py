@@ -8,9 +8,12 @@ from adaptive quadrature of their defining time integrals.  The factor
 moments, the spectral projection and the benchmark's forward VIX map are
 reference closed forms that the package itself never evaluates.  The
 black-box minimiser is scipy's Nelder-Mead, which the package no longer
-calls.
+calls.  The small definitions at the end (the weighted SSE, the Feller
+condition, parameters from an (eta, nu) pair and the standard-error test
+of an estimate) are ones only the tests use.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +22,8 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from scipy.stats import ncx2
 
-from mssv import DomainError, HiddenState, ModelParams
+from mssv import DomainError, HiddenState, McModelParams, ModelParams
+from mssv.calibration import WEIGHT_FLOOR
 from mssv.model import heston_star_weights, vix_weights
 
 
@@ -255,3 +259,33 @@ def nelder_mead_min(fun, x0, bounds, restarts=2, seed=0, max_iter=200):
                         options={"maxiter": max_iter, "fatol": 1e-9,
                                  "xatol": 1e-6, "adaptive": True}).fun
                for x in starts)
+
+
+def weighted_sse(model_prices, market_prices) -> float:
+    """Sum of squared residuals scaled by 1/(WEIGHT_FLOOR + market price)."""
+    model_prices = np.asarray(model_prices, dtype=float)
+    market_prices = np.asarray(market_prices, dtype=float)
+    if model_prices.shape != market_prices.shape:
+        raise ValueError(f"length mismatch: {model_prices.shape} vs "
+                         f"{market_prices.shape}")
+    resid = (model_prices - market_prices) / (WEIGHT_FLOOR + market_prices)
+    return float(resid @ resid)
+
+
+def feller_ok(params: ModelParams) -> bool:
+    """Feller condition of the slow factor (recorded, never enforced)."""
+    return 2.0 * params.kappa * params.theta > params.sigma**2
+
+
+def mc_params_from_eta_nu(params: ModelParams, eta: float,
+                          nu: float) -> McModelParams:
+    """params rebuilt with the w3_eps implied by (eta, nu)."""
+    w3 = -eta * nu * math.sqrt(params.epsilon / 2.0)
+    return McModelParams(params=dataclasses.replace(params, w3_eps=w3),
+                         eta=eta, nu=nu)
+
+
+def within(est, value: float, n_se: float, slack: float = 0.0) -> bool:
+    """Whether the McEstimate est lies within n_se standard errors plus
+    slack of value."""
+    return abs(value - est.mean) <= n_se * est.standard_error + slack

@@ -33,9 +33,9 @@ from mssv.data import BUCKET_LABELS, OptionQuote
 from mssv.model import TAU0
 from mssv.spx import effective_heston
 
-from .conftest import FITTED, FITTED_HESTON, MC_JOBS
-from .oracles import (heston_call_gil_pelaez_ode, spectral_coefficient,
-                      vix_from_z_heston)
+from .conftest import FITTED, FITTED_HESTON
+from .oracles import (heston_call_gil_pelaez_ode, mc_params_from_eta_nu,
+                      spectral_coefficient, vix_from_z_heston)
 
 PARAMS = ModelParams(**FITTED)
 STATE_1 = HiddenState(y=0.0234, z=0.0194)   # y > z
@@ -60,8 +60,7 @@ def test_criterion_1_spx_mc_agreement():
     rows = []
     ok = True
     for tau in (TAU0, 0.25):
-        cfg = McConfig(paths=1_000_000, seed=101, steps_per_eps=10,
-                       n_jobs=MC_JOBS)
+        cfg = McConfig(paths=1_000_000, seed=101, steps_per_eps=10)
         ests = mc_price_spx_strikes(MP, STATE_1, X0, SPX_STRIKES, tau, cfg)
         decomps = price_spx_strike_batch(X0, SPX_STRIKES, tau, STATE_1,
                                          PARAMS, QUAD)
@@ -85,8 +84,7 @@ def test_criterion_2_vix_mc_agreement():
     rows = []
     ok = True
     for state, name in ((STATE_1, "y>z"), (STATE_2, "y<z")):
-        cfg = McConfig(paths=1_000_000, seed=202, steps_per_eps=10,
-                       n_jobs=MC_JOBS)
+        cfg = McConfig(paths=1_000_000, seed=202, steps_per_eps=10)
         ests = mc_price_vix_strikes(MP, state, VIX_STRIKES, TAU0, cfg)
         decomps = price_vix_strike_batch(VIX_STRIKES, TAU0, state, PARAMS, QUAD)
         for k, est, d in zip(VIX_STRIKES, ests, decomps):
@@ -154,10 +152,9 @@ def test_criterion_5a_spx_epsilon_slope():
     # fixed (eta, nu) = (-0.5, 0.433); w3_eps scales with sqrt(eps)
     errs = []
     for i, eps in enumerate(EPS_SET):
-        mp = McModelParams.from_eta_nu(
+        mp = mc_params_from_eta_nu(
             ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5, nu=0.433)
-        cfg = McConfig(paths=1_000_000, seed=510 + i, steps_per_eps=10,
-                       n_jobs=MC_JOBS)
+        cfg = McConfig(paths=1_000_000, seed=510 + i, steps_per_eps=10)
         ests = mc_price_spx_strikes(mp, STATE_1, X0, SPX_STRIKES, 0.25, cfg)
         decomps = price_spx_strike_batch(X0, SPX_STRIKES, 0.25, STATE_1,
                                          mp.params, QUAD)
@@ -174,10 +171,9 @@ def test_criterion_5a_spx_epsilon_slope():
 def test_criterion_5b_vix_epsilon_slope():
     errs = []
     for i, eps in enumerate(EPS_SET):
-        mp = McModelParams.from_eta_nu(
+        mp = mc_params_from_eta_nu(
             ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5, nu=0.433)
-        cfg = McConfig(paths=2_000_000, seed=550 + i, steps_per_eps=10,
-                       n_jobs=MC_JOBS)
+        cfg = McConfig(paths=2_000_000, seed=550 + i, steps_per_eps=10)
         ests = mc_price_vix_strikes(mp, STATE_1, [18.0, 20.0, 22.0], 0.25, cfg)
         decomps = price_vix_strike_batch([18.0, 20.0, 22.0], 0.25, STATE_1,
                                          mp.params, QUAD)

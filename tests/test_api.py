@@ -1,6 +1,7 @@
-"""The package's public surface: every re-exported name and calibration
-setting is listed here, so adding one is a deliberate change; the
-module-level names the benchmark tracer wraps must stay bound."""
+"""The package's public surface: every re-exported name, every settings
+field and the parameters of the functions the benchmark tracer wraps are
+listed here, so adding one is a deliberate change; the module-level
+names the tracer wraps must stay bound."""
 
 import dataclasses
 import importlib.util
@@ -10,11 +11,12 @@ import pathlib
 import mssv
 import mssv.quadrature
 import mssv.vix
-from mssv import CalibrationConfig, HiddenState, QuadratureConfig
+from mssv import (CalibrationConfig, HiddenState, McConfig, QuadratureConfig,
+                  apply_filters, error_report, ncx2_pdf)
 
 EXPORTS = [
     "CalibrationConfig", "CalibrationResult", "CharFnOverflowError",
-    "DataError", "DateSlice", "DomainError", "FilterRules", "HiddenState",
+    "DataError", "DateSlice", "DomainError", "HiddenState",
     "InfeasibleStateError", "McConfig", "McEstimate", "McModelParams",
     "ModelParams", "MssvError", "Ncx2Params", "NoRootError", "OptionQuote",
     "PriceDecomposition", "QuadratureConfig", "QuadratureError", "Quote",
@@ -27,7 +29,7 @@ EXPORTS = [
     "price_vix_strike_batch", "simulate_terminal",
     "simulate_variance_terminal", "split_train_test", "to_date_slices",
     "vix_from_state", "vix_limit_from_z", "vix_normal_implied_vol",
-    "vix_normal_price", "vix_weights", "weighted_sse", "write_quotes_csv",
+    "vix_normal_price", "vix_weights", "write_quotes_csv",
     "y_max_for_vix", "z_from_vix_given_y", "z_from_vix_heston",
 ]
 
@@ -35,13 +37,27 @@ EXPORTS = [
 def test_reexported_names():
     names = sorted(n for n, v in vars(mssv).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
-    assert len(EXPORTS) == 59
+    assert len(EXPORTS) == 57
     assert names == EXPORTS
 
 
-def test_calibration_settings():
-    assert [f.name for f in dataclasses.fields(CalibrationConfig)] == \
-        ["max_iter", "restarts", "seed"]
+def test_settings_fields():
+    fields = {cls: [f.name for f in dataclasses.fields(cls)]
+              for cls in (CalibrationConfig, McConfig, QuadratureConfig)}
+    assert fields == {
+        CalibrationConfig: ["max_iter", "restarts", "seed"],
+        McConfig: ["paths", "seed", "steps_per_eps"],
+        QuadratureConfig: ["contour_shift", "truncation", "abs_tol",
+                           "rel_tol", "max_nodes"]}
+
+
+def test_parameters_of_the_traced_functions():
+    # the filters, the weight floor and the ncx2 term budget are constants
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (ncx2_pdf, apply_filters, error_report)}
+    assert params == {"ncx2_pdf": ["zeta", "params"],
+                      "apply_filters": ["quotes"],
+                      "error_report": ["model_prices", "quotes"]}
 
 
 def _load_tracer():

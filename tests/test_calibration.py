@@ -20,14 +20,14 @@ from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   calibrate_msv, inner_state_fit, make_synthetic_quotes,
                   price_quotes, price_spx_strike_batch,
                   price_vix_strike_batch, to_date_slices, vix_from_state,
-                  weighted_sse, y_max_for_vix)
+                  y_max_for_vix)
 from mssv.calibration import (_BOUNDS, _DateMap, _jac_sparsity,
                               _least_squares, _msv_step1_objective,
                               _msv_step2_objective, _rho_search,
                               _sum_over_dates)
 from mssv.exceptions import DomainError, MssvError
 
-from .oracles import nelder_mead_min
+from .oracles import nelder_mead_min, weighted_sse
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 FAST = CalibrationConfig(max_iter=60, restarts=1, seed=0)
@@ -104,10 +104,19 @@ def _state_panel(params, states, taus=(30 / 365,)):
             for i, st in enumerate(states)]
 
 
+TINY_STATES = [HiddenState(0.0234, 0.0194), HiddenState(0.0110, 0.0203),
+               HiddenState(0.0300, 0.0260)]
+
+
 def _tiny_dataset(params):
-    return _state_panel(params, [HiddenState(0.0234, 0.0194),
-                                 HiddenState(0.0110, 0.0203),
-                                 HiddenState(0.0300, 0.0260)])
+    """Three dates of `_state_panel`, each joined by SPX calls at one
+    maturity priced at params and the date's state."""
+    strikes, tau = (1900.0, 2000.0, 2100.0), 0.1
+    return [dataclasses.replace(sl, spx_quotes=tuple(
+        Quote(k, tau, True, d.total) for k, d in zip(
+            strikes, price_spx_strike_batch(sl.spx_level, strikes, tau, st,
+                                            params, QUAD))))
+        for sl, st in zip(_state_panel(params, TINY_STATES), TINY_STATES)]
 
 
 def test_calibrate_heston_runs_and_snaps_bounds(params):
@@ -148,7 +157,7 @@ def test_calibrate_msv_mechanics(params):
             [d.total for d in price_quotes(
                 sl.vix_quotes, lambda ks, tau: price_vix_strike_batch(
                     ks, tau, state, fitted, QUAD), fitted.r)],
-            [q.price for q in sl.vix_quotes], calibration._WEIGHT_FLOOR)
+            [q.price for q in sl.vix_quotes])
     assert sse == pytest.approx(res.step_objectives[0], rel=1e-12, abs=1e-30)
 
 
@@ -171,6 +180,21 @@ def test_infeasible_dates_are_skipped_not_fatal(params):
     assert res.skipped_dates == [{"date": "2016-02-01",
                                   "error": "InfeasibleStateError"}]
     assert res.n_skipped_dates == len(res.skipped_dates)
+
+
+@pytest.mark.parametrize("fit", [calibrate_heston, calibrate_msv])
+def test_step2_is_skipped_without_spx_quotes(fit, params):
+    res = fit(_state_panel(params, TINY_STATES[:2]),
+              CalibrationConfig(max_iter=10, restarts=1), QUAD, r=params.r)
+    assert not {"rho", "w3_eps"} & set(res.params)
+    assert res.step_objectives[1] is None
+    assert len(res.states) == 2
+    assert res.restarts[-1] == {
+        "step": "step2", "restart": 0, "success": False, "nit": 0,
+        "nfev": 0,
+        "message": "step 2 skipped: no date has SPX quotes and a state"}
+    assert [e["step"] for e in res.restarts] == ["step1", "step2"]
+    assert all(t["step"] == "step1" for t in res.trace)
 
 
 def test_no_usable_dates_raises(params):
@@ -468,8 +492,7 @@ def _direct_sse(dates, params, rho, w3_eps):
     """Step 2's objective as passes priced at (rho, w3_eps) give it."""
     return sum(weighted_sse([d.total for d in _date_prices(date, params, rho,
                                                            w3_eps)],
-                            [q.price for q in date[0].spx_quotes],
-                            calibration._WEIGHT_FLOOR)
+                            [q.price for q in date[0].spx_quotes])
                for date in dates)
 
 

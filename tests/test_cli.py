@@ -166,6 +166,39 @@ def test_calibrate_prints_each_skipped_date(tmp_path, capsys):
         {"date": "2017-06-01", "error": "InfeasibleStateError"}]
 
 
+def test_fits_without_spx_quotes_skip_step2_and_report_vix(tmp_path,
+                                                           capsys):
+    quotes, vix_only = tmp_path / "quotes.csv", tmp_path / "vix.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "1"]) == 0
+    lines = quotes.read_text().splitlines(keepends=True)
+    vix_only.write_text("".join(line for line in lines
+                                if ",SPX," not in line))
+    fits = {}
+    for model in ("heston", "msv"):
+        fits[model] = tmp_path / f"{model}.json"
+        capsys.readouterr()
+        rc = main(["calibrate", "--model", model, "--quotes", str(vix_only),
+                   "--out", str(fits[model]), "--max-iter", "10",
+                   "--restarts", "1"])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "rho" not in printed and ", step2 = skipped\n" in printed
+        doc = json.loads(fits[model].read_text())
+        assert not {"rho", "w3_eps"} & set(doc["params"])
+        assert doc["step_objectives"][1] is None
+    # VIX prices read neither rho nor w3_eps; SPX prices need both
+    report = ["error-report", "--heston-result", str(fits["heston"]),
+              "--msv-result", str(fits["msv"]),
+              "--out", str(tmp_path / "errors.csv")]
+    assert main([*report, "--quotes", str(vix_only)]) == 0
+    printed = capsys.readouterr().out
+    assert "VIX: heston mean" in printed and "SPX" not in printed
+    assert main([*report, "--quotes", str(quotes)]) == 2
+    assert "has SPX quotes, but a calibration result has no rho" in \
+        capsys.readouterr().err
+
+
 def test_imvol_surface(tmp_path, capsys):
     out = [str(tmp_path / n) for n in ("c.csv", "u.csv", "d.csv")]
     rc = main(["imvol-surface", *PARAM_FLAGS, "--kind", "vix", *STATE_FLAGS,

@@ -4,9 +4,9 @@ import datetime as dt
 
 import pytest
 
-from mssv import (FilterRules, HiddenState, OptionQuote,
-                  QuadratureConfig, apply_filters, error_report, load_quotes,
-                  make_synthetic_quotes, price_quotes, price_spx_strike_batch,
+from mssv import (HiddenState, OptionQuote, QuadratureConfig, apply_filters,
+                  error_report, load_quotes, make_synthetic_quotes,
+                  price_quotes, price_spx_strike_batch,
                   price_vix_strike_batch, split_train_test, to_date_slices,
                   write_quotes_csv)
 from mssv.data import (BUCKET_LABELS, RejectedRow, bucket_label, option_error,
@@ -103,13 +103,13 @@ def test_filters_thresholds():
         _q(expiry="2016-01-09"),              # kept: 4 days out
         _q(),                                 # kept
     ]
-    kept, stats = apply_filters(quotes, FilterRules())
+    kept, stats = apply_filters(quotes)
     assert len(kept) == 2
     assert stats.removed_by_volume == 1
     assert stats.removed_by_price == 1
     assert stats.removed_by_expiry == 1
     # idempotence
-    again, stats2 = apply_filters(kept, FilterRules())
+    again, stats2 = apply_filters(kept)
     assert again == kept and stats2.kept == len(kept)
 
 
@@ -230,5 +230,3 @@ def test_quote_validation():
         _q(expiry="2016-01-05")  # not after trade date
     with pytest.raises(ValueError):
         _q(und="NDX")
-    with pytest.raises(ValueError):
-        FilterRules(min_volume=-1)

@@ -3,16 +3,18 @@ determinism, and the spectral projection check."""
 
 import math
 
+import numpy as np
 import pytest
 
+import mssv.mc
 from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
                   ModelParams, bs_call_price, mc_price_spx_strikes,
                   mc_price_vix_strikes, simulate_terminal,
                   simulate_variance_terminal)
-from mssv.cores import usable_cores
 
-from .conftest import FITTED, MC_JOBS
-from .oracles import expected_y, expected_z, spectral_coefficient, variance_z
+from .conftest import FITTED
+from .oracles import (expected_y, expected_z, mc_params_from_eta_nu,
+                      spectral_coefficient, variance_z, within)
 
 PATHS = 200_000
 
@@ -24,7 +26,7 @@ def _mp(params=None, eta=-1.0):
 def test_factor_moments_match_closed_forms(params, state_high_y):
     mp = _mp(params)
     tau = 30 / 365
-    cfg = McConfig(paths=PATHS, seed=11, steps_per_eps=10, n_jobs=MC_JOBS)
+    cfg = McConfig(paths=PATHS, seed=11, steps_per_eps=10)
     yt, zt = simulate_variance_terminal(mp, state_high_y, tau, cfg)
     n = math.sqrt(len(yt))
     assert abs(yt.mean() - expected_y(tau, state_high_y, params)) \
@@ -39,7 +41,7 @@ def test_factor_moments_match_closed_forms(params, state_high_y):
 
 def test_discounted_martingale(params, state_high_y):
     mp = _mp(params)
-    cfg = McConfig(paths=PATHS, seed=12, steps_per_eps=10, n_jobs=MC_JOBS)
+    cfg = McConfig(paths=PATHS, seed=12, steps_per_eps=10)
     xt, _, _ = simulate_terminal(mp, state_high_y, 2000.0, 0.25, cfg)
     disc = math.exp(-params.r * 0.25)
     se = disc * xt.std() / math.sqrt(len(xt))
@@ -48,9 +50,9 @@ def test_discounted_martingale(params, state_high_y):
 
 def test_zero_strike_recovers_spot(params, state_high_y):
     mp = _mp(params)
-    cfg = McConfig(paths=PATHS, seed=13, steps_per_eps=10, n_jobs=MC_JOBS)
+    cfg = McConfig(paths=PATHS, seed=13, steps_per_eps=10)
     est = mc_price_spx_strikes(mp, state_high_y, 2000.0, [0.0], 0.25, cfg)[0]
-    assert est.within(2000.0, 3.0)
+    assert within(est, 2000.0, 3.0)
 
 
 def test_deterministic_variance_limit_black_scholes():
@@ -59,28 +61,31 @@ def test_deterministic_variance_limit_black_scholes():
     theta = 0.02
     p = ModelParams(kappa=2.0, theta=theta, sigma=1e-7, rho=0.0,
                     epsilon=0.02, w3_eps=0.0, r=0.02)
-    mp = McModelParams.from_eta_nu(p, eta=0.0, nu=1e-9)
+    mp = mc_params_from_eta_nu(p, eta=0.0, nu=1e-9)
     cfg = McConfig(paths=100_000, seed=14, steps_per_eps=40)
     st = HiddenState(y=theta, z=theta)
     est = mc_price_spx_strikes(mp, st, 2000.0, [2000.0], 0.25, cfg)[0]
     ref = bs_call_price(2000.0, 2000.0, 0.25, 0.02, math.sqrt(2 * theta))
-    assert est.within(ref, 3.0)
+    assert within(est, ref, 3.0)
     # and the VIX payoff is then deterministic at stationarity
     vix_est = mc_price_vix_strikes(mp, st, [15.0], 30 / 365, cfg)[0]
     expected = math.exp(-0.02 * 30 / 365) * (100 * math.sqrt(2 * theta) - 15.0)
     assert abs(vix_est.mean - expected) < 0.02
 
 
-def test_seed_determinism_serial_and_parallel(params, state_high_y):
+def test_seed_determinism_serial_and_parallel(monkeypatch, params,
+                                              state_high_y):
     mp = _mp(params)
     tau = 30 / 365
-    cfg1 = McConfig(paths=300_000, seed=77, steps_per_eps=10, n_jobs=1)
-    cfg2 = McConfig(paths=300_000, seed=77, steps_per_eps=10, n_jobs=4)
-    a = mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg1)[0]
-    b = mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg1)[0]
-    c = mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg2)[0]
+    cfg = McConfig(paths=300_000, seed=77, steps_per_eps=10)
+
+    def price(cores):
+        monkeypatch.setattr(mssv.mc, "usable_cores", lambda: cores)
+        return mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg)[0]
+
+    a, b, c = price(1), price(1), price(4)
     assert a == b  # bitwise
-    assert a == c  # ordered chunk reduction makes parallel identical
+    assert a == c  # ordered chunk reduction makes 4 threads identical
     d = mc_price_vix_strikes(mp, state_high_y, [20.0], tau,
                              McConfig(paths=300_000, seed=78,
                                       steps_per_eps=10))[0]
@@ -91,8 +96,7 @@ def test_split_invariance_within_tolerance(params, state_high_y):
     # two (eta, nu) splits with the same w3_eps price identically up to
     # the approximation order: 3 SE plus O(epsilon) slack
     tau = 0.25
-    cfg = McConfig(paths=150_000, seed=21, steps_per_eps=10,
-                   n_jobs=MC_JOBS)
+    cfg = McConfig(paths=150_000, seed=21, steps_per_eps=10)
     a = mc_price_spx_strikes(_mp(params, eta=-1.0), state_high_y, 2000.0,
                              [2000.0], tau, cfg)[0]
     b = mc_price_spx_strikes(_mp(params, eta=-0.5), state_high_y, 2000.0,
@@ -111,7 +115,7 @@ def test_mc_params_consistency():
         math.sqrt(2) * p.w3_eps / math.sqrt(p.epsilon), rel=1e-12)
     with pytest.raises(ValueError):
         McModelParams.from_split(p, eta=0.0)
-    mp2 = McModelParams.from_eta_nu(p, eta=-0.5, nu=0.433)
+    mp2 = mc_params_from_eta_nu(p, eta=-0.5, nu=0.433)
     assert mp2.params.w3_eps == pytest.approx(
         0.5 * 0.433 * math.sqrt(p.epsilon / 2), rel=1e-12)
 
@@ -123,15 +127,32 @@ def test_config_validation():
         McConfig(paths=10_000, steps_per_eps=0)
 
 
-def test_jobs_follow_the_usable_cores():
-    assert McConfig(paths=10_000).n_jobs == usable_cores()
+def test_jobs_follow_the_usable_cores(monkeypatch, params, state_high_y):
+    # two chunks of paths: one run starts a pool of two threads on two
+    # usable cores, and none on one
+    pools, real = [], mssv.mc.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mssv.mc, "ThreadPoolExecutor", counted)
+    cfg = McConfig(paths=mssv.mc._CHUNK + 10_000, seed=5, steps_per_eps=1)
+    runs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(mssv.mc, "usable_cores", lambda: cores)
+        runs[cores] = simulate_variance_terminal(_mp(params), state_high_y,
+                                                 0.01, cfg)
+        assert pools == ([] if cores == 1 else [2])
+    for serial, threaded in zip(runs[1], runs[2]):
+        assert np.array_equal(serial, threaded)
 
 
 def test_estimate_within_helper():
     est = McEstimate(mean=10.0, standard_error=0.5, paths_used=100)
-    assert est.within(11.0, 3.0)
-    assert not est.within(12.0, 3.0)
-    assert est.within(12.0, 3.0, slack=1.0)
+    assert within(est, 11.0, 3.0)
+    assert not within(est, 12.0, 3.0)
+    assert within(est, 12.0, 3.0, slack=1.0)
 
 
 def test_dt_halving_stability_at_oracle_scale(params, state_high_y):
@@ -143,8 +164,7 @@ def test_dt_halving_stability_at_oracle_scale(params, state_high_y):
     vix = []
     spx = []
     for spe in (10, 20):
-        cfg = McConfig(paths=1_000_000, seed=31, steps_per_eps=spe,
-                       n_jobs=MC_JOBS)
+        cfg = McConfig(paths=1_000_000, seed=31, steps_per_eps=spe)
         vix.append(mc_price_vix_strikes(mp, state_high_y, [20.0], tau, cfg)[0])
         spx.append(mc_price_spx_strikes(mp, state_high_y, 2000.0, [2000.0],
                                         tau, cfg)[0])

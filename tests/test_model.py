@@ -12,7 +12,7 @@ from mssv import (DomainError, HiddenState, InfeasibleStateError, ModelParams,
                   vix_limit_from_z, vix_weights, y_max_for_vix,
                   z_from_vix_given_y, z_from_vix_heston)
 
-from .oracles import vix_from_z_heston
+from .oracles import feller_ok, vix_from_z_heston
 
 # frozen by direct 30-digit evaluation of the weight formulas
 A1_REF = 0.11677765562718464
@@ -200,4 +200,4 @@ def test_param_validation():
 def test_feller_recorded_not_enforced():
     p = ModelParams(kappa=0.5, theta=0.01, sigma=1.0, rho=-0.5,
                     epsilon=0.01, w3_eps=0.0)
-    assert not p.feller_ok  # constructs fine regardless
+    assert not feller_ok(p)  # constructs fine regardless

@@ -12,8 +12,7 @@ from scipy.stats import ncx2 as scipy_ncx2
 
 import mssv.quadrature
 import mssv.vix
-from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
-                  Ncx2Params,
+from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
                   QuadratureConfig, QuadratureError, Quote, VixOptionSpec,
                   heston_star_weights, ncx2_pdf, price_quotes, price_vix,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
@@ -22,7 +21,7 @@ from mssv.model import TAU0
 from mssv.vix import _correction_coeffs, _payoff_block
 
 from .conftest import FITTED
-from .oracles import vix_call_quad, vix_call_z_only
+from .oracles import mc_params_from_eta_nu, vix_call_quad, vix_call_z_only
 
 DOF_GRID = (0.5, 2.0, 10.0, 50.0)
 LAM_GRID = (0.0, 1.0, 10.0, 100.0)
@@ -314,7 +313,7 @@ def test_expansion_error_against_z_only_price_is_second_order(state_high_y):
     tau, strikes, eps_set = 0.25, [18.0, 20.0, 22.0], (0.04, 0.02, 0.01)
     gaps = []
     for eps in eps_set:
-        params = McModelParams.from_eta_nu(
+        params = mc_params_from_eta_nu(
             ModelParams(**{**FITTED, "epsilon": eps}), eta=-0.5,
             nu=0.433).params
         totals = [d.total for d in price_vix_strike_batch(
