@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: price-spx, price-vix, calibrate, imvol-surface, validate,
-error-report, make-synthetic.  A flat KEY=value config file can supply
-any option; explicit flags win.  Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+error-report, make-synthetic.  A flat KEY=value config file supplies
+value flags: its keys that the subcommand has flags for are parsed as
+that subcommand's first flags, so explicit flags win and a value of the
+wrong type is a usage error.  Exit codes: 0 success, 1 usage, 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -69,56 +71,30 @@ def read_config(path) -> dict:
 
 
 _PARAM_KEYS = ("kappa", "theta", "sigma", "rho", "epsilon", "w3_eps", "r")
-_QUAD_KEYS = ("contour_shift", "truncation", "abs_tol", "rel_tol", "max_nodes")
+_QUAD_KEYS = ("abs_tol", "rel_tol")
 _MC_KEYS = ("paths", "seed", "steps_per_eps")
-#: every key _merged looks up, across all subcommands (one shared file)
+#: the value flags a config file may set, across all subcommands (one
+#: shared file)
 _CONFIG_KEYS = frozenset(_PARAM_KEYS + _QUAD_KEYS + _MC_KEYS + (
     "x", "y", "z", "eta", "uncorrected_z", "max_iter", "restarts",
     "state_seed"))
-
-
-def _merged(args, key, default=None, cast=float):
-    """Flag value if given, else config value, else default."""
-    assert key in _CONFIG_KEYS, key
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cast(cfg[key]) if cast is not None else cfg[key]
-    return default
+#: the default of each value flag that has one
+_DEFAULTS = {**asdict(QuadratureConfig()), **asdict(CalibrationConfig()),
+             **asdict(McConfig()),
+             "r": 0.02, "x": 2000.0, "eta": -1.0, "seed": 0, "state_seed": 1}
 
 
 def _model_params(args) -> ModelParams:
-    vals = {key: _merged(args, key, 0.02 if key == "r" else None)
-            for key in _PARAM_KEYS}
-    for key, v in vals.items():
-        if v is None:
+    for key in _PARAM_KEYS:
+        if getattr(args, key) is None:
             raise DataError(f"missing model parameter {key!r} (flag or config)")
-    return ModelParams(**{key: float(v) for key, v in vals.items()})
-
-
-def _given(args, keys, cast=float) -> dict:
-    """The values of keys given by flag or config (the latter cast)."""
-    vals = {key: _merged(args, key, None, cast) for key in keys}
-    return {key: v for key, v in vals.items() if v is not None}
-
-
-def _quad_config(args) -> QuadratureConfig:  # max_nodes, the last, is int
-    return QuadratureConfig(**_given(args, _QUAD_KEYS[:-1]),
-                            **_given(args, _QUAD_KEYS[-1:], int))
-
-
-def _mc_config(args) -> McConfig:
-    return McConfig(**_given(args, _MC_KEYS, int))
+    return ModelParams(**{key: getattr(args, key) for key in _PARAM_KEYS})
 
 
 def _state(args) -> HiddenState:
-    y = _merged(args, "y")
-    z = _merged(args, "z")
-    if y is None or z is None:
+    if args.y is None or args.z is None:
         raise DataError("hidden state requires --y and --z")
-    return HiddenState(y=float(y), z=float(z))
+    return HiddenState(y=args.y, z=args.z)
 
 
 def _floats(text) -> list[float]:
@@ -140,16 +116,17 @@ def _print_decomps(strikes, decomps):
 
 
 def _flags(p, keys, cast=float):
-    """Optional --key flags (underscores as dashes) of type cast."""
+    """Optional --key flags (underscores as dashes) of type cast, each
+    defaulting to its _DEFAULTS entry or None."""
     for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", type=cast, dest=key)
+        p.add_argument(f"--{key.replace('_', '-')}", type=cast, dest=key,
+                       default=_DEFAULTS.get(key))
 
 
 def _add_param_flags(p, *keys):
     """--config, the model and quadrature flags, and float flags keys."""
     p.add_argument("--config", help="flat KEY=value config file")
-    _flags(p, _PARAM_KEYS + _QUAD_KEYS[:-1] + keys)
-    _flags(p, _QUAD_KEYS[-1:], int)
+    _flags(p, _PARAM_KEYS + _QUAD_KEYS + keys)
 
 
 def _add_quote_flags(p):
@@ -166,7 +143,8 @@ def _add_quote_flags(p):
 def _price_grid(args, calls, spot=None):
     """Print the decompositions of the --strikes grid at --tau, priced by
     calls(strikes, tau, state, params, quad)."""
-    params, state, quad = _model_params(args), _state(args), _quad_config(args)
+    params, state = _model_params(args), _state(args)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     strikes = _floats(args.strikes)
     _print_decomps(strikes, price_quotes(
         _grid(strikes, [args.tau], not args.put),
@@ -221,14 +199,10 @@ def cmd_calibrate(args):
     if not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
         raise DataError(f"cannot write {args.out}: no writable directory")
     slices = to_date_slices(_load_quotes(args))
-    cfg = CalibrationConfig(**_given(args, ("max_iter", "restarts", "seed"),
-                                     int))
-    quad = _quad_config(args)
-    r = float(_merged(args, "r", 0.02))
-    if args.model == "heston":
-        result = calibrate_heston(slices, cfg, quad, r=r)
-    else:
-        result = calibrate_msv(slices, cfg, quad, r=r)
+    cfg = CalibrationConfig(args.max_iter, args.restarts, args.seed)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol)
+    fit = calibrate_heston if args.model == "heston" else calibrate_msv
+    result = fit(slices, cfg, quad, r=args.r)
     doc = _round_floats(result.as_dict())
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -258,10 +232,9 @@ def _vols(invert, grid, prices, n_strikes):
 
 
 def cmd_imvol_surface(args):
-    params = _model_params(args)
-    quad = _quad_config(args)
-    state = _state(args)
-    z0 = float(_merged(args, "uncorrected_z", state.z))
+    params, state = _model_params(args), _state(args)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol)
+    z0 = state.z if args.uncorrected_z is None else args.uncorrected_z
     state_u = HiddenState(y=z0, z=z0)
     strikes = _floats(args.strikes)
     taus = _floats(args.taus)
@@ -279,7 +252,7 @@ def cmd_imvol_surface(args):
         uncorrected = _vols(lambda p, k, tau: vix_normal_implied_vol(
             p, level_u, k, tau), grid, pu, len(strikes))
     else:
-        x = float(_merged(args, "x", 2000.0))
+        x = args.x
         # the uncorrected surface is the leading term at (z0, z0)
         params_u = replace(params, w3_eps=0.0)
         pc = price_quotes(grid, lambda ks, tau: price_spx_strike_batch(
@@ -319,17 +292,15 @@ def _print_mc_rows(strikes, ests, analytic) -> int:
 
 
 def cmd_validate(args):
-    params = _model_params(args)
-    state = _state(args)
-    quad = _quad_config(args)
-    mc_cfg = _mc_config(args)
-    mp = McModelParams.from_split(params, eta=float(_merged(args, "eta", -1.0)))
-    x = float(_merged(args, "x", 2000.0))
+    params, state, x = _model_params(args), _state(args), args.x
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol)
+    mc_cfg = McConfig(args.paths, args.seed, args.steps_per_eps)
+    mp = McModelParams.from_split(params, eta=args.eta)
     failures = 0
 
     spx_strikes = _floats(args.spx_strikes)
     if spx_strikes:
-        tau = float(args.spx_tau)
+        tau = args.spx_tau
         ests = mc_price_spx_strikes(mp, state, x, spx_strikes, tau, mc_cfg)
         analytic = price_quotes(
             _grid(spx_strikes, [tau]),
@@ -341,7 +312,7 @@ def cmd_validate(args):
 
     vix_strikes = _floats(args.vix_strikes)
     if vix_strikes:
-        tau = float(args.vix_tau)
+        tau = args.vix_tau
         ests = mc_price_vix_strikes(mp, state, vix_strikes, tau, mc_cfg)
         analytic = price_quotes(
             _grid(vix_strikes, [tau]),
@@ -373,7 +344,7 @@ def _read_result(path, model, params_of, state_of):
 
 def cmd_error_report(args):
     quotes = _load_quotes(args)
-    quad = _quad_config(args)
+    quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     # a fit to quotes with no SPX quote skipped step 2 and has no rho or
     # w3_eps: it prices VIX quotes, which read neither, and no SPX quote
     h, h_z = _read_result(
@@ -430,7 +401,7 @@ def cmd_error_report(args):
 
 def cmd_make_synthetic(args):
     params = _model_params(args)
-    rng = np.random.default_rng(int(_merged(args, "state_seed", 1, int)))
+    rng = np.random.default_rng(args.state_seed)
     start = dt.date.fromisoformat(args.start_date)
     states = []
     for i in range(args.n_dates):
@@ -439,9 +410,8 @@ def cmd_make_synthetic(args):
         z = params.theta * math.exp(0.5 * rng.standard_normal())
         states.append((date.isoformat(), HiddenState(y=y, z=z)))
     quotes = make_synthetic_quotes(
-        params, states, spx_level=float(_merged(args, "x", 2000.0)),
-        noise=args.noise, seed=int(_merged(args, "seed", 0, int)),
-        quad=_quad_config(args))
+        params, states, spx_level=args.x, noise=args.noise, seed=args.seed,
+        quad=QuadratureConfig(args.abs_tol, args.rel_tol))
     write_quotes_csv(args.out, quotes)
     print(f"wrote {args.out} ({len(quotes)} quotes, {args.n_dates} dates)")
     return EXIT_OK
@@ -523,10 +493,17 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args._config = read_config(args.config) \
-            if getattr(args, "config", None) else {}
+        if args.config:
+            # the file's keys that this subcommand has flags for, as its
+            # first flags: explicit flags follow them and win
+            at = argv.index(args.command) + 1
+            argv[at:at] = [f"--{key.replace('_', '-')}={val}"
+                           for key, val in read_config(args.config).items()
+                           if hasattr(args, key)]
+            args = parser.parse_args(argv)
         return args.func(args)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -68,6 +68,8 @@ class OptionQuote:
         nums = (self.strike, self.volume, self.mid_price, self.underlying_level)
         if not all(map(math.isfinite, nums)) or min(nums[:2]) < 0 or min(nums[2:]) <= 0:
             raise ValueError(f"need finite strike, volume >= 0, price, close > 0: {nums}")
+        if self.underlying_kind == "SPX" and self.strike <= 0:  # VIX 0: forward
+            raise ValueError(f"SPX strike must be positive, got {self.strike}")
         if self.expiry_date <= self.trade_date:
             raise ValueError(
                 f"expiry {self.expiry_date} not after trade date {self.trade_date}"

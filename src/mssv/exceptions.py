@@ -32,8 +32,8 @@ class QuadratureError(MssvError):
 class CharFnOverflowError(MssvError):
     """The characteristic-function exponent left the double range.
 
-    Usually means the integration truncation is set far too wide for the
-    requested maturity.
+    Usually means a state or parameter set far outside the model's
+    range.
     """
 
 

@@ -88,36 +88,20 @@ class VixWeights:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Settings for the Fourier-inversion and density quadratures.
+    """Tolerances of the Fourier-inversion and density quadratures.
 
-    contour_shift is the imaginary offset of the complex contour; the
-    payoff transform only converges for shifts above 1.
+    The SPX contour (`spx.CONTOUR_SHIFT`, `spx.TRUNCATION`) and the node
+    budget of a pass (`quadrature.MAX_NODES`) are fixed.
     """
 
-    contour_shift: float = 1.5
-    truncation: float = 200.0
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
-    max_nodes: int = 200_000
 
     def __post_init__(self):
-        settings = (self.contour_shift, self.truncation, self.abs_tol,
-                    self.rel_tol)
-        if not all(map(math.isfinite, settings)):
-            raise ValueError(f"contour_shift, truncation and tolerances "
-                             f"must be finite, got {settings}")
-        if self.contour_shift <= 1.0:
-            raise ValueError(
-                f"contour_shift must exceed 1 for payoff-transform "
-                f"convergence, got {self.contour_shift}"
-            )
-        if self.truncation <= 0:
-            raise ValueError("truncation must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_nodes < 1:
-            raise ValueError(
-                f"max_nodes must be at least 1, got {self.max_nodes}")
+        tols = (self.abs_tol, self.rel_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError(f"tolerances must be finite and positive, "
+                             f"got {tols}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 NODES_PER_PANEL = 15
 
+#: node budget of one pricing pass, SPX contour and VIX density alike
+MAX_NODES = 200_000
+
 
 def _eval_panels(f, lo, hi):
     """Evaluate f on all 15 nodes of each (lo, hi) panel.

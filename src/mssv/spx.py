@@ -23,13 +23,17 @@ import numpy as np
 
 from .exceptions import CharFnOverflowError, DomainError
 from .model import HiddenState, ModelParams, PriceDecomposition, QuadratureConfig
-from .quadrature import integrate_with_tail_doubling
+from .quadrature import MAX_NODES, integrate_with_tail_doubling
 
 #: below this maturity the asymptotic expansion is not trusted; results
 #: carry a warning flag instead of failing
 SHORT_MATURITY = 1.0 / 365.0
 
 _EXP_CAP = 700.0  # double overflows just above exp(709)
+
+#: imaginary offset of the contour (the payoff transform converges only
+#: above 1) and the end of its core integral, past which tails double
+CONTOUR_SHIFT, TRUNCATION = 1.5, 200.0
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,12 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     if not all(map(math.isfinite, [x, tau, *strikes])) or x <= 0 or tau <= 0 \
             or min(strikes) <= 0 or abs(rho_e) > 1.0:
         raise DomainError("need finite positive spot, strikes and tau, |rho| <= 1")
-    alpha = quad.contour_shift
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])
     with_corr = corr_scale != 0.0
 
     def integrand(u):
-        k = u + 1j * alpha
+        k = u + 1j * CONTOUR_SHIFT
         C, D, d, g, E = _cf_terms(tau, k, kappa, theta_e, sigma_e, rho_e)
         expo = (C + v0 * D - 1j * k * q)[None, :] \
             + (1.0 + 1j * k)[None, :] * log_ks[:, None]
@@ -136,9 +139,9 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     # f(-u) = conj(f(u)), so the contour over the real line is twice the
     # real part of the half line's: half the nodes, and half the tolerance
     vals, _, _ = integrate_with_tail_doubling(
-        integrand, 0.0, quad.truncation,
+        integrand, 0.0, TRUNCATION,
         abs_tol=quad.abs_tol * max(strikes) * (math.pi * math.exp(r * tau)),
-        rel_tol=quad.rel_tol, max_nodes=quad.max_nodes, initial_panels=4,
+        rel_tol=quad.rel_tol, max_nodes=MAX_NODES, initial_panels=4,
     )
     vals = vals.real * math.exp(-r * tau) / math.pi
     n = len(strikes)

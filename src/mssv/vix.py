@@ -18,7 +18,7 @@ from scipy.special import gammaln
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, heston_star_weights, vix_weights)
-from .quadrature import integrate_with_tail_doubling
+from .quadrature import MAX_NODES, integrate_with_tail_doubling
 from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
 #: the ncx2 series' term budget, which lam up to about 1.9e5 fits
@@ -185,7 +185,7 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
         return rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2)
 
     total, err, _ = integrate_with_tail_doubling(
-        integrand, zstar, zmax, quad.abs_tol, quad.rel_tol, quad.max_nodes,
+        integrand, zstar, zmax, quad.abs_tol, quad.rel_tol, MAX_NODES,
         breakpoints=edges)
     return total, err
 

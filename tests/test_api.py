@@ -47,8 +47,7 @@ def test_settings_fields():
     assert fields == {
         CalibrationConfig: ["max_iter", "restarts", "seed"],
         McConfig: ["paths", "seed", "steps_per_eps"],
-        QuadratureConfig: ["contour_shift", "truncation", "abs_tol",
-                           "rel_tol", "max_nodes"]}
+        QuadratureConfig: ["abs_tol", "rel_tol"]}
 
 
 def test_parameters_of_the_traced_functions():

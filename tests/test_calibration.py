@@ -287,6 +287,36 @@ def test_step1_recovers_the_study_panel(params):
     assert res.restarts[0]["success"]
 
 
+def test_step1_is_no_worse_than_nelder_mead_on_a_noisy_panel(monkeypatch,
+                                                              params):
+    # three dates quoted with 1% noise (one SPX quote each, so step 2 is
+    # cheap); Nelder-Mead minimises the same step-1 SSE over the same box
+    # (each date's s_i included) from the same start, and converges
+    # within its 2000 iterations
+    monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
+    rng = np.random.default_rng(3)
+    states = [(f"2016-03-{7 + i:02d}",
+               HiddenState(y=params.theta * float(np.exp(0.4 * a)),
+                           z=params.theta * float(np.exp(0.4 * b))))
+              for i, (a, b) in enumerate(rng.standard_normal((3, 2)))]
+    quotes = make_synthetic_quotes(params, states, spx_taus=(0.1,),
+                                   spx_moneyness=(1.0,), noise=0.01, seed=7,
+                                   quad=QUAD)
+    nm_obj, real = [], calibration._least_squares
+
+    def alongside(fun, x0, bounds, *args):
+        nm_obj.append(nelder_mead_min(lambda x: float((r := fun(x)) @ r), x0,
+                                      bounds, restarts=1, max_iter=2000))
+        return real(fun, x0, bounds, *args)
+
+    monkeypatch.setattr(calibration, "_least_squares", alongside)
+    res = calibrate_msv(to_date_slices(quotes),
+                        CalibrationConfig(max_iter=200, restarts=1), QUAD,
+                        r=params.r)
+    assert res.restarts[0]["success"] and nm_obj[0] > 0
+    assert res.step_objectives[0] <= nm_obj[0] * (1.0 + 1e-6)
+
+
 def test_a_solve_needs_an_evaluation():
     with pytest.raises(ValueError, match="max_iter"):
         CalibrationConfig(max_iter=0)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every subcommand plus exit codes and the
 config-file override path."""
 
+import argparse
 import csv
 import json
 import math
@@ -20,6 +21,8 @@ PARAM_FLAGS = ["--kappa", "3.58", "--theta", "0.021", "--sigma", "0.347",
                "--rho", "-1", "--epsilon", "0.0096", "--w3-eps", "0.015",
                "--r", "0.02"]
 STATE_FLAGS = ["--y", "0.0234", "--z", "0.0194"]
+CONFIG_PARAMS = ("kappa=3.58\ntheta=0.021\nsigma=0.347\nrho=-1\n"
+                 "epsilon=0.0096\nw3_eps=0.015\n")
 
 
 def test_price_vix_output(capsys):
@@ -76,6 +79,57 @@ def test_unknown_config_key_is_a_data_error(tmp_path, capsys):
         assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    for command, extra, flags, message in (
+            ("price-vix", "z=abc\n",
+             ["--y", "0.0234", "--strikes", "20", "--tau", "0.08219178"],
+             "argument --z: invalid float value: 'abc'"),
+            ("validate", "paths=1e5\n", [*STATE_FLAGS, "--vix-strikes", "20"],
+             "argument --paths: invalid int value: '1e5'")):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(CONFIG_PARAMS + extra)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *flags])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(CONFIG_PARAMS + "paths=50000\nmax_iter=10\nstate_seed=3\n")
+    rc = main(["price-vix", "--config", str(cfg), *STATE_FLAGS,
+               "--strikes", "20", "--tau", "0.08219178"])
+    assert rc == 0
+    assert "1.782621183" in capsys.readouterr().out
+
+
+def test_config_x_and_eta_are_used_and_flags_override_them(tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "validate.cfg"
+    cfg.write_text(CONFIG_PARAMS + "x=2100\neta=-0.5\n")
+    run = ["validate", *STATE_FLAGS, "--spx-strikes", "2000", "--spx-tau",
+           "0.02", "--paths", "10000", "--steps-per-eps", "2"]
+    for flags, x, eta in (
+            (["--config", str(cfg)], "2100", "-0.5"),
+            (["--config", str(cfg), "--x", "1900", "--eta", "-0.25"],
+             "1900", "-0.25"),
+            (PARAM_FLAGS, "2000", "-1")):  # the defaults
+        assert main([*run, *flags]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert f" x={x} " in header and f"(eta={eta}," in header
+
+
+def test_every_config_key_is_a_value_flag():
+    parser = mssv.cli.build_parser()
+    commands, = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    value_flags = {a.dest for sub in commands.choices.values()
+                   for a in sub._actions
+                   if isinstance(a, argparse._StoreAction)
+                   and a.option_strings == [f"--{a.dest.replace('_', '-')}"]}
+    assert mssv.cli._CONFIG_KEYS <= value_flags
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["price-vix", "--strikes"])  # missing value
@@ -98,9 +152,7 @@ def test_numerical_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--contour-shift", "1"), ("--contour-shift", "nan"),
-    ("--truncation", "nan"), ("--truncation", "inf"), ("--abs-tol", "nan"),
-    ("--rel-tol", "inf"), ("--max-nodes", "0")])
+    ("--abs-tol", "nan"), ("--rel-tol", "inf"), ("--abs-tol", "0")])
 def test_bad_quadrature_setting_fails_before_quadrature(monkeypatch, capsys,
                                                         flag, value):
     def no_quadrature(*args, **kwargs):
@@ -146,6 +198,26 @@ def test_full_pipeline(tmp_path, capsys):
     header = table.read_text().splitlines()[0]
     assert header.startswith("underlying,stat")
     assert "tau<0.05:heston" in header and "total:o/h" in header
+
+
+def test_calibrate_rejects_a_zero_spx_strike_at_load(tmp_path, capsys):
+    # the row would knock its date out of step 2: the contour pass raises
+    # DomainError on a non-positive strike for the whole date
+    quotes, with_zero = tmp_path / "quotes.csv", tmp_path / "with_zero.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "2"]) == 0
+    with_zero.write_text(quotes.read_text()
+                         + "2016-01-05,SPX,call,0,2016-03-18,2000,100,2000\n")
+    fits = []
+    for path in (quotes, with_zero):
+        out = tmp_path / f"{path.stem}.json"
+        capsys.readouterr()
+        assert main(["calibrate", "--model", "heston", "--quotes", str(path),
+                     "--out", str(out), "--max-iter", "50",
+                     "--restarts", "1"]) == 0
+        fits.append(json.loads(out.read_text()))
+    assert "SPX strike must be positive, got 0.0" in capsys.readouterr().err
+    assert fits[1] == fits[0]
 
 
 def test_calibrate_prints_each_skipped_date(tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_load_rejects_non_finite_and_out_of_range_numbers(tmp_path):
     assert all(r.reason for r in rejects)
 
 
+def test_load_rejects_a_non_positive_spx_strike(tmp_path):
+    # a VIX strike of 0 is the forward leg and stays legal
+    p = tmp_path / "q.csv"
+    p.write_text(HEADER
+                 + "2016-01-05,SPX,call,0,2016-03-05,2000,100,2000\n"
+                 + "2016-01-05,SPX,put,-5,2016-03-05,1.5,100,2000\n"
+                 + "2016-01-05,VIX,call,0,2016-02-05,19.4,100,19.5\n")
+    quotes, rejects = load_quotes(p)
+    assert [(q.underlying_kind, q.strike) for q in quotes] == [("VIX", 0.0)]
+    assert [r.line for r in rejects] == [2, 3]
+    assert rejects[0].reason == "SPX strike must be positive, got 0.0"
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     p = tmp_path / "q.csv"
     good = "2016-01-05,VIX,call,20,2016-02-05,1.5,100,19.5"

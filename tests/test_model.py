@@ -187,12 +187,9 @@ def test_param_validation():
             ModelParams(**bad)
     with pytest.raises(ValueError):
         HiddenState(y=-0.01, z=0.02)
-    for bad in (dict(contour_shift=0.9), dict(contour_shift=math.nan),
-                dict(contour_shift=math.inf), dict(truncation=math.nan),
-                dict(truncation=math.inf), dict(abs_tol=math.nan),
-                dict(abs_tol=math.inf), dict(rel_tol=math.nan),
-                dict(rel_tol=math.inf), dict(max_nodes=0),
-                dict(max_nodes=-5)):
+    for bad in (dict(abs_tol=math.nan), dict(abs_tol=math.inf),
+                dict(rel_tol=math.nan), dict(rel_tol=math.inf),
+                dict(abs_tol=0.0), dict(rel_tol=-1e-8)):
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
 
