@@ -15,7 +15,7 @@ from .vix import (Ncx2Params, VixOptionSpec, ncx2_pdf, price_vix,
 from .impvol import (bs_call_price, bs_implied_vol, vix_normal_implied_vol,
                      vix_normal_price)
 from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx_strikes,
-                 mc_price_vix_strikes, simulate_terminal,
+                 mc_price_strikes, mc_price_vix_strikes, simulate_terminal,
                  simulate_variance_terminal)
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
                           Quote, calibrate_heston, calibrate_msv,

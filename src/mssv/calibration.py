@@ -105,8 +105,11 @@ class CalibrationResult:
     step_objectives: list
     trace: list
     n_skipped_dates: int = 0
-    #: {"date", "error"} of each date whose state recovery failed, in
-    #: date order; "error" is the exception's class name
+    #: {"date", "error"} of each date whose state recovery failed and
+    #: {"date", "error", "step": "step2"} of each date whose SPX pricing
+    #: failed at some step-2 evaluation (the search then charges it ten
+    #: times the median date), in date order; "error" is the first
+    #: exception's class name
     skipped_dates: list = field(default_factory=list)
     #: {"step", "restart", "success", "nit", "nfev", "message"} of each
     #: step-1 least-squares solve ("nit" its Jacobian count, "nfev" every
@@ -230,15 +233,17 @@ class _DateMap:
     dates k, k + n, k + 2n, ... and the calling process evaluates share
     0 itself.  A call sends each worker its date indices and the
     argument tuple over a pipe and gets back one result per date: the
-    value, or the exception the date raised.  Calibration starts no
-    threads, so at fork time the only others are the BLAS pools, which
-    OpenBLAS stops and restarts around a fork.  With n = 1 nothing is
-    forked.  close() stops the workers; those of a map dropped unclosed
-    exit when its pipe ends are collected.
+    value, or the exception the date raised; failed maps the index of
+    each date that ever raised an MssvError to that first error's class
+    name.  Calibration starts no threads, so at fork time the only others
+    are the BLAS pools, which OpenBLAS stops and restarts around a fork.
+    With n = 1 nothing is forked.  close() stops the workers; those of a
+    map dropped unclosed exit when its pipe ends are collected.
     """
 
     def __init__(self, dates, fn):
         self.dates, self.fn = list(dates), fn
+        self.failed = {}
         n = max(min(usable_cores(), len(self.dates)), 1)
         self.shares = [range(k, len(self.dates), n) for k in range(n)]
         self.workers = []  # (process, the caller's end of its pipe)
@@ -297,8 +302,10 @@ class _DateMap:
         for share, part in zip(self.shares, parts):
             for i, term in zip(share, part):
                 out[i] = term
-        for term in out:
-            if isinstance(term, Exception) and not isinstance(term, MssvError):
+        for i, term in enumerate(out):
+            if isinstance(term, MssvError):
+                self.failed.setdefault(i, type(term).__name__)
+            elif isinstance(term, Exception):
                 raise term
         return out
 
@@ -411,6 +418,11 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
             rho, obj2, restarts2 = _rho_search(step2_objective(
                 dates, p, r, quad, fitted, date_map), cfg, trace, "step2")
             fitted["rho"] = rho
+            # live[0], the step-2 objective's map, knows the dates it
+            # charged at some evaluation instead of fitting them
+            skipped += [{"date": dates[i][0].date, "error": error,
+                         "step": "step2"}
+                        for i, error in live[0].failed.items()]
         else:
             obj2, restarts2 = None, [_outcome(
                 "step2", 0, False, 0, 0,

@@ -28,7 +28,9 @@ from .data import (apply_filters, error_report, load_quotes,
                    write_error_table_csv, write_quotes_csv)
 from .exceptions import DataError, MssvError, NoRootError
 from .impvol import bs_implied_vol, vix_normal_implied_vol, write_surface_csv
-from .mc import McConfig, McModelParams, mc_price_spx_strikes, mc_price_vix_strikes
+from .mc import McConfig, McModelParams, mc_price_strikes
+from .mc import (mc_price_spx_strikes,  # noqa: F401  perfbench's tracer
+                 mc_price_vix_strikes)  # noqa: F401  patches both
 from .model import (HiddenState, ModelParams, QuadratureConfig,
                     vix_from_state, vix_limit_from_z)
 from .spx import price_heston_call_batch, price_spx_strike_batch
@@ -215,7 +217,8 @@ def cmd_calibrate(args):
     if result.n_skipped_dates:
         print(f"skipped dates: {result.n_skipped_dates}")
     for skip in result.skipped_dates:
-        print(f"  {skip['date']}: {skip['error']}")
+        lost = " (charged, not fitted, in step 2)" if "step" in skip else ""
+        print(f"  {skip['date']}: {skip['error']}{lost}")
     return EXIT_OK
 
 
@@ -292,34 +295,42 @@ def _print_mc_rows(strikes, ests, analytic) -> int:
 
 
 def cmd_validate(args):
+    spx_strikes = _floats(args.spx_strikes)
+    vix_strikes = _floats(args.vix_strikes)
+    if not spx_strikes and not vix_strikes:
+        raise DataError("validate needs --spx-strikes, --vix-strikes or both")
     params, state, x = _model_params(args), _state(args), args.x
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     mc_cfg = McConfig(args.paths, args.seed, args.steps_per_eps)
     mp = McModelParams.from_split(params, eta=args.eta)
     failures = 0
 
-    spx_strikes = _floats(args.spx_strikes)
+    # grids at one maturity are priced off one path set
+    shared = bool(spx_strikes) and args.spx_tau == args.vix_tau
     if spx_strikes:
         tau = args.spx_tau
-        ests = mc_price_spx_strikes(mp, state, x, spx_strikes, tau, mc_cfg)
+        spx_ests, vix_ests = mc_price_strikes(
+            mp, state, tau, mc_cfg, x, spx_strikes,
+            vix_strikes if shared else ())
         analytic = price_quotes(
             _grid(spx_strikes, [tau]),
             lambda ks, t: price_spx_strike_batch(x, ks, t, state, params, quad),
             params.r, x)
         print(f"SPX tau={_g(tau)} x={_g(x)} paths={mc_cfg.paths} "
               f"(eta={_g(mp.eta)}, nu={_g(mp.nu)})")
-        failures += _print_mc_rows(spx_strikes, ests, analytic)
+        failures += _print_mc_rows(spx_strikes, spx_ests, analytic)
 
-    vix_strikes = _floats(args.vix_strikes)
     if vix_strikes:
         tau = args.vix_tau
-        ests = mc_price_vix_strikes(mp, state, vix_strikes, tau, mc_cfg)
+        if not shared:
+            _, vix_ests = mc_price_strikes(mp, state, tau, mc_cfg,
+                                           vix_strikes=vix_strikes)
         analytic = price_quotes(
             _grid(vix_strikes, [tau]),
             lambda ks, t: price_vix_strike_batch(ks, t, state, params, quad),
             params.r)
         print(f"VIX tau={_g(tau)} paths={mc_cfg.paths}")
-        failures += _print_mc_rows(vix_strikes, ests, analytic)
+        failures += _print_mc_rows(vix_strikes, vix_ests, analytic)
     print(f"points outside 3 SE: {failures}")
     return EXIT_OK
 

@@ -14,6 +14,11 @@ Paths are simulated in fixed-size chunks, each with its own
 counter-based RNG stream keyed by (seed, chunk index), and reduced in
 chunk order: results are bitwise reproducible for a given seed, serial
 or parallel.
+
+`mc_price_strikes` prices an SPX and a VIX strike grid at one maturity
+off one path set.  Each row's standard error is still that row's, but
+the two grids' errors are then correlated: they are not independent
+checks of the two pricers.
 """
 
 from __future__ import annotations
@@ -186,21 +191,40 @@ def _estimate(payoff: np.ndarray) -> McEstimate:
                       paths_used=n)
 
 
+def mc_price_strikes(mp: McModelParams, state0: HiddenState, tau: float,
+                     cfg: McConfig, x0: float | None = None, spx_strikes=(),
+                     vix_strikes=()
+                     ) -> tuple[list[McEstimate], list[McEstimate]]:
+    """(SPX, VIX) call estimates at one maturity from one simulated path
+    set; the index is simulated only when there are SPX strikes.  The VIX
+    maps (Y_T, Z_T) through the exact VIX relation (full epsilon weights,
+    no expansion).  Grids priced together share their paths, so their
+    errors are correlated."""
+    if len(spx_strikes):
+        xt, yt, zt = simulate_terminal(mp, state0, x0, tau, cfg)
+    else:
+        xt, (yt, zt) = None, simulate_variance_terminal(mp, state0, tau, cfg)
+    disc = math.exp(-mp.params.r * tau)
+
+    def calls(samples, strikes):
+        return [_estimate(disc * np.maximum(samples - k, 0.0))
+                for k in strikes]
+
+    vix_t = None
+    if len(vix_strikes):
+        w = vix_weights(mp.params.kappa, mp.params.epsilon)
+        vix_t = 100.0 * np.sqrt(w.a1 * yt + w.a2 * zt
+                                + (w.a3 + w.a4) * mp.params.theta)
+    return calls(xt, spx_strikes), calls(vix_t, vix_strikes)
+
+
 def mc_price_spx_strikes(mp: McModelParams, state0: HiddenState, x0: float,
                          strikes, tau: float, cfg: McConfig) -> list[McEstimate]:
     """Call prices on a strike grid from one simulated terminal sample."""
-    xt, _, _ = simulate_terminal(mp, state0, x0, tau, cfg)
-    disc = math.exp(-mp.params.r * tau)
-    return [_estimate(disc * np.maximum(xt - k, 0.0)) for k in strikes]
+    return mc_price_strikes(mp, state0, tau, cfg, x0, spx_strikes=strikes)[0]
 
 
 def mc_price_vix_strikes(mp: McModelParams, state0: HiddenState, strikes,
                          tau: float, cfg: McConfig) -> list[McEstimate]:
-    """VIX call grid: simulate (Y_T, Z_T) once, map through the exact
-    VIX relation (full epsilon weights, no expansion), price each strike."""
-    yt, zt = simulate_variance_terminal(mp, state0, tau, cfg)
-    w = vix_weights(mp.params.kappa, mp.params.epsilon)
-    vix_t = 100.0 * np.sqrt(w.a1 * yt + w.a2 * zt
-                            + (w.a3 + w.a4) * mp.params.theta)
-    disc = math.exp(-mp.params.r * tau)
-    return [_estimate(disc * np.maximum(vix_t - k, 0.0)) for k in strikes]
+    """VIX call grid from one simulation of (Y_T, Z_T) alone."""
+    return mc_price_strikes(mp, state0, tau, cfg, vix_strikes=strikes)[1]

@@ -289,3 +289,22 @@ def within(est, value: float, n_se: float, slack: float = 0.0) -> bool:
     """Whether the McEstimate est lies within n_se standard errors plus
     slack of value."""
     return abs(value - est.mean) <= n_se * est.standard_error + slack
+
+
+def mc_call_estimates(underlying, strikes, tau: float, r: float) -> list:
+    """(mean, standard error, paths) of the discounted call payoff on
+    each strike over the terminal samples underlying."""
+    disc, n = math.exp(-r * tau), len(underlying)
+    out = []
+    for k in strikes:
+        payoff = disc * np.maximum(underlying - k, 0.0)
+        out.append((float(payoff.mean()),
+                    float(payoff.std(ddof=1) / math.sqrt(n)), n))
+    return out
+
+
+def mc_vix_samples(mp: McModelParams, yt, zt):
+    """VIX_T of terminal factor samples, by the exact VIX relation."""
+    p = mp.params
+    w = vix_weights(p.kappa, p.epsilon)
+    return 100.0 * np.sqrt(w.a1 * yt + w.a2 * zt + (w.a3 + w.a4) * p.theta)

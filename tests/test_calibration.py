@@ -182,6 +182,25 @@ def test_infeasible_dates_are_skipped_not_fatal(params):
     assert res.n_skipped_dates == len(res.skipped_dates)
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_date_step2_cannot_price_is_recorded_once(monkeypatch, params,
+                                                   cores):
+    monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+    clean = _tiny_dataset(params)
+    # a zero strike: the loader rejects the row, a slice made in code not
+    bad = dataclasses.replace(clean[1], spx_quotes=clean[1].spx_quotes
+                              + (Quote(0.0, 0.1, True, 2000.0),))
+    res = calibrate_heston([clean[0], bad, clean[2]], FAST, QUAD, r=params.r)
+    assert res.skipped_dates == [{"date": bad.date, "error": "DomainError",
+                                  "step": "step2"}]
+    assert res.n_skipped_dates == 1
+    # the date keeps its state; step 1 never reads SPX quotes
+    ref = calibrate_heston(clean, FAST, QUAD, r=params.r)
+    assert res.states == ref.states
+    assert res.step_objectives[0] == ref.step_objectives[0]
+    assert ref.skipped_dates == []
+
+
 @pytest.mark.parametrize("fit", [calibrate_heston, calibrate_msv])
 def test_step2_is_skipped_without_spx_quotes(fit, params):
     res = fit(_state_panel(params, TINY_STATES[:2]),

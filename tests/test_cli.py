@@ -8,14 +8,19 @@ import math
 
 import pytest
 
+import mssv.calibration
 import mssv.cli
+import mssv.mc
 import mssv.quadrature
-from mssv import (HiddenState, ModelParams, QuadratureConfig, SpxOptionSpec,
-                  VixOptionSpec, price_heston_call_batch, price_spx, price_vix,
-                  price_vix_heston_strike_batch)
+from mssv import (CharFnOverflowError, HiddenState, McConfig, McModelParams,
+                  ModelParams, QuadratureConfig, SpxOptionSpec, VixOptionSpec,
+                  mc_price_spx_strikes, mc_price_vix_strikes,
+                  price_heston_call_batch, price_spx, price_vix,
+                  price_vix_heston_strike_batch, simulate_terminal)
 from mssv.cli import main
 
 from .conftest import FITTED, FITTED_HESTON
+from .oracles import mc_call_estimates, mc_vix_samples
 
 PARAM_FLAGS = ["--kappa", "3.58", "--theta", "0.021", "--sigma", "0.347",
                "--rho", "-1", "--epsilon", "0.0096", "--w3-eps", "0.015",
@@ -238,6 +243,31 @@ def test_calibrate_prints_each_skipped_date(tmp_path, capsys):
         {"date": "2017-06-01", "error": "InfeasibleStateError"}]
 
 
+def test_calibrate_prints_each_date_step2_charged(monkeypatch, tmp_path,
+                                                  capsys):
+    quotes = tmp_path / "quotes.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "2"]) == 0
+
+    def overflow(*args):
+        raise CharFnOverflowError("transform exponent out of range")
+
+    monkeypatch.setattr(mssv.calibration, "price_heston_call_batch", overflow)
+    out = tmp_path / "heston.json"
+    capsys.readouterr()
+    assert main(["calibrate", "--model", "heston", "--quotes", str(quotes),
+                 "--out", str(out), "--max-iter", "10",
+                 "--restarts", "1"]) == 0
+    printed = capsys.readouterr().out
+    assert "skipped dates: 2\n  2016-01-05: CharFnOverflowError " \
+        "(charged, not fitted, in step 2)\n" in printed
+    doc = json.loads(out.read_text())
+    assert len(doc["states"]) == 2
+    assert doc["skipped_dates"] == [
+        {"date": d, "error": "CharFnOverflowError", "step": "step2"}
+        for d in ("2016-01-05", "2016-01-12")]
+
+
 def test_fits_without_spx_quotes_skip_step2_and_report_vix(tmp_path,
                                                            capsys):
     quotes, vix_only = tmp_path / "quotes.csv", tmp_path / "vix.csv"
@@ -291,6 +321,74 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "dev/se" in out
     assert "points outside 3 SE" in out
+
+
+VALIDATE = ["validate", *PARAM_FLAGS, *STATE_FLAGS, "--spx-strikes",
+            "1900,2000", "--vix-strikes", "18,22", "--paths", "10000",
+            "--steps-per-eps", "2", "--seed", "5"]
+
+
+def _traced_validate(monkeypatch, argv):
+    """main(argv)'s exit code, the with_x of each simulation it ran and
+    the (SPX, VIX) estimates of each of its mc_price_strikes calls."""
+    runs, priced = [], []
+    simulate, price = mssv.mc._simulate, mssv.cli.mc_price_strikes
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs["with_x"])
+        return simulate(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        priced.append(price(*args, **kwargs))
+        return priced[-1]
+
+    monkeypatch.setattr(mssv.mc, "_simulate", counted)
+    monkeypatch.setattr(mssv.cli, "mc_price_strikes", recorded)
+    return main(argv), runs, priced
+
+
+def test_validate_simulates_once_per_maturity(monkeypatch, capsys):
+    mp = McModelParams.from_split(ModelParams(**FITTED), eta=-1.0)
+    state, cfg = HiddenState(y=0.0234, z=0.0194), McConfig(10_000, 5, 2)
+    spx, vix = [1900.0, 2000.0], [18.0, 22.0]
+    rc, runs, priced = _traced_validate(
+        monkeypatch, [*VALIDATE, "--spx-tau", "0.05", "--vix-tau", "0.05"])
+    assert (rc, runs) == (0, [True])
+    (spx_ests, vix_ests), = priced
+    assert spx_ests == mc_price_spx_strikes(mp, state, 2000.0, spx, 0.05, cfg)
+    _, yt, zt = simulate_terminal(mp, state, 2000.0, 0.05, cfg)
+    assert [(e.mean, e.standard_error, e.paths_used) for e in vix_ests] == \
+        mc_call_estimates(mc_vix_samples(mp, yt, zt), vix, 0.05, FITTED["r"])
+    shared = capsys.readouterr().out
+
+    # at two maturities, the two simulations of the one-grid pricers
+    rc, runs, priced = _traced_validate(
+        monkeypatch, [*VALIDATE, "--spx-tau", "0.05", "--vix-tau", "0.06"])
+    assert (rc, runs) == (0, [True, False])
+    assert priced == [
+        (mc_price_spx_strikes(mp, state, 2000.0, spx, 0.05, cfg), []),
+        ([], mc_price_vix_strikes(mp, state, vix, 0.06, cfg))]
+    apart = capsys.readouterr().out
+    # the SPX rows do not depend on whether the VIX grid shares their paths
+    assert shared.split("VIX")[0] == apart.split("VIX")[0]
+
+
+def test_validate_needs_a_valid_x_for_an_spx_grid_only(capsys):
+    vix_only = ["validate", *PARAM_FLAGS, *STATE_FLAGS, "--x", "-1",
+                "--vix-strikes", "20", "--vix-tau", "0.05", "--spx-tau",
+                "0.05", "--paths", "10000", "--steps-per-eps", "2"]
+    assert main(vix_only) == 0
+    assert "VIX tau=0.05" in capsys.readouterr().out
+    for tau in ("0.05", "0.06"):
+        assert main([*vix_only, "--spx-strikes", "2000", "--spx-tau",
+                     tau]) == 3
+        assert "x0 must be positive" in capsys.readouterr().err
+
+
+def test_validate_with_no_strike_grid_is_a_data_error(capsys):
+    assert main(["validate", *PARAM_FLAGS, *STATE_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "--spx-strikes" in err and "--vix-strikes" in err
 
 
 def test_imvol_surface_writes_nan_where_inversion_fails(tmp_path, capsys):

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import mssv.mc
-from mssv import (HiddenState, McConfig, McEstimate, McModelParams,
-                  ModelParams, bs_call_price, mc_price_spx_strikes,
-                  mc_price_vix_strikes, simulate_terminal,
-                  simulate_variance_terminal)
+from mssv import (DomainError, HiddenState, McConfig, McEstimate,
+                  McModelParams, ModelParams, bs_call_price,
+                  mc_price_spx_strikes, mc_price_strikes, mc_price_vix_strikes,
+                  simulate_terminal, simulate_variance_terminal)
 
 from .conftest import FITTED
-from .oracles import (expected_y, expected_z, mc_params_from_eta_nu,
+from .oracles import (expected_y, expected_z, mc_call_estimates,
+                      mc_params_from_eta_nu, mc_vix_samples,
                       spectral_coefficient, variance_z, within)
 
 PATHS = 200_000
@@ -104,6 +105,58 @@ def test_split_invariance_within_tolerance(params, state_high_y):
     slack = 100.0 * params.epsilon
     se = math.hypot(a.standard_error, b.standard_error)
     assert abs(a.mean - b.mean) <= 3 * se + slack
+
+
+def _triples(estimates):
+    return [(e.mean, e.standard_error, e.paths_used) for e in estimates]
+
+
+def test_one_grid_pricers_price_their_own_simulation(params, state_high_y):
+    # bit for bit the payoffs of simulate_terminal's X_T and of
+    # simulate_variance_terminal's VIX_T, the index not simulated
+    mp, tau = _mp(params), 0.05
+    cfg = McConfig(paths=10_000, seed=31, steps_per_eps=2)
+    spx, vix = [1900.0, 2000.0, 2100.0], [15.0, 20.0]
+    xt, _, _ = simulate_terminal(mp, state_high_y, 2000.0, tau, cfg)
+    assert _triples(mc_price_spx_strikes(mp, state_high_y, 2000.0, spx, tau,
+                                         cfg)) == \
+        mc_call_estimates(xt, spx, tau, params.r)
+    yt, zt = simulate_variance_terminal(mp, state_high_y, tau, cfg)
+    assert _triples(mc_price_vix_strikes(mp, state_high_y, vix, tau,
+                                         cfg)) == \
+        mc_call_estimates(mc_vix_samples(mp, yt, zt), vix, tau, params.r)
+
+
+def test_both_grids_are_priced_off_one_simulation(monkeypatch, params,
+                                                  state_high_y):
+    mp, tau = _mp(params), 0.05
+    cfg = McConfig(paths=10_000, seed=32, steps_per_eps=2)
+    spx, vix = [1900.0, 2000.0], [15.0, 20.0, 25.0]
+    runs, real = [], mssv.mc._simulate
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs["with_x"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mssv.mc, "_simulate", counted)
+    spx_ests, vix_ests = mc_price_strikes(mp, state_high_y, tau, cfg, 2000.0,
+                                          spx, vix)
+    assert runs == [True]
+    assert spx_ests == mc_price_spx_strikes(mp, state_high_y, 2000.0, spx,
+                                            tau, cfg)
+    # the VIX rows read the same run's (Y_T, Z_T): the index's normals
+    # sit between their draws, so a VIX-only run gives other numbers
+    _, yt, zt = simulate_terminal(mp, state_high_y, 2000.0, tau, cfg)
+    assert _triples(vix_ests) == mc_call_estimates(
+        mc_vix_samples(mp, yt, zt), vix, tau, params.r)
+    runs.clear()
+    alone = mc_price_vix_strikes(mp, state_high_y, vix, tau, cfg)
+    assert vix_ests != alone
+    assert mc_price_strikes(mp, state_high_y, tau, cfg,
+                            vix_strikes=vix) == ([], alone)
+    assert runs == [False, False]
+    with pytest.raises(DomainError):
+        mc_price_strikes(mp, state_high_y, tau, cfg, 0.0, spx, vix)
 
 
 def test_mc_params_consistency():
