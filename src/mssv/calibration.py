@@ -93,8 +93,9 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name in ("max_iter", "restarts"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass

@@ -200,9 +200,9 @@ def _round_floats(obj, digits=10):
 def cmd_calibrate(args):
     if not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
         raise DataError(f"cannot write {args.out}: no writable directory")
-    slices = to_date_slices(_load_quotes(args))
     cfg = CalibrationConfig(args.max_iter, args.restarts, args.seed)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
+    slices = to_date_slices(_load_quotes(args))
     fit = calibrate_heston if args.model == "heston" else calibrate_msv
     result = fit(slices, cfg, quad, r=args.r)
     doc = _round_floats(result.as_dict())
@@ -214,6 +214,9 @@ def cmd_calibrate(args):
     obj1, obj2 = result.step_objectives
     print(f"objectives: step1 = {_g(obj1)}, "
           f"step2 = {'skipped' if obj2 is None else _g(obj2)}")
+    for run in result.restarts:
+        if run["step"] == "step1" and not run["success"]:
+            print(f"step1 restart {run['restart']} unconverged: {run['message']}")
     if result.n_skipped_dates:
         print(f"skipped dates: {result.n_skipped_dates}")
     for skip in result.skipped_dates:

@@ -2,14 +2,16 @@
 
 VIX implied vols follow the arithmetic-Brownian convention dVIX = sigma dW,
 quoted in VIX points per sqrt(year); SPX vols are standard Black-Scholes.
-Both inversions use safeguarded Newton with a bisection fallback inside a
-verified bracket.
+Both inversions find the root by Brent's method (Brent 1973) on a bracket
+[0, hi] found by doubling hi.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+
+from scipy.optimize import brentq
 
 from .exceptions import NoRootError
 
@@ -19,10 +21,6 @@ _MAX_ITER = 100
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def vix_normal_price(vix_level: float, strike: float, tau: float,
@@ -35,55 +33,33 @@ def vix_normal_price(vix_level: float, strike: float, tau: float,
     if sigma_n == 0.0:
         return max(vix_level - strike, 0.0)
     d = (vix_level - strike) / (sigma_n * math.sqrt(tau))
-    return (vix_level - strike) * _norm_cdf(d) + sigma_n * math.sqrt(tau) * _norm_pdf(d)
+    return ((vix_level - strike) * _norm_cdf(d)
+            + sigma_n * math.sqrt(tau) * (math.exp(-0.5 * d * d) / _SQRT_2PI))
 
 
-def _newton_bisect(price_fn, target, lo, hi, x0, scale):
-    """Monotone root find: Newton clipped to a shrinking [lo, hi] bracket.
-
-    price_fn returns (price, derivative).  Returns the root.
-    """
-    x = min(max(x0, lo), hi)
-    tol = 1e-10 * (1.0 + abs(target))
-    for _ in range(_MAX_ITER):
-        p, dp = price_fn(x)
-        resid = p - target
-        if abs(resid) < tol:
-            return x
-        lo, hi = (lo, x) if resid > 0 else (x, hi)
-        # a Newton step that leaves the bracket (or none) bisects it
-        x_new = x - resid / dp if dp > 0 and math.isfinite(dp) else math.nan
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-    raise NoRootError(
-        f"no convergence in {_MAX_ITER} iterations (residual {resid:.3e}, "
-        f"scale {scale})"
-    )
+def _invert(price_fn, target, hi_max):
+    """The vol at which price_fn, increasing from price_fn(0) < target,
+    meets target: Brent's method on [0, hi], hi = 1 doubled up to hi_max."""
+    hi = 1.0
+    while price_fn(hi) < target:
+        hi *= 2.0
+        if hi > hi_max:
+            raise NoRootError(f"price {target} beyond vol {hi_max}")
+    try:
+        return brentq(lambda s: price_fn(s) - target, 0.0, hi,
+                      maxiter=_MAX_ITER)
+    except (ValueError, RuntimeError) as exc:  # a nan, or no convergence
+        raise NoRootError(f"price {target}: {exc}") from None
 
 
 def vix_normal_implied_vol(price: float, vix_level: float, strike: float,
                            tau: float) -> float:
     """Invert the normal-model call price for sigma."""
-    if not math.isfinite(price):
-        raise NoRootError(f"price must be finite, got {price}")
     intrinsic = max(vix_level - strike, 0.0)
-    if price <= intrinsic:
-        raise NoRootError(
-            f"price {price} at or below intrinsic {intrinsic}: no root"
-        )
-    # bracket: price is strictly increasing and unbounded in sigma
-    hi = 1.0
-    while vix_normal_price(vix_level, strike, tau, hi) < price:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NoRootError(f"price {price} beyond any reachable vol")
-    guess = price * math.sqrt(2.0 * math.pi / tau)
-
-    def f(s):
-        d = (vix_level - strike) / (s * math.sqrt(tau))
-        return (vix_normal_price(vix_level, strike, tau, s),
-                math.sqrt(tau) * _norm_pdf(d))
-
-    return _newton_bisect(f, price, 0.0, hi, guess, "vix-normal")
+    if not intrinsic < price < math.inf:
+        raise NoRootError(f"price {price} outside ({intrinsic:.6g}, inf)")
+    return _invert(lambda s: vix_normal_price(vix_level, strike, tau, s),
+                   price, 1e6)
 
 
 def bs_call_price(x: float, strike: float, tau: float, r: float,
@@ -96,31 +72,15 @@ def bs_call_price(x: float, strike: float, tau: float, r: float,
     return x * _norm_cdf(d1) - strike * math.exp(-r * tau) * _norm_cdf(d1 - st)
 
 
-def bs_vega(x: float, strike: float, tau: float, r: float, sigma: float) -> float:
-    st = sigma * math.sqrt(tau)
-    d1 = (math.log(x / strike) + (r + 0.5 * sigma * sigma) * tau) / st
-    return x * math.sqrt(tau) * _norm_pdf(d1)
-
-
 def bs_implied_vol(price: float, x: float, strike: float, tau: float,
                    r: float) -> float:
     """Invert Black-Scholes for the call vol inside the no-arbitrage band."""
     lower = max(x - strike * math.exp(-r * tau), 0.0)
     if not lower < price < x:
         raise NoRootError(
-            f"price {price} outside the no-arbitrage band ({lower:.6g}, {x})"
-        )
-    hi = 1.0
-    while bs_call_price(x, strike, tau, r, hi) < price:
-        hi *= 2.0
-        if hi > 100.0:
-            raise NoRootError(f"price {price} beyond vol {hi}")
-    guess = math.sqrt(2.0 * math.pi / tau) * price / x
-
-    def f(s):
-        return (bs_call_price(x, strike, tau, r, s), bs_vega(x, strike, tau, r, s))
-
-    return _newton_bisect(f, price, 0.0, hi, guess, "black-scholes")
+            f"price {price} outside the no-arbitrage band ({lower:.6g}, {x})")
+    return _invert(lambda s: bs_call_price(x, strike, tau, r, s), price,
+                   100.0)
 
 
 def write_surface_csv(path, strikes, maturities, grid) -> None:

@@ -11,12 +11,19 @@ annualized variances; VIX levels are in index points (x100 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .exceptions import DomainError, InfeasibleStateError
 
 #: VIX horizon in years, fixed by the index definition.
 TAU0 = 30.0 / 365.0
+
+
+def _check_finite(obj):
+    """ValueError naming the first nan or infinite field of dataclass obj."""
+    for f in fields(obj):
+        if not math.isfinite(value := getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,7 @@ class ModelParams:
     r: float = 0.02
 
     def __post_init__(self):
+        _check_finite(self)
         if self.kappa <= 0 or self.theta <= 0 or self.sigma <= 0:
             raise ValueError(
                 f"kappa, theta, sigma must be positive, got "
@@ -66,6 +74,7 @@ class HiddenState:
     z: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.y < 0 or self.z < 0:
             raise ValueError(f"state must be non-negative, got ({self.y}, {self.z})")
 
@@ -98,10 +107,10 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        tols = (self.abs_tol, self.rel_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tols):
-            raise ValueError(f"tolerances must be finite and positive, "
-                             f"got {tols}")
+        _check_finite(self)
+        if min(self.abs_tol, self.rel_tol) <= 0:
+            raise ValueError(f"tolerances must be positive, got "
+                             f"{(self.abs_tol, self.rel_tol)}")
 
 
 @dataclass(frozen=True)

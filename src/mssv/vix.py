@@ -71,23 +71,6 @@ class Ncx2Params:
                    lam=z * decay / delta, delta=delta)
 
 
-def _log_sum_exp(a):
-    """scipy 1.17's logsumexp(a, axis=0) step for step, so bit for bit;
-    overwrites a.  The sum runs down axis 0 of the C-ordered array: a
-    last-axis sum would be pairwise and round differently."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=0, keepdims=True)
-        top = a == a_max
-        m = top.sum(axis=0, keepdims=True, dtype=float)
-        a[top] = -np.inf
-        s = np.exp(a - a_max).sum(axis=0, keepdims=True)
-        out = (np.log1p(s / m) + np.log(m) + a_max)[0]
-        bad = ~np.isfinite(out)  # scipy's fallback: the direct formula
-        if bad.any():
-            out[bad] = np.log(np.exp(np.where(top, a_max, a)).sum(axis=0))[bad]
-    return out
-
-
 def _poisson_log_weights(lam: float):
     """Log Poisson(lam/2) weights of the ncx2 terms, to ~12 sd past lam/2."""
     half = lam / 2.0
@@ -107,19 +90,21 @@ def ncx2_pdf(zeta, params: Ncx2Params):
     """Non-central chi-square density via its Poisson mixture of central
     chi-square densities, each term evaluated in log space.
 
-    Accepts scalar or array zeta; negative arguments give zero density.
+    Accepts scalar or array zeta; zeta < 0 or zeta = inf has zero density.
     """
     zeta = np.asarray(zeta, dtype=float)
     scalar = zeta.ndim == 0
     zeta = np.atleast_1d(zeta)
     out = np.zeros_like(zeta)
-    pos = zeta > 0
+    pos = (zeta > 0) & (zeta < math.inf)
     log_pois = _poisson_log_weights(params.lam)
     # (terms, points) log densities of chi-square(dof + 2j) at zeta > 0
     m_half, z = params.dof / 2.0 + np.arange(len(log_pois)), zeta[pos]
     log_chi2 = ((m_half[:, None] - 1.0) * np.log(z)[None, :] - z[None, :] / 2.0
                 - m_half[:, None] * math.log(2.0) - gammaln(m_half)[:, None])
-    out[pos] = np.exp(_log_sum_exp(log_chi2 + log_pois[:, None]))
+    log_terms = log_chi2 + log_pois[:, None]
+    top = log_terms.max(axis=0)  # the log-sum-exp's shift, point by point
+    out[pos] = np.exp(top + np.log(np.exp(log_terms - top).sum(axis=0)))
     if np.any(zeta == 0.0):
         at0 = math.inf if params.dof < 2.0 else 0.0
         if params.dof == 2.0:

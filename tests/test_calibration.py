@@ -341,6 +341,12 @@ def test_a_solve_needs_an_evaluation():
         CalibrationConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_a_fit_needs_a_start(restarts):
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        CalibrationConfig(restarts=restarts)
+
+
 def test_jac_sparsity_matches_the_residual_rows(monkeypatch, params):
     monkeypatch.setattr(calibration, "usable_cores", lambda: 1)
     slices = _state_panel(params, [HiddenState(0.0234, 0.0194),

@@ -156,6 +156,52 @@ def test_numerical_error_exit_code(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("price-spx", "--theta"), ("price-spx", "--w3-eps"), ("price-spx", "--y"),
+    ("price-vix", "--kappa")])
+def test_non_finite_model_input_fails_before_pricing(monkeypatch, capsys,
+                                                     command, flag):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a nan input")
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    name = flag[2:].replace("-", "_")
+    argv = [command, *PARAM_FLAGS, *STATE_FLAGS, "--strikes", "20",
+            "--tau", "0.1", flag, "nan"]
+    rc = main(argv + (["--x", "2000"] if command == "price-spx" else []))
+    assert rc == 3
+    assert (f"numerical failure: {name} must be finite, got nan"
+            in capsys.readouterr().err)
+
+
+def test_calibrate_prints_each_unconverged_step1_solve(tmp_path, capsys):
+    quotes = tmp_path / "quotes.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "1"]) == 0
+    out = tmp_path / "heston.json"
+    capsys.readouterr()
+    assert main(["calibrate", "--model", "heston", "--quotes", str(quotes),
+                 "--out", str(out), "--max-iter", "2",
+                 "--restarts", "2"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    runs = json.loads(out.read_text())["restarts"]
+    assert [r["success"] for r in runs if r["step"] == "step1"] == [False] * 2
+    assert [line for line in printed if "unconverged" in line] == [
+        f"step1 restart {k} unconverged: {runs[k]['message']}" for k in (0, 1)]
+
+
+def test_calibrate_rejects_restarts_below_one(tmp_path, capsys):
+    quotes = tmp_path / "quotes.csv"
+    assert main(["make-synthetic", *PARAM_FLAGS, "--out", str(quotes),
+                 "--n-dates", "1"]) == 0
+    out = tmp_path / "fit.json"
+    rc = main(["calibrate", "--model", "heston", "--quotes", str(quotes),
+               "--out", str(out), "--restarts", "0"])
+    assert rc == 3
+    assert "restarts must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--abs-tol", "nan"), ("--rel-tol", "inf"), ("--abs-tol", "0")])
 def test_bad_quadrature_setting_fails_before_quadrature(monkeypatch, capsys,

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.stats import norm
 
+import mssv.impvol
 from mssv import (NoRootError, PriceDecomposition, Quote, bs_call_price,
                   bs_implied_vol, vix_normal_implied_vol, vix_normal_price)
 from mssv.cli import _vols
@@ -90,3 +91,17 @@ def test_residual_tolerance():
         vol = vix_normal_implied_vol(price, 20.0, 21.0, tau)
         resid = vix_normal_price(20.0, 21.0, tau, vol) - price
         assert abs(resid) < 1e-10 * (1 + price)
+
+
+def test_inversion_failures_are_no_root_errors(monkeypatch):
+    # a nan price inside the bracket (here from a nan maturity), and a
+    # root not reached within the iteration cap, raise NoRootError, never
+    # the root finder's own ValueError or RuntimeError
+    with pytest.raises(NoRootError, match="NaN"):
+        vix_normal_implied_vol(1.0, 20.0, 20.0, math.nan)
+    monkeypatch.setattr(mssv.impvol, "_MAX_ITER", 2)
+    price = bs_call_price(2000.0, 2100.0, 0.5, 0.02, 0.2)
+    with pytest.raises(NoRootError, match="converge"):
+        bs_implied_vol(price, 2000.0, 2100.0, 0.5, 0.02)
+    with pytest.raises(NoRootError, match="converge"):
+        vix_normal_implied_vol(1.0, 20.0, 20.5, 0.1)

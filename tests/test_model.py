@@ -194,6 +194,18 @@ def test_param_validation():
             QuadratureConfig(**bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_and_states_name_the_field(value):
+    base = dict(kappa=3.58, theta=0.021, sigma=0.347, rho=-1.0,
+                epsilon=0.0096, w3_eps=0.015, r=0.02)
+    for name in base:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ModelParams(**dict(base, **{name: value}))
+    for name in ("y", "z"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            HiddenState(**dict(dict(y=0.02, z=0.02), **{name: value}))
+
+
 def test_feller_recorded_not_enforced():
     p = ModelParams(kappa=0.5, theta=0.01, sigma=1.0, rho=-0.5,
                     epsilon=0.01, w3_eps=0.0)
