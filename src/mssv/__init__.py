@@ -6,17 +6,15 @@ from .exceptions import (CharFnOverflowError, DataError, DomainError,
                          QuadratureError)
 from .model import (TAU0, HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, VixWeights, heston_star_weights,
-                    vix_from_state, vix_limit_from_z, vix_weights,
-                    y_max_for_vix, z_from_vix_given_y, z_from_vix_heston)
+                    vix_from_state, vix_limit_from_z, vix_weights)
 from .spx import (SpxOptionSpec, price_heston_call_batch, price_spx,
                   price_spx_strike_batch)
-from .vix import (Ncx2Params, VixOptionSpec, ncx2_pdf, price_vix,
-                  price_vix_heston_strike_batch, price_vix_strike_batch)
+from .vix import (Ncx2Params, ncx2_pdf, price_vix_heston_strike_batch,
+                  price_vix_strike_batch)
 from .impvol import (bs_call_price, bs_implied_vol, vix_normal_implied_vol,
                      vix_normal_price)
 from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx_strikes,
-                 mc_price_strikes, mc_price_vix_strikes, simulate_terminal,
-                 simulate_variance_terminal)
+                 mc_price_strikes, mc_price_vix_strikes)
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
                           Quote, calibrate_heston, calibrate_msv,
                           inner_state_fit, price_quotes)

@@ -35,10 +35,9 @@ from scipy.optimize import least_squares, minimize_scalar
 from scipy.optimize import minimize  # noqa: F401  perfbench's tracer patches it
 
 from .cores import usable_cores
-from .exceptions import MssvError
+from .exceptions import DomainError, InfeasibleStateError, MssvError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
-                    QuadratureConfig, vix_weights, y_max_for_vix,
-                    z_from_vix_given_y, z_from_vix_heston)
+                    QuadratureConfig, heston_star_weights, vix_weights)
 from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
@@ -186,6 +185,19 @@ def _rho_search(fun, cfg: CalibrationConfig, trace, step):
         step, 0, res.success, res.nit, traced.count, res.message)]
 
 
+def _pinned(vix, weight, floor_weight, theta):
+    """The coordinate v >= 0 a VIX close pins in (vix/100)^2 = weight v +
+    floor_weight theta: the two-factor line's ymax (a1) and z at y = 0
+    (a2) over floor weight a3 + a4, and the one-factor z (b2*, b4*)."""
+    if vix <= 0:
+        raise DomainError(f"vix must be positive, got {vix}")
+    v = ((vix / 100.0) ** 2 - floor_weight * theta) / weight
+    if v < 0:
+        raise InfeasibleStateError(
+            f"VIX = {vix} below the state-free floor: implied {v:.6g} < 0")
+    return v
+
+
 def price_quotes(quotes, calls, r: float, spot: float | None = None
                  ) -> list[PriceDecomposition]:
     """Model prices of quotes, in their order, one pricing pass per maturity.
@@ -240,6 +252,12 @@ class _DateMap:
     are the BLAS pools, which OpenBLAS stops and restarts around a fork.
     With n = 1 nothing is forked.  close() stops the workers; those of a
     map dropped unclosed exit when its pipe ends are collected.
+
+    It is not a stdlib pool: a fork-context ProcessPoolExecutor sharing
+    the dates through its initializer gave the same fits, but its study
+    rounds were slower in 5 of 5 alternating runs (medians 0.91-1.01 s
+    against 0.71-0.81 s; seed 1, 5-6 rounds a run, shared 2-core VM),
+    perhaps as its result thread waits for the GIL while the caller works.
     """
 
     def __init__(self, dates, fn):
@@ -449,7 +467,7 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
 
 def _heston_step1_objective(slices, r, quad, date_map=_DateMap):
     def date_rows(sl, kappa, theta, sigma):
-        z = z_from_vix_heston(sl.vix_level, kappa, theta)
+        z = _pinned(sl.vix_level, *heston_star_weights(kappa), theta)
         return _residuals(sl.vix_quotes,
                           lambda ks, tau: price_vix_heston_strike_batch(
                               ks, tau, z, kappa, theta, sigma, r, quad), r)
@@ -507,8 +525,9 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
     return _two_step(
         "heston", slices, cfg, quad, r, x0,
         {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}, _heston_step1_objective,
-        lambda sl, p, s: {"z": z_from_vix_heston(sl.vix_level, p["kappa"],
-                                                 p["theta"])},
+        lambda sl, p, s: {"z": _pinned(sl.vix_level,
+                                       *heston_star_weights(p["kappa"]),
+                                       p["theta"])},
         _heston_step2_objective)
 
 
@@ -526,8 +545,8 @@ def _vix_state(sl, params, s):
     VIX close's line, from z(0) at y = 0 to exactly 0 at ymax."""
     w = vix_weights(params.kappa, params.epsilon)
     return HiddenState(
-        y=s * y_max_for_vix(sl.vix_level, params, w),
-        z=(1.0 - s) * z_from_vix_given_y(sl.vix_level, 0.0, params, w))
+        y=s * _pinned(sl.vix_level, w.a1, w.a3 + w.a4, params.theta),
+        z=(1.0 - s) * _pinned(sl.vix_level, w.a2, w.a3 + w.a4, params.theta))
 
 
 def _vix_residuals(sl, params, quad, s):
@@ -596,9 +615,10 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
         st = _vix_state(sl, _vix_params(**p, r=r), float(s))
         return {"y": st.y, "z": st.z}
 
-    def state_start(sl, *p):
-        st, _ = inner_state_fit(sl, *p, r, quad)
-        ymax = y_max_for_vix(sl.vix_level, _vix_params(*p, r))
+    def state_start(sl, kappa, theta, sigma, epsilon):
+        st, _ = inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad)
+        w = vix_weights(kappa, epsilon)
+        ymax = _pinned(sl.vix_level, w.a1, w.a3 + w.a4, theta)
         return min(st.y / ymax, 1.0) if ymax > 0 else 0.0
 
     return _two_step(

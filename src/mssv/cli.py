@@ -341,8 +341,8 @@ def cmd_validate(args):
 def _read_result(path, model, params_of, state_of):
     """(params, {date: state}) of a calibration result file of model,
     through params_of(its params) and state_of(each state); DataError
-    naming the file if it is not JSON, is another model's result or lacks
-    a key or value they need."""
+    naming the file if it is not JSON, is another model's result, lacks a
+    key or value they need or has a value they reject."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -356,15 +356,31 @@ def _read_result(path, model, params_of, state_of):
                             f"{type(exc).__name__}: {exc}") from exc
 
 
+def _heston_params(p):
+    """A benchmark result's parameters, checked as ModelParams checks ours."""
+    h = {k: p[k] for k in ("kappa", "theta", "sigma", "r")}
+    rho = p.get("rho")
+    if not all(map(math.isfinite, h.values())) \
+            or min(h["kappa"], h["theta"], h["sigma"]) <= 0 \
+            or not (rho is None or -1.0 <= rho <= 0.0):
+        raise ValueError(f"need finite r, kappa, theta, sigma > 0 and rho "
+                         f"absent or in [-1, 0], got {p}")
+    return h | {"rho": rho}
+
+
+def _heston_z(s):
+    if not (math.isfinite(s["z"]) and s["z"] >= 0):
+        raise ValueError(f"z must be finite and >= 0, got {s['z']}")
+    return s["z"]
+
+
 def cmd_error_report(args):
     quotes = _load_quotes(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     # a fit to quotes with no SPX quote skipped step 2 and has no rho or
     # w3_eps: it prices VIX quotes, which read neither, and no SPX quote
-    h, h_z = _read_result(
-        args.heston_result, "heston",
-        lambda p: {k: p[k] for k in ("kappa", "theta", "sigma", "r")}
-        | {"rho": p.get("rho")}, lambda s: s["z"])
+    h, h_z = _read_result(args.heston_result, "heston", _heston_params,
+                          _heston_z)
     (params, m_spx), m_state = _read_result(
         args.msv_result, "msv",
         lambda p: (ModelParams(**{"rho": -0.5, "w3_eps": 0.0, **p}),

@@ -7,12 +7,6 @@ The canonical CSV schema is one row per option observation:
 with ISO dates, underlying in {SPX, VIX} and type in {call, put}.
 Malformed rows are collected into a rejects report with reason codes,
 never silently dropped.
-
-Production-scale exchange datasets run to a few hundred thousand SPX
-quotes and tens of thousands of VIX quotes per multi-year sample; the
-row-wise parsing and filter passes here are linear and handle that scale
-comfortably, while the bundled synthetic generator keeps the test suite
-independent of any proprietary feed.
 """
 
 from __future__ import annotations

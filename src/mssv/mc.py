@@ -54,7 +54,9 @@ class McModelParams:
         if not -1.0 <= self.eta <= 1.0:
             raise ValueError(f"|eta| must be <= 1, got {self.eta}")
         if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+            raise ValueError(
+                f"nu must be positive, got {self.nu}: eta needs the opposite "
+                "sign to w3_eps, and w3_eps = 0 leaves no nu > 0 to simulate")
         implied = -self.eta * self.nu * math.sqrt(self.params.epsilon / 2.0)
         if abs(implied - self.params.w3_eps) > 1e-10 * (1 + abs(implied)):
             raise ValueError(
@@ -74,7 +76,7 @@ class McModelParams:
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings: the path count, the seed of the chunk streams,
-    and steps_per_eps, which fixes dt = epsilon / steps_per_eps.
+    and steps_per_eps, which caps the step at epsilon / steps_per_eps.
 
     The chunks run on one thread per usable core, counted at each run;
     the estimates do not depend on the thread count.
@@ -89,11 +91,6 @@ class McConfig:
             raise ValueError(f"oracle runs need >= 10^4 paths, got {self.paths}")
         if self.steps_per_eps < 1:
             raise ValueError("steps_per_eps must be >= 1")
-
-    def dt(self, epsilon: float, horizon: float) -> float:
-        dt = epsilon / self.steps_per_eps
-        n = max(int(math.ceil(horizon / dt)), 1)
-        return horizon / n
 
 
 @dataclass(frozen=True)
@@ -147,8 +144,8 @@ def _simulate(mp: McModelParams, state0: HiddenState, x0, horizon: float,
               cfg: McConfig, with_x: bool):
     if horizon <= 0:
         raise DomainError(f"horizon must be positive, got {horizon}")
-    dt = cfg.dt(mp.params.epsilon, horizon)
-    n_steps = int(round(horizon / dt))
+    n_steps = max(math.ceil(horizon / (mp.params.epsilon / cfg.steps_per_eps)),
+                  1)
     sizes = [min(_CHUNK, cfg.paths - start)
              for start in range(0, cfg.paths, _CHUNK)]
     rngs = _chunk_rngs(cfg.seed, len(sizes))
@@ -169,21 +166,6 @@ def _simulate(mp: McModelParams, state0: HiddenState, x0, horizon: float,
     return xt, yt, zt
 
 
-def simulate_terminal(mp: McModelParams, state0: HiddenState, x0: float,
-                      horizon: float, cfg: McConfig):
-    """Terminal samples (X_T, Y_T, Z_T)."""
-    if x0 <= 0:
-        raise DomainError(f"x0 must be positive, got {x0}")
-    return _simulate(mp, state0, x0, horizon, cfg, with_x=True)
-
-
-def simulate_variance_terminal(mp: McModelParams, state0: HiddenState,
-                               horizon: float, cfg: McConfig):
-    """Terminal variance-factor samples (Y_T, Z_T); skips the index."""
-    _, yt, zt = _simulate(mp, state0, None, horizon, cfg, with_x=False)
-    return yt, zt
-
-
 def _estimate(payoff: np.ndarray) -> McEstimate:
     n = payoff.shape[0]
     return McEstimate(mean=float(payoff.mean()),
@@ -200,10 +182,10 @@ def mc_price_strikes(mp: McModelParams, state0: HiddenState, tau: float,
     maps (Y_T, Z_T) through the exact VIX relation (full epsilon weights,
     no expansion).  Grids priced together share their paths, so their
     errors are correlated."""
-    if len(spx_strikes):
-        xt, yt, zt = simulate_terminal(mp, state0, x0, tau, cfg)
-    else:
-        xt, (yt, zt) = None, simulate_variance_terminal(mp, state0, tau, cfg)
+    with_x = bool(len(spx_strikes))
+    if with_x and x0 <= 0:
+        raise DomainError(f"x0 must be positive, got {x0}")
+    xt, yt, zt = _simulate(mp, state0, x0, tau, cfg, with_x=with_x)
     disc = math.exp(-mp.params.r * tau)
 
     def calls(samples, strikes):

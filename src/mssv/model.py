@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .exceptions import DomainError, InfeasibleStateError
+from .exceptions import DomainError
 
 #: VIX horizon in years, fixed by the index definition.
 TAU0 = 30.0 / 365.0
@@ -175,46 +175,3 @@ def vix_limit_from_z(z: float, params: ModelParams,
     if radicand < 0:
         raise DomainError(f"negative limit-VIX^2 radicand {radicand}")
     return 100.0 * math.sqrt(radicand)
-
-
-def z_from_vix_given_y(vix: float, y: float, params: ModelParams,
-                       weights: VixWeights | None = None) -> float:
-    """Invert the VIX relation for z at a given fast-factor level y."""
-    if vix <= 0:
-        raise DomainError(f"vix must be positive, got {vix}")
-    if y < 0:
-        raise DomainError(f"y must be non-negative, got {y}")
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    z = ((vix / 100.0) ** 2 - w.a1 * y - (w.a3 + w.a4) * params.theta) / w.a2
-    if z < 0:
-        raise InfeasibleStateError(
-            f"implied z = {z:.6g} < 0: y = {y} is too large for VIX = {vix}"
-        )
-    return z
-
-
-def y_max_for_vix(vix: float, params: ModelParams,
-                  weights: VixWeights | None = None) -> float:
-    """Largest y compatible with the VIX level (z >= 0 feasibility bound)."""
-    if vix <= 0:
-        raise DomainError(f"vix must be positive, got {vix}")
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
-    ymax = ((vix / 100.0) ** 2 - (w.a3 + w.a4) * params.theta) / w.a1
-    if ymax < 0:
-        raise InfeasibleStateError(
-            f"VIX = {vix} below the state-free floor: no feasible (y, z)"
-        )
-    return ymax
-
-
-def z_from_vix_heston(vix: float, kappa: float, theta: float) -> float:
-    """Invert the one-factor benchmark VIX relation for its variance state."""
-    if vix <= 0:
-        raise DomainError(f"vix must be positive, got {vix}")
-    b2, b4 = heston_star_weights(kappa)
-    z = ((vix / 100.0) ** 2 - b4 * theta) / b2
-    if z < 0:
-        raise InfeasibleStateError(
-            f"implied Heston z = {z:.6g} < 0 for VIX = {vix}"
-        )
-    return z

@@ -26,21 +26,6 @@ _MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
-class VixOptionSpec:
-    """One VIX option: strike in VIX points, maturity in years."""
-
-    strike: float
-    tau: float
-    is_call: bool = True
-
-    def __post_init__(self):
-        if self.strike < 0:
-            raise ValueError(f"strike must be non-negative, got {self.strike}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class Ncx2Params:
     """Scaled non-central chi-square law of a CIR factor at horizon tau.
 
@@ -188,8 +173,11 @@ def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
     strikes = [float(k) for k in strikes]
     if not strikes:
         return []
-    if not all(map(math.isfinite, [z, tau, *strikes])) or min(strikes) < 0:
-        raise DomainError(f"need finite z, tau and strikes >= 0 (z {z}, tau {tau})")
+    if not all(map(math.isfinite, [z, tau, r, kappa, theta, sigma, *strikes])) \
+            or min(z, *strikes) < 0 or min(kappa, theta, sigma) <= 0:
+        raise DomainError(f"need finite r, tau, z, strikes >= 0, kappa, theta, "
+                          f"sigma > 0; got (r, tau, z, kappa, theta, sigma) "
+                          f"{[r, tau, z, kappa, theta, sigma]}")
     ncx2 = Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
     kinks, rows = _payoff_block(strikes, slope, intercept, numer)
     vals, _ = _integrate_payoff(rows, ncx2, min(kinks), quad, kinks=kinks)
@@ -228,14 +216,3 @@ def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,
     b2, b4 = heston_star_weights(kappa)
     return [d.leading for d in _density_pass(strikes, tau, z, kappa, theta,
                                              sigma, r, b2, b4 * theta, quad)]
-
-
-def price_vix(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
-              quad: QuadratureConfig = QuadratureConfig(),
-              include_correction: bool = True) -> PriceDecomposition:
-    """One VIX option; a put is priced by parity in `price_quotes`."""
-    from .calibration import Quote, price_quotes  # calibration imports us
-
-    quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
-    return price_quotes([quote], lambda ks, tau: price_vix_strike_batch(
-        ks, tau, state, params, quad, include_correction), params.r)[0]

@@ -9,8 +9,9 @@ moments, the spectral projection and the benchmark's forward VIX map are
 reference closed forms that the package itself never evaluates.  The
 black-box minimiser is scipy's Nelder-Mead, which the package no longer
 calls.  The small definitions at the end (the weighted SSE, the Feller
-condition, parameters from an (eta, nu) pair and the standard-error test
-of an estimate) are ones only the tests use.
+condition, parameters from an (eta, nu) pair, the standard-error test of
+an estimate, the terminal samples of the package's simulation and the
+one-option VIX pricer) are ones only the tests use.
 """
 
 import dataclasses
@@ -22,7 +23,10 @@ from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from scipy.stats import ncx2
 
-from mssv import DomainError, HiddenState, McModelParams, ModelParams
+import mssv.mc
+from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
+                  QuadratureConfig, Quote, price_quotes,
+                  price_vix_strike_batch)
 from mssv.calibration import WEIGHT_FLOOR
 from mssv.model import heston_star_weights, vix_weights
 
@@ -308,3 +312,41 @@ def mc_vix_samples(mp: McModelParams, yt, zt):
     p = mp.params
     w = vix_weights(p.kappa, p.epsilon)
     return 100.0 * np.sqrt(w.a1 * yt + w.a2 * zt + (w.a3 + w.a4) * p.theta)
+
+
+def simulate_terminal(mp: McModelParams, state0: HiddenState, x0: float,
+                      horizon: float, cfg):
+    """Terminal samples (X_T, Y_T, Z_T) of the package's simulation."""
+    return mssv.mc._simulate(mp, state0, x0, horizon, cfg, with_x=True)
+
+
+def simulate_variance_terminal(mp: McModelParams, state0: HiddenState,
+                               horizon: float, cfg):
+    """Terminal (Y_T, Z_T) of the package's simulation without the index."""
+    return mssv.mc._simulate(mp, state0, None, horizon, cfg,
+                             with_x=False)[1:]
+
+
+@dataclasses.dataclass(frozen=True)
+class VixOptionSpec:
+    """One VIX option: strike in VIX points, maturity in years."""
+
+    strike: float
+    tau: float
+    is_call: bool = True
+
+    def __post_init__(self):
+        if self.strike < 0:
+            raise ValueError(f"strike must be non-negative, got {self.strike}")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+
+
+def price_vix(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
+              quad: QuadratureConfig = QuadratureConfig(),
+              include_correction: bool = True):
+    """One VIX option's PriceDecomposition from the package's strike-batch
+    pricer; a put is priced by parity in `price_quotes`."""
+    quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
+    return price_quotes([quote], lambda ks, tau: price_vix_strike_batch(
+        ks, tau, state, params, quad, include_correction), params.r)[0]

@@ -21,11 +21,11 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from mssv import (CalibrationConfig, HiddenState, McConfig, McModelParams,
-                  ModelParams, Ncx2Params, QuadratureConfig, VixOptionSpec, bs_call_price, bs_implied_vol,
+                  ModelParams, Ncx2Params, QuadratureConfig, bs_call_price, bs_implied_vol,
                   calibrate_heston, calibrate_msv, error_report,
                   make_synthetic_quotes, mc_price_spx_strikes,
                   mc_price_vix_strikes, ncx2_pdf, price_heston_call_batch,
-                  price_spx_strike_batch, price_vix,
+                  price_spx_strike_batch,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   to_date_slices, vix_from_state, vix_limit_from_z,
                   vix_normal_implied_vol, vix_normal_price)
@@ -34,8 +34,9 @@ from mssv.model import TAU0
 from mssv.spx import effective_heston
 
 from .conftest import FITTED, FITTED_HESTON
-from .oracles import (heston_call_gil_pelaez_ode, mc_params_from_eta_nu,
-                      spectral_coefficient, vix_from_z_heston)
+from .oracles import (VixOptionSpec, heston_call_gil_pelaez_ode,
+                      mc_params_from_eta_nu, price_vix, spectral_coefficient,
+                      vix_from_z_heston)
 
 PARAMS = ModelParams(**FITTED)
 STATE_1 = HiddenState(y=0.0234, z=0.0194)   # y > z

@@ -1,8 +1,10 @@
 """The package's public surface: every re-exported name, every settings
 field and the parameters of the functions the benchmark tracer wraps are
 listed here, so adding one is a deliberate change; the module-level
-names the tracer wraps must stay bound."""
+names the tracer wraps and the names the benchmark's workloads use must
+stay bound."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -14,31 +16,31 @@ import mssv.vix
 from mssv import (CalibrationConfig, HiddenState, McConfig, QuadratureConfig,
                   apply_filters, error_report, ncx2_pdf)
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 EXPORTS = [
     "CalibrationConfig", "CalibrationResult", "CharFnOverflowError",
     "DataError", "DateSlice", "DomainError", "HiddenState",
     "InfeasibleStateError", "McConfig", "McEstimate", "McModelParams",
     "ModelParams", "MssvError", "Ncx2Params", "NoRootError", "OptionQuote",
     "PriceDecomposition", "QuadratureConfig", "QuadratureError", "Quote",
-    "SpxOptionSpec", "TAU0", "VixOptionSpec", "VixWeights", "apply_filters",
-    "bs_call_price", "bs_implied_vol", "calibrate_heston", "calibrate_msv",
-    "error_report", "heston_star_weights", "inner_state_fit", "load_quotes",
+    "SpxOptionSpec", "TAU0", "VixWeights", "apply_filters", "bs_call_price",
+    "bs_implied_vol", "calibrate_heston", "calibrate_msv", "error_report",
+    "heston_star_weights", "inner_state_fit", "load_quotes",
     "make_synthetic_quotes", "mc_price_spx_strikes", "mc_price_strikes",
     "mc_price_vix_strikes", "ncx2_pdf", "price_heston_call_batch",
-    "price_quotes", "price_spx", "price_spx_strike_batch", "price_vix",
+    "price_quotes", "price_spx", "price_spx_strike_batch",
     "price_vix_heston_strike_batch", "price_vix_strike_batch",
-    "simulate_terminal",
-    "simulate_variance_terminal", "split_train_test", "to_date_slices",
-    "vix_from_state", "vix_limit_from_z", "vix_normal_implied_vol",
-    "vix_normal_price", "vix_weights", "write_quotes_csv",
-    "y_max_for_vix", "z_from_vix_given_y", "z_from_vix_heston",
+    "split_train_test", "to_date_slices", "vix_from_state", "vix_limit_from_z",
+    "vix_normal_implied_vol", "vix_normal_price", "vix_weights",
+    "write_quotes_csv",
 ]
 
 
 def test_reexported_names():
     names = sorted(n for n, v in vars(mssv).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 51
     assert names == EXPORTS
 
 
@@ -60,10 +62,33 @@ def test_parameters_of_the_traced_functions():
                       "error_report": ["model_prices", "quotes"]}
 
 
+def test_every_name_the_benchmark_workloads_use_resolves():
+    # a deleted name that the workloads reach as mssv.<module>.<name> or
+    # import from mssv fails here, not in every benchmark run's checks
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used |= {(a.name, None) for a in node.names
+                     if a.name.split(".")[0] == "mssv"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "mssv":
+            used |= {(node.module, a.name) for a in node.names}
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Attribute) \
+                and isinstance(node.value.value, ast.Name) \
+                and node.value.value.id == "mssv":
+            used.add((f"mssv.{node.value.attr}", node.attr))
+    assert ("mssv.spx", "price_spx") in used
+    assert ("mssv.model", "ModelParams") in used
+    for module, name in used:
+        owner = importlib.import_module(module)
+        assert name is None or hasattr(owner, name), (module, name)
+
+
 def _load_tracer():
     """perfbench/tracing.py, which wraps module-level names of `mssv`."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    path = root / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

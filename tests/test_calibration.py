@@ -20,10 +20,10 @@ from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   calibrate_msv, inner_state_fit, make_synthetic_quotes,
                   price_quotes, price_spx_strike_batch,
                   price_vix_strike_batch, to_date_slices, vix_from_state,
-                  y_max_for_vix)
+                  vix_weights)
 from mssv.calibration import (_BOUNDS, _DateMap, _jac_sparsity,
                               _least_squares, _msv_step1_objective,
-                              _msv_step2_objective, _rho_search,
+                              _msv_step2_objective, _pinned, _rho_search,
                               _sum_over_dates)
 from mssv.exceptions import DomainError, MssvError
 
@@ -42,6 +42,12 @@ def test_weighted_sse_examples():
         pytest.approx(weighted_sse(m, p), rel=1e-6)
     with pytest.raises(ValueError):
         weighted_sse([1.0], [1.0, 2.0])
+
+
+def y_max_for_vix(vix, params):
+    """The largest fast factor the VIX close admits (its z is then 0)."""
+    w = vix_weights(params.kappa, params.epsilon)
+    return _pinned(vix, w.a1, w.a3 + w.a4, params.theta)
 
 
 def _vix_slice(params, state, date="2016-01-05", taus=(30 / 365, 60 / 365)):
@@ -500,14 +506,14 @@ def test_worker_error_is_raised_in_the_caller(monkeypatch, params):
     monkeypatch.setattr(calibration, "usable_cores", lambda: 2)
     slices = _tiny_dataset(params)
     # with two processes the date at index 1 is the worker's
-    bad_level, real = slices[1].vix_level, calibration.z_from_vix_heston
+    bad_level, real = slices[1].vix_level, calibration._pinned
 
-    def broken(vix, kappa, theta):
+    def broken(vix, *weights_and_theta):
         if vix == bad_level:
             raise ZeroDivisionError(f"injected in {os.getpid()}")
-        return real(vix, kappa, theta)
+        return real(vix, *weights_and_theta)
 
-    monkeypatch.setattr(calibration, "z_from_vix_heston", broken)
+    monkeypatch.setattr(calibration, "_pinned", broken)
     with _deadline(60), pytest.raises(ZeroDivisionError) as err:
         calibrate_heston(slices, FAST, QUAD, r=params.r)
     assert str(err.value) != f"injected in {os.getpid()}"

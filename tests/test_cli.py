@@ -13,14 +13,15 @@ import mssv.cli
 import mssv.mc
 import mssv.quadrature
 from mssv import (CharFnOverflowError, HiddenState, McConfig, McModelParams,
-                  ModelParams, QuadratureConfig, SpxOptionSpec, VixOptionSpec,
+                  ModelParams, QuadratureConfig, SpxOptionSpec,
                   mc_price_spx_strikes, mc_price_vix_strikes,
-                  price_heston_call_batch, price_spx, price_vix,
-                  price_vix_heston_strike_batch, simulate_terminal)
+                  price_heston_call_batch, price_spx,
+                  price_vix_heston_strike_batch)
 from mssv.cli import main
 
 from .conftest import FITTED, FITTED_HESTON
-from .oracles import mc_call_estimates, mc_vix_samples
+from .oracles import (VixOptionSpec, mc_call_estimates, mc_vix_samples,
+                      price_vix, simulate_terminal)
 
 PARAM_FLAGS = ["--kappa", "3.58", "--theta", "0.021", "--sigma", "0.347",
                "--rho", "-1", "--epsilon", "0.0096", "--w3-eps", "0.015",
@@ -431,6 +432,17 @@ def test_validate_needs_a_valid_x_for_an_spx_grid_only(capsys):
         assert "x0 must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w3_eps", ["-0.015", "0"])
+def test_validate_names_the_eta_that_splits_w3_eps(capsys, w3_eps):
+    # at the default eta of -1, nu > 0 needs w3_eps > 0
+    flags = [*VALIDATE]
+    flags[flags.index("--w3-eps") + 1] = w3_eps
+    assert main(flags) == 3
+    err = capsys.readouterr().err
+    assert "opposite sign to w3_eps" in err
+    assert "w3_eps = 0 leaves no nu > 0" in err
+
+
 def test_validate_with_no_strike_grid_is_a_data_error(capsys):
     assert main(["validate", *PARAM_FLAGS, *STATE_FLAGS]) == 2
     err = capsys.readouterr().err
@@ -566,6 +578,22 @@ def test_error_report_result_of_the_other_model_is_a_data_error(tmp_path,
     assert rc == 2
     err = capsys.readouterr().err
     assert "msv.json" in err and "'msv', not 'heston'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma", 0.0), ("sigma", math.nan), ("rho", 0.5), ("z", math.nan),
+    ("z", -0.01)])
+def test_error_report_bad_heston_result_is_a_data_error(tmp_path, capsys,
+                                                        field, value):
+    argv = _error_report_files(tmp_path)
+    doc = json.loads((tmp_path / "heston.json").read_text())
+    where = doc["states"][0] if field == "z" else doc["params"]
+    where[field] = value
+    (tmp_path / "heston.json").write_text(json.dumps(doc))
+    rc = main([*argv, "--heston-result", str(tmp_path / "heston.json"),
+               "--msv-result", str(tmp_path / "msv.json")])
+    assert rc == 2
+    assert "heston.json" in capsys.readouterr().err
 
 
 def test_calibrate_into_a_missing_directory_fails_before_fitting(

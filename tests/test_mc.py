@@ -9,12 +9,12 @@ import pytest
 import mssv.mc
 from mssv import (DomainError, HiddenState, McConfig, McEstimate,
                   McModelParams, ModelParams, bs_call_price,
-                  mc_price_spx_strikes, mc_price_strikes, mc_price_vix_strikes,
-                  simulate_terminal, simulate_variance_terminal)
+                  mc_price_spx_strikes, mc_price_strikes, mc_price_vix_strikes)
 
 from .conftest import FITTED
 from .oracles import (expected_y, expected_z, mc_call_estimates,
                       mc_params_from_eta_nu, mc_vix_samples,
+                      simulate_terminal, simulate_variance_terminal,
                       spectral_coefficient, variance_z, within)
 
 PATHS = 200_000

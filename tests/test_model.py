@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mssv import (DomainError, HiddenState, InfeasibleStateError, ModelParams,
                   QuadratureConfig, TAU0, heston_star_weights, vix_from_state,
-                  vix_limit_from_z, vix_weights, y_max_for_vix,
-                  z_from_vix_given_y, z_from_vix_heston)
+                  vix_limit_from_z, vix_weights)
+from mssv.calibration import _pinned
 
 from .oracles import feller_ok, vix_from_z_heston
 
@@ -101,6 +101,23 @@ def test_vix_monotone_in_state(params):
     for y in (0.01, 0.03):
         vals = [vix_from_state(HiddenState(y=y, z=z), params) for z in grid]
         assert np.all(np.diff(vals) > 0)
+
+
+# the VIX relation solved for one state coordinate by calibration's
+# pinning helper: (vix/100)^2 = weight v + floor_weight theta
+def y_max_for_vix(vix, params):
+    w = vix_weights(params.kappa, params.epsilon)
+    return _pinned(vix, w.a1, w.a3 + w.a4, params.theta)
+
+
+def z_from_vix_given_y(vix, y, params):
+    # a1 y joins the state-free part of the floor
+    w = vix_weights(params.kappa, params.epsilon)
+    return _pinned(vix, w.a2, 1.0, w.a1 * y + (w.a3 + w.a4) * params.theta)
+
+
+def z_from_vix_heston(vix, kappa, theta):
+    return _pinned(vix, *heston_star_weights(kappa), theta)
 
 
 def test_z_from_vix_given_y_reference(params):

@@ -234,6 +234,16 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
             price(math.nan, [2000.0], 0.1)
         with pytest.raises(DomainError):
             price(2000.0, [2000.0], math.inf)
+    # the benchmark takes its parameters and v0 as plain numbers
+    base = dict(r=0.02, kappa=3.43, theta=0.04, sigma=0.424, rho=-1.0,
+                v0=0.04)
+    bad = [{key: value} for key in base for value in (math.nan, math.inf)] \
+        + [{key: value} for key in ("kappa", "theta", "sigma")
+           for value in (0.0, -1.0)] + [{"v0": -0.01}]
+    for change in bad:
+        with pytest.raises(DomainError):
+            price_heston_call_batch(2000.0, [2000.0], 0.1,
+                                    **{**base, **change})
 
 
 def test_spec_validation():

@@ -13,15 +13,16 @@ from scipy.stats import ncx2 as scipy_ncx2
 import mssv.quadrature
 import mssv.vix
 from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
-                  QuadratureConfig, QuadratureError, Quote, VixOptionSpec,
-                  heston_star_weights, ncx2_pdf, price_quotes, price_vix,
+                  QuadratureConfig, QuadratureError, Quote,
+                  heston_star_weights, ncx2_pdf, price_quotes,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   vix_weights)
 from mssv.model import TAU0
 from mssv.vix import _correction_coeffs, _payoff_block
 
 from .conftest import FITTED
-from .oracles import mc_params_from_eta_nu, vix_call_quad, vix_call_z_only
+from .oracles import (VixOptionSpec, mc_params_from_eta_nu, price_vix,
+                      vix_call_quad, vix_call_z_only)
 
 DOF_GRID = (0.5, 2.0, 10.0, 50.0)
 LAM_GRID = (0.0, 1.0, 10.0, 100.0)
@@ -283,6 +284,14 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
     with pytest.raises(DomainError):
         price_vix_heston_strike_batch([20.0], TAU0, math.nan, 3.43, 0.04,
                                       0.424, 0.02)
+    # and its parameters too
+    base = dict(z=0.04, kappa=3.43, theta=0.04, sigma=0.424, r=0.02)
+    bad = [{key: value} for key in base for value in (math.nan, math.inf)] \
+        + [{key: value} for key in ("kappa", "theta", "sigma")
+           for value in (0.0, -1.0)] + [{"z": -0.01}]
+    for change in bad:
+        with pytest.raises(DomainError):
+            price_vix_heston_strike_batch([20.0], TAU0, **{**base, **change})
 
 
 def test_price_monotone_in_strike(params, state_high_y):
