@@ -81,6 +81,9 @@ _BOUNDS = {"kappa": (1e-3, 20.0), "theta": (1e-5, 1.0), "sigma": (1e-3, 3.0),
            "w3_eps": (-0.5, 0.5)}
 #: rho within this distance of a bound is snapped onto it
 _SNAP = 1e-3
+#: step 1's starting parameters, inside the box
+_HESTON_START = {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}
+_MSV_START = {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02}
 
 
 @dataclass(frozen=True)
@@ -258,6 +261,8 @@ class _DateMap:
     rounds were slower in 5 of 5 alternating runs (medians 0.91-1.01 s
     against 0.71-0.81 s; seed 1, 5-6 rounds a run, shared 2-core VM),
     perhaps as its result thread waits for the GIL while the caller works.
+    Nor is it a thread pool: a date's work holds the GIL between small
+    numpy calls, so two threads ran slower than serial (see the README).
     """
 
     def __init__(self, dates, fn):
@@ -379,13 +384,13 @@ def _jac_sparsity(slices, n_params, state_columns):
     return np.hstack([pattern, block_diag(*[np.ones((n, 1)) for n in sizes])])
 
 
-def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
+def _two_step(model, slices, cfg, quad, r, start, step1_objective,
               date_state, step2_objective, state_start=None):
     """The two-step calibration both models share.
 
-    Step 1 fits the parameters named in start (x0 overrides their
-    starting values, clipped into the box) and, if state_start is given,
-    one s_i in [0, 1] per usable date, started at state_start(sl, *p);
+    Step 1 fits the parameters named in start, from their values there,
+    and, if state_start is given, one s_i in [0, 1] per usable date,
+    started at state_start(sl, *p);
     step1_objective(usable dates, r, quad, date_map)(x) is the residual
     vector.  date_state(sl, p, s_i) then gives each date's hidden state as
     a dict under the step-1 fit p (s_i None without state columns), and
@@ -410,7 +415,7 @@ def _two_step(model, slices, cfg, quad, r, x0, start, step1_objective,
         return live[0]
 
     names = list(start)
-    p0 = [float(np.clip((x0 or start)[n], *_BOUNDS[n])) for n in names]
+    p0 = [start[n] for n in names]
     trace = []
     try:
         s0 = [] if state_start is None else [
@@ -518,13 +523,11 @@ def _heston_step2_objective(dates, p, r, quad, profiled,
 
 def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
                      quad: QuadratureConfig = QuadratureConfig(),
-                     r: float = 0.02,
-                     x0: dict | None = None) -> CalibrationResult:
+                     r: float = 0.02) -> CalibrationResult:
     """Two-step benchmark calibration: (kappa, theta, sigma) on VIX
     options with z_i pinned by the VIX close, then rho on SPX options."""
     return _two_step(
-        "heston", slices, cfg, quad, r, x0,
-        {"kappa": 3.0, "theta": 0.04, "sigma": 0.5}, _heston_step1_objective,
+        "heston", slices, cfg, quad, r, _HESTON_START, _heston_step1_objective,
         lambda sl, p, s: {"z": _pinned(sl.vix_level,
                                        *heston_star_weights(p["kappa"]),
                                        p["theta"])},
@@ -601,8 +604,7 @@ def _msv_step2_objective(dates, p, r, quad, profiled, date_map=_DateMap):
 
 def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
                   quad: QuadratureConfig = QuadratureConfig(),
-                  r: float = 0.02,
-                  x0: dict | None = None) -> CalibrationResult:
+                  r: float = 0.02) -> CalibrationResult:
     """Two-step two-factor calibration.
 
     Step 1 fits (kappa, theta, sigma, epsilon) and every date's y_i =
@@ -622,6 +624,5 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
         return min(st.y / ymax, 1.0) if ymax > 0 else 0.0
 
     return _two_step(
-        "msv", slices, cfg, quad, r, x0,
-        {"kappa": 3.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.02},
-        _msv_step1_objective, date_state, _msv_step2_objective, state_start)
+        "msv", slices, cfg, quad, r, _MSV_START, _msv_step1_objective,
+        date_state, _msv_step2_objective, state_start)

@@ -103,6 +103,12 @@ def _floats(text) -> list[float]:
     return [float(t) for t in str(text).split(",") if t]
 
 
+def _at_least_one(count, flags):
+    """DataError naming flags unless their grid size or date count is >= 1."""
+    if count < 1:
+        raise DataError(f"{flags}: need at least 1, got {count}")
+
+
 def _grid(strikes, taus, is_call=True) -> list[Quote]:
     """Unpriced quotes on a strike x maturity grid, maturity-major."""
     return [Quote(k, tau, is_call, math.nan) for tau in taus for k in strikes]
@@ -145,9 +151,10 @@ def _add_quote_flags(p):
 def _price_grid(args, calls, spot=None):
     """Print the decompositions of the --strikes grid at --tau, priced by
     calls(strikes, tau, state, params, quad)."""
+    strikes = _floats(args.strikes)
+    _at_least_one(len(strikes), "--strikes")
     params, state = _model_params(args), _state(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
-    strikes = _floats(args.strikes)
     _print_decomps(strikes, price_quotes(
         _grid(strikes, [args.tau], not args.put),
         lambda ks, tau: calls(ks, tau, state, params, quad), params.r, spot))
@@ -238,12 +245,13 @@ def _vols(invert, grid, prices, n_strikes):
 
 
 def cmd_imvol_surface(args):
+    strikes, taus = _floats(args.strikes), _floats(args.taus)
+    _at_least_one(len(strikes), "--strikes")
+    _at_least_one(len(taus), "--taus")
     params, state = _model_params(args), _state(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     z0 = state.z if args.uncorrected_z is None else args.uncorrected_z
     state_u = HiddenState(y=z0, z=z0)
-    strikes = _floats(args.strikes)
-    taus = _floats(args.taus)
     grid = _grid(strikes, taus)
 
     if args.kind == "vix":
@@ -300,12 +308,12 @@ def _print_mc_rows(strikes, ests, analytic) -> int:
 def cmd_validate(args):
     spx_strikes = _floats(args.spx_strikes)
     vix_strikes = _floats(args.vix_strikes)
-    if not spx_strikes and not vix_strikes:
-        raise DataError("validate needs --spx-strikes, --vix-strikes or both")
+    _at_least_one(len(spx_strikes) + len(vix_strikes),
+                  "--spx-strikes or --vix-strikes")
     params, state, x = _model_params(args), _state(args), args.x
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     mc_cfg = McConfig(args.paths, args.seed, args.steps_per_eps)
-    mp = McModelParams.from_split(params, eta=args.eta)
+    mp = McModelParams(params, eta=args.eta)
     failures = 0
 
     # grids at one maturity are priced off one path set
@@ -430,6 +438,7 @@ def cmd_error_report(args):
 
 
 def cmd_make_synthetic(args):
+    _at_least_one(args.n_dates, "--n-dates")
     params = _model_params(args)
     rng = np.random.default_rng(args.state_seed)
     start = dt.date.fromisoformat(args.start_date)

@@ -280,14 +280,17 @@ def write_error_table_csv(path, heston: ErrorReport, ours: ErrorReport) -> None:
 # synthetic fixture
 # ---------------------------------------------------------------------------
 
+#: the synthetic quote grid: maturities (years), strikes per unit close
+VIX_TAUS, SPX_TAUS = (30 / 365, 60 / 365), (0.1, 0.25)
+VIX_MONEYNESS = (0.85, 1.0, 1.15, 1.3)
+SPX_MONEYNESS = (0.9, 0.95, 1.0, 1.05, 1.1)
+
+
 def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0,
-                          vix_taus=(30 / 365, 60 / 365),
-                          spx_taus=(0.1, 0.25),
-                          spx_moneyness=(0.9, 0.95, 1.0, 1.05, 1.1),
-                          vix_moneyness=(0.85, 1.0, 1.15, 1.3),
                           noise: float = 0.0, seed: int = 0,
                           quad: QuadratureConfig = QuadratureConfig()):
-    """Generate a quote set priced from known parameters.
+    """Generate a quote set priced from known parameters on the grid of
+    VIX_TAUS, SPX_TAUS, VIX_MONEYNESS and SPX_MONEYNESS.
 
     states is a list of (iso-date, HiddenState).  Prices are the model's
     own (so calibration round trips are exact up to optimizer noise);
@@ -299,10 +302,10 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
     quotes = []
     for date_str, state in states:
         date = dt.date.fromisoformat(date_str)
-        legs = (("VIX", vix_from_state(state, params), vix_taus, vix_moneyness,
+        legs = (("VIX", vix_from_state(state, params), VIX_TAUS, VIX_MONEYNESS,
                  lambda ks, tau: price_vix_strike_batch(ks, tau, state, params,
                                                         quad)),
-                ("SPX", spx_level, spx_taus, spx_moneyness,
+                ("SPX", spx_level, SPX_TAUS, SPX_MONEYNESS,
                  lambda ks, tau: price_spx_strike_batch(spx_level, ks, tau,
                                                         state, params, quad)))
         for und, level, taus, moneyness, calls in legs:

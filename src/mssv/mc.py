@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,35 +42,26 @@ class McModelParams:
 
     eta is the correlation of the index with the fast-factor shocks and
     nu the fast factor's vol-of-vol.  They enter the analytic formulas
-    only through w3_eps = -(1/sqrt(2)) eta nu sqrt(eps), so construction
-    enforces that consistency.
+    only through w3_eps = -(1/sqrt(2)) eta nu sqrt(eps), so nu is derived
+    from w3_eps on the iso-w3 curve at the given eta.
     """
 
     params: ModelParams
-    eta: float
-    nu: float
+    eta: float = -1.0
+    nu: float = field(init=False)
 
     def __post_init__(self):
         if not -1.0 <= self.eta <= 1.0:
             raise ValueError(f"|eta| must be <= 1, got {self.eta}")
-        if self.nu <= 0:
-            raise ValueError(
-                f"nu must be positive, got {self.nu}: eta needs the opposite "
-                "sign to w3_eps, and w3_eps = 0 leaves no nu > 0 to simulate")
-        implied = -self.eta * self.nu * math.sqrt(self.params.epsilon / 2.0)
-        if abs(implied - self.params.w3_eps) > 1e-10 * (1 + abs(implied)):
-            raise ValueError(
-                f"(eta, nu) imply w3_eps = {implied:.8g}, params carry "
-                f"{self.params.w3_eps:.8g}"
-            )
-
-    @classmethod
-    def from_split(cls, params: ModelParams, eta: float = -1.0) -> "McModelParams":
-        """Derive nu from w3_eps on the iso-w3 curve at the given eta."""
-        if eta == 0.0:
+        if self.eta == 0.0:
             raise ValueError("eta = 0 cannot carry a non-zero w3_eps")
-        nu = -math.sqrt(2.0) * params.w3_eps / (eta * math.sqrt(params.epsilon))
-        return cls(params=params, eta=eta, nu=nu)
+        p = self.params
+        nu = -math.sqrt(2.0) * p.w3_eps / (self.eta * math.sqrt(p.epsilon))
+        if nu <= 0:
+            raise ValueError(
+                f"nu must be positive, got {nu}: eta needs the opposite "
+                "sign to w3_eps, and w3_eps = 0 leaves no nu > 0 to simulate")
+        object.__setattr__(self, "nu", nu)
 
 
 @dataclass(frozen=True)

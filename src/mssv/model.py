@@ -155,10 +155,9 @@ def heston_star_weights(kappa: float) -> tuple[float, float]:
     return b2, 1.0 - b2
 
 
-def vix_from_state(state: HiddenState, params: ModelParams,
-                   weights: VixWeights | None = None) -> float:
+def vix_from_state(state: HiddenState, params: ModelParams) -> float:
     """Model VIX level (index points) implied by the hidden state."""
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
+    w = vix_weights(params.kappa, params.epsilon)
     radicand = w.a1 * state.y + w.a2 * state.z + (w.a3 + w.a4) * params.theta
     if radicand < 0:
         raise DomainError(
@@ -167,10 +166,9 @@ def vix_from_state(state: HiddenState, params: ModelParams,
     return 100.0 * math.sqrt(radicand)
 
 
-def vix_limit_from_z(z: float, params: ModelParams,
-                     weights: VixWeights | None = None) -> float:
+def vix_limit_from_z(z: float, params: ModelParams) -> float:
     """Epsilon -> 0 limit VIX level: 100*sqrt(a2* z + (1 + a4*) theta)."""
-    w = weights if weights is not None else vix_weights(params.kappa, params.epsilon)
+    w = vix_weights(params.kappa, params.epsilon)
     radicand = w.a2_star * z + (1.0 + w.a4_star) * params.theta
     if radicand < 0:
         raise DomainError(f"negative limit-VIX^2 radicand {radicand}")

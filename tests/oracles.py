@@ -10,19 +10,23 @@ reference closed forms that the package itself never evaluates.  The
 black-box minimiser is scipy's Nelder-Mead, which the package no longer
 calls.  The small definitions at the end (the weighted SSE, the Feller
 condition, parameters from an (eta, nu) pair, the standard-error test of
-an estimate, the terminal samples of the package's simulation and the
-one-option VIX pricer) are ones only the tests use.
+an estimate, the terminal samples of the package's simulation, the
+one-option VIX pricer and a synthetic quote grid of the test's own) are
+ones only the tests use.
 """
 
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import minimize
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from scipy.stats import ncx2
 
+import mssv.data
 import mssv.mc
 from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
                   QuadratureConfig, Quote, price_quotes,
@@ -283,10 +287,12 @@ def feller_ok(params: ModelParams) -> bool:
 
 def mc_params_from_eta_nu(params: ModelParams, eta: float,
                           nu: float) -> McModelParams:
-    """params rebuilt with the w3_eps implied by (eta, nu)."""
+    """params rebuilt with the w3_eps implied by (eta, nu); the nu that
+    McModelParams derives back from it may differ from nu in its last
+    digits."""
     w3 = -eta * nu * math.sqrt(params.epsilon / 2.0)
     return McModelParams(params=dataclasses.replace(params, w3_eps=w3),
-                         eta=eta, nu=nu)
+                         eta=eta)
 
 
 def within(est, value: float, n_se: float, slack: float = 0.0) -> bool:
@@ -350,3 +356,14 @@ def price_vix(spec: VixOptionSpec, state: HiddenState, params: ModelParams,
     quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
     return price_quotes([quote], lambda ks, tau: price_vix_strike_batch(
         ks, tau, state, params, quad, include_correction), params.r)[0]
+
+
+@contextlib.contextmanager
+def synthetic_grid(**grid):
+    """`make_synthetic_quotes` on a grid of the caller's: the mssv.data
+    constants named in grid (VIX_TAUS, SPX_TAUS, VIX_MONEYNESS,
+    SPX_MONEYNESS) hold the given values inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in grid.items():
+            patch.setattr(mssv.data, name, value)
+        yield

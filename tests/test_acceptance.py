@@ -36,12 +36,12 @@ from mssv.spx import effective_heston
 from .conftest import FITTED, FITTED_HESTON
 from .oracles import (VixOptionSpec, heston_call_gil_pelaez_ode,
                       mc_params_from_eta_nu, price_vix, spectral_coefficient,
-                      vix_from_z_heston)
+                      synthetic_grid, vix_from_z_heston)
 
 PARAMS = ModelParams(**FITTED)
 STATE_1 = HiddenState(y=0.0234, z=0.0194)   # y > z
 STATE_2 = HiddenState(y=0.0110, z=0.0203)   # y < z
-MP = McModelParams.from_split(PARAMS, eta=-1.0)
+MP = McModelParams(PARAMS, eta=-1.0)
 X0 = 2000.0
 SPX_STRIKES = [1800.0, 1900.0, 2000.0, 2100.0, 2200.0]  # +-10% moneyness
 VIX_STRIKES = [15.0, 20.0, 25.0]
@@ -258,11 +258,10 @@ def _msv_states(seed=7, n=6):
 @pytest.fixture(scope="module")
 def msv_fixture_quotes():
     # maturities chosen so both underlyings populate every tau >= 0.05
-    # bucket (day counts round, so 0.11 rather than 0.10)
-    return make_synthetic_quotes(
-        PARAMS, _msv_states(),
-        vix_taus=(30 / 365, 60 / 365), spx_taus=(0.06, 0.11, 0.25),
-        quad=CAL_QUAD)
+    # bucket (day counts round, so 0.11 rather than 0.10); the VIX
+    # maturities are the grid's own, 30 and 60 days
+    with synthetic_grid(SPX_TAUS=(0.06, 0.11, 0.25)):
+        return make_synthetic_quotes(PARAMS, _msv_states(), quad=CAL_QUAD)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 """The package's public surface: every re-exported name, every settings
-field and the parameters of the functions the benchmark tracer wraps are
-listed here, so adding one is a deliberate change; the module-level
-names the tracer wraps and the names the benchmark's workloads use must
-stay bound."""
+field and the parameters of the functions the benchmark tracer wraps or
+that lost a setting only the tests set are listed here, so adding one is
+a deliberate change; the module-level names the tracer wraps and the
+names the benchmark's workloads use must stay bound."""
 
 import ast
 import dataclasses
@@ -13,8 +13,12 @@ import pathlib
 import mssv
 import mssv.quadrature
 import mssv.vix
-from mssv import (CalibrationConfig, HiddenState, McConfig, QuadratureConfig,
-                  apply_filters, error_report, ncx2_pdf)
+from mssv import (CalibrationConfig, HiddenState, McConfig, McModelParams,
+                  QuadratureConfig, apply_filters, calibrate_heston,
+                  calibrate_msv, error_report, make_synthetic_quotes,
+                  ncx2_pdf, vix_from_state, vix_limit_from_z)
+
+from .oracles import synthetic_grid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -46,20 +50,37 @@ def test_reexported_names():
 
 def test_settings_fields():
     fields = {cls: [f.name for f in dataclasses.fields(cls)]
-              for cls in (CalibrationConfig, McConfig, QuadratureConfig)}
+              for cls in (CalibrationConfig, McConfig, QuadratureConfig,
+                          McModelParams)}
     assert fields == {
         CalibrationConfig: ["max_iter", "restarts", "seed"],
         McConfig: ["paths", "seed", "steps_per_eps"],
-        QuadratureConfig: ["abs_tol", "rel_tol"]}
+        QuadratureConfig: ["abs_tol", "rel_tol"],
+        McModelParams: ["params", "eta", "nu"]}
+    # nu is derived from w3_eps and eta, never set
+    assert list(inspect.signature(McModelParams).parameters) == [
+        "params", "eta"]
 
 
 def test_parameters_of_the_traced_functions():
-    # the filters, the weight floor and the ncx2 term budget are constants
+    # the filters, the weight floor, the ncx2 term budget, calibration's
+    # starts and the synthetic quote grid are constants, and the VIX
+    # levels compute their own weights
     params = {fn.__name__: list(inspect.signature(fn).parameters)
-              for fn in (ncx2_pdf, apply_filters, error_report)}
+              for fn in (ncx2_pdf, apply_filters, error_report,
+                         calibrate_heston, calibrate_msv,
+                         make_synthetic_quotes, vix_from_state,
+                         vix_limit_from_z)}
     assert params == {"ncx2_pdf": ["zeta", "params"],
                       "apply_filters": ["quotes"],
-                      "error_report": ["model_prices", "quotes"]}
+                      "error_report": ["model_prices", "quotes"],
+                      "calibrate_heston": ["slices", "cfg", "quad", "r"],
+                      "calibrate_msv": ["slices", "cfg", "quad", "r"],
+                      "make_synthetic_quotes": ["params", "states",
+                                                "spx_level", "noise", "seed",
+                                                "quad"],
+                      "vix_from_state": ["state", "params"],
+                      "vix_limit_from_z": ["z", "params"]}
 
 
 def test_every_name_the_benchmark_workloads_use_resolves():
@@ -111,6 +132,13 @@ def test_benchmark_tracer_finds_and_restores_every_name(params,
                                     state_high_y, params)
         mssv.price_vix_strike_batch([18.0, 22.0], 0.1, state_high_y, params)
         tracer.end_round()
+        # the tracer reads _sim_exact's paths and step count by position;
+        # 0.02 years in steps of at most epsilon / 2 = 0.0048 is 5 steps
+        tracer.begin_round()
+        mssv.mc_price_strikes(McModelParams(params), state_high_y, 0.02,
+                              McConfig(10_000, 1, 2), 2000.0, [2000.0],
+                              [20.0])
+        tracer.end_round()
     finally:
         tracer.uninstall()
     for module, name, original in patched:
@@ -122,18 +150,22 @@ def test_benchmark_tracer_finds_and_restores_every_name(params,
     for layer in ("spx", "vix"):
         assert counts[f"{layer}.strikes_per_pass"] == 2
         assert counts[f"{layer}.nodes_per_pass"] > 0
+    mc = tracer.rounds[1]
+    assert mc["mc.chunks"] == 1
+    assert mc["mc.path_steps"] == 10_000 * 5
 
 
 def test_traced_calibration_equals_the_untraced_one(params):
     # the tracer's wrappers return plain functions: whatever step 2 hands
     # back beside its objective must survive them
     quad = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
-    quotes = mssv.make_synthetic_quotes(
-        params, [("2016-03-07", HiddenState(y=0.0234, z=0.0194)),
-                 ("2016-03-08", HiddenState(y=0.0110, z=0.0203))],
-        vix_taus=(30 / 365,), spx_taus=(0.1,),
-        spx_moneyness=(0.95, 1.0, 1.05), vix_moneyness=(0.9, 1.1, 1.3),
-        quad=quad)
+    with synthetic_grid(VIX_TAUS=(30 / 365,), SPX_TAUS=(0.1,),
+                        SPX_MONEYNESS=(0.95, 1.0, 1.05),
+                        VIX_MONEYNESS=(0.9, 1.1, 1.3)):
+        quotes = mssv.make_synthetic_quotes(
+            params, [("2016-03-07", HiddenState(y=0.0234, z=0.0194)),
+                     ("2016-03-08", HiddenState(y=0.0110, z=0.0203))],
+            quad=quad)
     slices = mssv.to_date_slices(quotes)
     cfg = CalibrationConfig(max_iter=15, restarts=1, seed=2)
 

@@ -27,7 +27,7 @@ from mssv.calibration import (_BOUNDS, _DateMap, _jac_sparsity,
                               _sum_over_dates)
 from mssv.exceptions import DomainError, MssvError
 
-from .oracles import nelder_mead_min, weighted_sse
+from .oracles import nelder_mead_min, synthetic_grid, weighted_sse
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 FAST = CalibrationConfig(max_iter=60, restarts=1, seed=0)
@@ -324,9 +324,9 @@ def test_step1_is_no_worse_than_nelder_mead_on_a_noisy_panel(monkeypatch,
                HiddenState(y=params.theta * float(np.exp(0.4 * a)),
                            z=params.theta * float(np.exp(0.4 * b))))
               for i, (a, b) in enumerate(rng.standard_normal((3, 2)))]
-    quotes = make_synthetic_quotes(params, states, spx_taus=(0.1,),
-                                   spx_moneyness=(1.0,), noise=0.01, seed=7,
-                                   quad=QUAD)
+    with synthetic_grid(SPX_TAUS=(0.1,), SPX_MONEYNESS=(1.0,)):
+        quotes = make_synthetic_quotes(params, states, noise=0.01, seed=7,
+                                       quad=QUAD)
     nm_obj, real = [], calibration._least_squares
 
     def alongside(fun, x0, bounds, *args):
@@ -382,10 +382,10 @@ def test_states_at_both_ends_of_the_vix_line(monkeypatch, params):
     truth = [HiddenState(0.0, 0.0194), HiddenState(ymax, 0.0),
              HiddenState(0.0110, 0.0203)]
     slices = _state_panel(params, truth, taus=(30 / 365, 60 / 365))
-    p0 = {n: getattr(params, n) for n in ("kappa", "theta", "sigma",
-                                           "epsilon")}
+    monkeypatch.setattr(calibration, "_MSV_START", {
+        n: getattr(params, n) for n in ("kappa", "theta", "sigma", "epsilon")})
     res = calibrate_msv(slices, CalibrationConfig(max_iter=100, restarts=1),
-                        QUAD, r=params.r, x0=p0)
+                        QUAD, r=params.r)
     assert res.step_objectives[0] < 1e-12
     # y enters the VIX prices through the e^{-tau/eps} transient alone, so
     # it is the weaker-identified coordinate: its fraction s of ymax is
@@ -399,8 +399,10 @@ def test_states_at_both_ends_of_the_vix_line(monkeypatch, params):
 
 def test_time_scales_stay_apart_in_the_whole_box(monkeypatch, params):
     # kappa epsilon < 0.999 is a bound: the box's corner satisfies it, and
-    # a fit started beyond it is clipped into the box
+    # a fit started at that corner stays below it
     assert _BOUNDS["kappa"][1] * _BOUNDS["epsilon"][1] < 0.999
+    monkeypatch.setattr(calibration, "_MSV_START", {
+        "kappa": 20.0, "theta": 0.03, "sigma": 0.4, "epsilon": 0.0499})
     seen, real = [], calibration._msv_step1_objective
 
     def watched(*args):
@@ -410,11 +412,17 @@ def test_time_scales_stay_apart_in_the_whole_box(monkeypatch, params):
     monkeypatch.setattr(calibration, "_msv_step1_objective", watched)
     res = calibrate_msv(_tiny_dataset(params),
                         CalibrationConfig(max_iter=8, restarts=2, seed=1),
-                        QUAD, r=params.r,
-                        x0={"kappa": 20.0, "theta": 0.03, "sigma": 0.4,
-                            "epsilon": 0.1})
+                        QUAD, r=params.r)
     assert seen and max(seen) < 0.999
     assert res.params["kappa"] * res.params["epsilon"] < 0.999
+
+
+def test_the_starts_lie_in_the_box():
+    # step 1 starts from these values as they are, unclipped
+    for start in (calibration._HESTON_START, calibration._MSV_START):
+        for name, value in start.items():
+            lo, hi = _BOUNDS[name]
+            assert lo <= value <= hi, name
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +453,11 @@ def _five_date_states(params):
 
 
 def _five_date_panel(params):
-    quotes = make_synthetic_quotes(params, _five_date_states(params),
-                                   vix_taus=(30 / 365,),
-                                   spx_taus=(0.1,),
-                                   spx_moneyness=(0.95, 1.0, 1.05),
-                                   vix_moneyness=(0.9, 1.1, 1.3), quad=QUAD)
+    with synthetic_grid(VIX_TAUS=(30 / 365,), SPX_TAUS=(0.1,),
+                        SPX_MONEYNESS=(0.95, 1.0, 1.05),
+                        VIX_MONEYNESS=(0.9, 1.1, 1.3)):
+        quotes = make_synthetic_quotes(params, _five_date_states(params),
+                                       quad=QUAD)
     return to_date_slices(quotes)
 
 

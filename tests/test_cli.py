@@ -395,7 +395,7 @@ def _traced_validate(monkeypatch, argv):
 
 
 def test_validate_simulates_once_per_maturity(monkeypatch, capsys):
-    mp = McModelParams.from_split(ModelParams(**FITTED), eta=-1.0)
+    mp = McModelParams(ModelParams(**FITTED), eta=-1.0)
     state, cfg = HiddenState(y=0.0234, z=0.0194), McConfig(10_000, 5, 2)
     spx, vix = [1900.0, 2000.0], [18.0, 22.0]
     rc, runs, priced = _traced_validate(
@@ -447,6 +447,35 @@ def test_validate_with_no_strike_grid_is_a_data_error(capsys):
     assert main(["validate", *PARAM_FLAGS, *STATE_FLAGS]) == 2
     err = capsys.readouterr().err
     assert "--spx-strikes" in err and "--vix-strikes" in err
+
+
+SURFACE_OUT = ["--out-corrected", "OUT/c.csv", "--out-uncorrected",
+               "OUT/u.csv", "--out-diff", "OUT/d.csv"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["price-spx", *STATE_FLAGS, "--x", "2000", "--strikes", "",
+      "--tau", "0.25"], "--strikes"),
+    (["price-vix", *STATE_FLAGS, "--strikes", ",", "--tau", "0.1", "--put"],
+     "--strikes"),
+    (["imvol-surface", *STATE_FLAGS, "--kind", "spx", "--strikes", "",
+      "--taus", "0.1", *SURFACE_OUT], "--strikes"),
+    (["imvol-surface", *STATE_FLAGS, "--kind", "vix", "--strikes", "20",
+      "--taus", "", *SURFACE_OUT], "--taus"),
+    (["make-synthetic", "--n-dates", "0", "--out", "OUT/q.csv"], "--n-dates"),
+    (["make-synthetic", "--n-dates", "-2", "--out", "OUT/q.csv"],
+     "--n-dates")])
+def test_an_empty_grid_or_date_count_is_a_data_error(monkeypatch, tmp_path,
+                                                     capsys, argv, flag):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on an empty grid")
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    rc = main([argv[0], *PARAM_FLAGS,
+               *[a.replace("OUT", str(tmp_path)) for a in argv[1:]]])
+    assert rc == 2
+    assert f"data error: {flag}: need at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_imvol_surface_writes_nan_where_inversion_fails(tmp_path, capsys):

@@ -200,7 +200,7 @@ def test_synthetic_round_trip(tmp_path, params):
 
 def test_synthetic_quotes_reprice_at_their_written_maturities(tmp_path,
                                                              params):
-    # spx_taus 0.1 and 0.25 are written as 36 and 91 days: the quotes must
+    # SPX_TAUS 0.1 and 0.25 are written as 36 and 91 days: the quotes must
     # be the model's prices at those maturities, to the CSV's 10 digits
     state = HiddenState(y=0.0234, z=0.0194)
     quad = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)

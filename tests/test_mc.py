@@ -21,7 +21,7 @@ PATHS = 200_000
 
 
 def _mp(params=None, eta=-1.0):
-    return McModelParams.from_split(params or ModelParams(**FITTED), eta=eta)
+    return McModelParams(params or ModelParams(**FITTED), eta=eta)
 
 
 def test_factor_moments_match_closed_forms(params, state_high_y):
@@ -58,11 +58,12 @@ def test_zero_strike_recovers_spot(params, state_high_y):
 
 def test_deterministic_variance_limit_black_scholes():
     # sigma = nu ~ 0: variance path deterministic, X lognormal up to
-    # the trapezoidal integrated variance
+    # the trapezoidal integrated variance (at eta = -1 the index's fast
+    # shock is the fast factor's own, reconstructed from its increments)
     theta = 0.02
     p = ModelParams(kappa=2.0, theta=theta, sigma=1e-7, rho=0.0,
                     epsilon=0.02, w3_eps=0.0, r=0.02)
-    mp = mc_params_from_eta_nu(p, eta=0.0, nu=1e-9)
+    mp = mc_params_from_eta_nu(p, eta=-1.0, nu=1e-9)
     cfg = McConfig(paths=100_000, seed=14, steps_per_eps=40)
     st = HiddenState(y=theta, z=theta)
     est = mc_price_spx_strikes(mp, st, 2000.0, [2000.0], 0.25, cfg)[0]
@@ -161,16 +162,22 @@ def test_both_grids_are_priced_off_one_simulation(monkeypatch, params,
 
 def test_mc_params_consistency():
     p = ModelParams(**FITTED)
-    with pytest.raises(ValueError):
-        McModelParams(params=p, eta=-0.5, nu=0.1)  # w3 mismatch
-    mp = McModelParams.from_split(p, eta=-1.0)
+    # nu is derived from w3_eps, so no (eta, nu) pair can contradict it
+    with pytest.raises(TypeError):
+        McModelParams(params=p, eta=-0.5, nu=0.1)
+    with pytest.raises(TypeError):
+        McModelParams(params=p, eta=-1.0, nu=float("nan"))
+    mp = McModelParams(p)
+    assert mp.eta == -1.0
     assert mp.nu == pytest.approx(
         math.sqrt(2) * p.w3_eps / math.sqrt(p.epsilon), rel=1e-12)
-    with pytest.raises(ValueError):
-        McModelParams.from_split(p, eta=0.0)
+    for eta in (float("nan"), float("inf"), 0.0, 1.5):
+        with pytest.raises(ValueError, match="eta"):
+            McModelParams(p, eta=eta)
     mp2 = mc_params_from_eta_nu(p, eta=-0.5, nu=0.433)
     assert mp2.params.w3_eps == pytest.approx(
         0.5 * 0.433 * math.sqrt(p.epsilon / 2), rel=1e-12)
+    assert mp2.nu == pytest.approx(0.433, rel=1e-12)
 
 
 def test_config_validation():
