@@ -10,11 +10,12 @@ two-factor model) to SPX options, holding step-1 output fixed.
 
 Step 1 is one bounded trust-region least-squares solve (TRF, Branch,
 Coleman & Li 1999) of the per-quote weighted residuals over the
-parameters and every s_i, plus seeded extra starts; a date's rows depend
-on the parameters and its own s_i alone, so the finite-difference
-Jacobian groups all s_i columns into one sweep (Curtis, Powell & Reid
-1974).  Step 2 is one bounded search over rho: SPX prices are affine in
-w3_eps, so its optimum at each rho is closed-form (variable projection).
+parameters and every s_i, plus seeded extra starts; the density passes
+of each evaluation return the prices' derivatives too, chained by hand
+through the weights and the pinned state into an exact Jacobian, in
+which a date's rows depend on the parameters and its s_i alone.  Step 2
+is one bounded search over rho: SPX prices are affine in w3_eps, so its
+optimum at each rho is closed-form (variable projection).
 The per-date terms of every evaluation are independent, so they run on
 one process per usable core (at most one per date): the start fits and
 each step fork their workers once, they evaluate a fixed share of the
@@ -33,13 +34,14 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import least_squares, minimize_scalar
 from scipy.optimize import minimize  # noqa: F401  perfbench's tracer patches it
+from scipy.sparse import csr_array
 
 from .cores import usable_cores
 from .exceptions import DomainError, InfeasibleStateError, MssvError
-from .model import (HiddenState, ModelParams, PriceDecomposition,
+from .model import (TAU0, HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, heston_star_weights, vix_weights)
 from .spx import price_heston_call_batch, price_spx_strike_batch
-from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
+from .vix import _correction_coeffs, price_vix_strike_batch, vix_call_jets
 
 _PENALTY = 1e8
 #: the price floor of the weighted error (model - P)/(WEIGHT_FLOOR + P)
@@ -115,9 +117,9 @@ class CalibrationResult:
     #: exception's class name
     skipped_dates: list = field(default_factory=list)
     #: {"step", "restart", "success", "nit", "nfev", "message"} of each
-    #: step-1 least-squares solve ("nit" its Jacobian count, "nfev" every
-    #: residual evaluation, the Jacobians' included) and of step 2's one
-    #: search over rho, or of its skip when no date has SPX quotes
+    #: step-1 least-squares solve ("nit" its Jacobian count, "nfev" its
+    #: residual evaluations, whose passes give the Jacobians too) and of
+    #: step 2's one search over rho, or of its skip when no SPX quotes
     restarts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -147,10 +149,12 @@ def _outcome(step, restart, success, nit, nfev, message):
             "nit": int(nit), "nfev": int(nfev), "message": str(message)}
 
 
-def _least_squares(fun, x0, bounds, pattern, cfg: CalibrationConfig, trace):
+def _least_squares(fun, x0, bounds, jac, cfg: CalibrationConfig, trace):
     """Bounded TRF solves of the residual vector fun(x) from x0 and from
     cfg.restarts - 1 seeded starts (x0 scaled by e^N(0, 1/4), clipped into
-    the box); returns the best solution, its SSE and each solve's outcome."""
+    the box); jac() is the Jacobian at the point fun evaluated last, which
+    is where TRF asks for it.  Returns the best solution, its SSE and each
+    solve's outcome."""
     lo, hi = np.array(bounds, dtype=float).T
     x0, rng = np.array(x0, dtype=float), np.random.default_rng(cfg.seed)
     starts = [x0] + [np.clip(x0 * np.exp(rng.normal(0.0, 0.5, len(x0))),
@@ -158,8 +162,8 @@ def _least_squares(fun, x0, bounds, pattern, cfg: CalibrationConfig, trace):
     traced, runs, outcomes = _traced(fun, trace, "step1"), [], []
     for k, x in enumerate(starts):
         before = traced.count
-        res = least_squares(traced, x, bounds=(lo, hi), method="trf",
-                            jac_sparsity=pattern, x_scale="jac",
+        res = least_squares(traced, x, jac=lambda _: jac(), bounds=(lo, hi),
+                            method="trf", x_scale="jac",
                             max_nfev=cfg.max_iter, **_LSQ_TOL)
         runs.append(res)
         outcomes.append(_outcome("step1", k, res.success, res.njev,
@@ -206,11 +210,13 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
     """Model prices of quotes, in their order, one pricing pass per maturity.
 
     calls(strikes, tau) prices calls on a strike grid in one pass and
-    returns PriceDecompositions, or plain prices (read as leading terms).
-    This is the one place puts are priced: by put-call parity, with the
-    parity shift in the leading term, against the spot for SPX and, for
-    VIX (spot None), against the zero-strike call, the discounted VIX
-    forward, added to the same batch.
+    returns PriceDecompositions, plain prices (read as leading terms) or,
+    for VIX, jets: a price, then its derivatives.  This is the one place
+    puts are priced: by put-call parity, with the parity shift in the
+    leading term, against the spot for SPX and, for VIX (spot None),
+    against the zero-strike call, the discounted VIX forward, added to
+    the same batch; a put jet's derivatives are its call's minus the
+    forward's.
     """
     groups = {}
     for i, q in enumerate(quotes):
@@ -219,14 +225,18 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
     for tau, idx in groups.items():
         strikes = [quotes[i].strike for i in idx]
         need_fwd = spot is None and not all(quotes[i].is_call for i in idx)
-        batch = [d if isinstance(d, PriceDecomposition)
+        batch = [d if isinstance(d, (PriceDecomposition, np.ndarray))
                  else PriceDecomposition(leading=d, correction=0.0)
                  for d in calls(strikes + ([0.0] if need_fwd else []), tau)]
-        forward = spot if spot is not None else batch[-1].total
+        forward = spot if spot is not None else getattr(batch[-1], "total",
+                                                        batch[-1])
         disc = math.exp(-r * tau)
         for j, i in enumerate(idx):
             d = batch[j]
-            if not quotes[i].is_call:
+            if isinstance(d, np.ndarray) and not quotes[i].is_call:
+                d = d - forward
+                d[0] += quotes[i].strike * disc
+            elif not quotes[i].is_call:
                 d = replace(d, leading=d.leading
                             + (quotes[i].strike * disc - forward))
             out[i] = d
@@ -234,9 +244,14 @@ def price_quotes(quotes, calls, r: float, spot: float | None = None
 
 
 def _residuals(quotes, calls, r):
-    """(model - P)/(WEIGHT_FLOOR + P) of each quote, in the quotes' order."""
-    model = np.array([d.total for d in price_quotes(quotes, calls, r)])
+    """(model - P)/(WEIGHT_FLOOR + P) of each quote, in the quotes' order;
+    of VIX jets, the rows of a residual and then its derivatives."""
+    model = np.array([getattr(d, "total", d)
+                      for d in price_quotes(quotes, calls, r)])
     market = np.array([q.price for q in quotes])
+    if model.ndim == 2:
+        model[:, 0] -= market
+        return model / (WEIGHT_FLOOR + market)[:, None]
     return (model - market) / (WEIGHT_FLOOR + market)
 
 
@@ -246,23 +261,18 @@ class _DateMap:
 
     The n - 1 workers are forked when the map is made, after fn and the
     dates exist, so they share them without pickling; worker k evaluates
-    dates k, k + n, k + 2n, ... and the calling process evaluates share
-    0 itself.  A call sends each worker its date indices and the
-    argument tuple over a pipe and gets back one result per date: the
-    value, or the exception the date raised; failed maps the index of
-    each date that ever raised an MssvError to that first error's class
-    name.  Calibration starts no threads, so at fork time the only others
-    are the BLAS pools, which OpenBLAS stops and restarts around a fork.
-    With n = 1 nothing is forked.  close() stops the workers; those of a
-    map dropped unclosed exit when its pipe ends are collected.
+    dates k, k + n, k + 2n, ... and the calling process evaluates share 0
+    itself.  A call sends each worker its date indices and the argument
+    tuple over a pipe and gets back one result per date: the value, or the
+    exception the date raised (last keeps the last call's); failed maps the
+    index of each date that ever raised an MssvError to that first error's
+    class name.  Calibration starts no threads, so at fork time the only
+    others are the BLAS pools, which OpenBLAS stops and restarts around a
+    fork.  With n = 1 nothing is forked.  close() stops the workers; those
+    of a map dropped unclosed exit when its pipe ends are collected.
 
-    It is not a stdlib pool: a fork-context ProcessPoolExecutor sharing
-    the dates through its initializer gave the same fits, but its study
-    rounds were slower in 5 of 5 alternating runs (medians 0.91-1.01 s
-    against 0.71-0.81 s; seed 1, 5-6 rounds a run, shared 2-core VM),
-    perhaps as its result thread waits for the GIL while the caller works.
-    Nor is it a thread pool: a date's work holds the GIL between small
-    numpy calls, so two threads ran slower than serial (see the README).
+    It is neither a stdlib process pool nor a thread pool: both were
+    measured slower on the same fits (see the README).
     """
 
     def __init__(self, dates, fn):
@@ -331,6 +341,7 @@ class _DateMap:
                 self.failed.setdefault(i, type(term).__name__)
             elif isinstance(term, Exception):
                 raise term
+        self.last = out
         return out
 
     def close(self):
@@ -362,14 +373,14 @@ def _sum_over_dates(terms):
 
 
 def _rows_over_dates(terms, slices):
-    """Residual vector: each date's residual rows (one per VIX quote),
+    """Residual vector: each date's residual rows (its jets' first column),
     joined in date order; a failed date's are equal rows whose squares
     add up to its charge."""
-    sse = _charged([t if isinstance(t, MssvError) else float(t @ t)
-                    for t in terms])
+    sse = _charged([t if isinstance(t, MssvError)
+                    else float(t[:, 0] @ t[:, 0]) for t in terms])
     return np.concatenate([
         np.full(len(sl.vix_quotes), math.sqrt(c / len(sl.vix_quotes)))
-        if isinstance(t, MssvError) else t
+        if isinstance(t, MssvError) else t[:, 0]
         for t, c, sl in zip(terms, sse, slices)])
 
 
@@ -384,6 +395,16 @@ def _jac_sparsity(slices, n_params, state_columns):
     return np.hstack([pattern, block_diag(*[np.ones((n, 1)) for n in sizes])])
 
 
+def _jac_over_dates(terms, slices, pattern):
+    """Step 1's Jacobian in the CSR pattern: a date's rows hold its jets'
+    derivatives, or zeros if it failed (its charge is no model value)."""
+    return csr_array((np.concatenate([
+        np.zeros(len(sl.vix_quotes) * pattern.indptr[1])
+        if isinstance(t, MssvError) else t[:, 1:].ravel()
+        for t, sl in zip(terms, slices)]), pattern.indices, pattern.indptr),
+        shape=pattern.shape)
+
+
 def _two_step(model, slices, cfg, quad, r, start, step1_objective,
               date_state, step2_objective, state_start=None):
     """The two-step calibration both models share.
@@ -392,7 +413,8 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
     and, if state_start is given, one s_i in [0, 1] per usable date,
     started at state_start(sl, *p);
     step1_objective(usable dates, r, quad, date_map)(x) is the residual
-    vector.  date_state(sl, p, s_i) then gives each date's hidden state as
+    vector, its map's last terms the dates' jets, whence the Jacobian.
+    date_state(sl, p, s_i) then gives each date's hidden state as
     a dict under the step-1 fit p (s_i None without state columns), and
     step 2 searches rho with step2_objective(dates, p, r, quad, profiled,
     date_map), dates being the (slice, state) pairs of the dates with a
@@ -421,10 +443,11 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
         s0 = [] if state_start is None else [
             0.5 if isinstance(s, MssvError) else s
             for s in date_map(usable, state_start)(*p0)]
+        pattern = csr_array(_jac_sparsity(usable, len(names), bool(s0)))
         x, obj1, restarts1 = _least_squares(
             step1_objective(usable, r, quad, date_map), p0 + s0,
             [_BOUNDS[n] for n in names] + [(0.0, 1.0)] * len(s0),
-            _jac_sparsity(usable, len(names), bool(s0)), cfg, trace)
+            lambda: _jac_over_dates(live[0].last, usable, pattern), cfg, trace)
         p = {n: float(v) for n, v in zip(names, x)}
 
         states, skipped = {}, []
@@ -472,10 +495,16 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
 
 def _heston_step1_objective(slices, r, quad, date_map=_DateMap):
     def date_rows(sl, kappa, theta, sigma):
-        z = _pinned(sl.vix_level, *heston_star_weights(kappa), theta)
-        return _residuals(sl.vix_quotes,
-                          lambda ks, tau: price_vix_heston_strike_batch(
-                              ks, tau, z, kappa, theta, sigma, r, quad), r)
+        b2, b4 = heston_star_weights(kappa)
+        z = _pinned(sl.vix_level, b2, b4, theta)
+        db = (math.exp(-kappa * TAU0) - b2) / kappa  # d b2/d kappa
+        # the jets' (kappa, theta, sigma, z, slope, intercept, c1, c2) in x
+        chain = block_diag([[1.0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [
+            db * (theta - z) / b2, 1 - 1 / b2, 0], [db, 0, 0],
+            [-db * theta, b4, 0], [0, 0, 0], [0, 0, 0]])
+        return _residuals(sl.vix_quotes, lambda ks, tau: vix_call_jets(
+            ks, tau, z, kappa, theta, sigma, r, b2, b4 * theta, quad) @ chain,
+            r)
 
     terms = date_map(slices, date_rows)
     return lambda x: _rows_over_dates(terms(*x), slices)
@@ -552,13 +581,6 @@ def _vix_state(sl, params, s):
         z=(1.0 - s) * _pinned(sl.vix_level, w.a2, w.a3 + w.a4, params.theta))
 
 
-def _vix_residuals(sl, params, quad, s):
-    """The date's VIX residual rows at y = s ymax."""
-    state = _vix_state(sl, params, s)
-    return _residuals(sl.vix_quotes, lambda ks, tau: price_vix_strike_batch(
-        ks, tau, state, params, quad), params.r)
-
-
 def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
                     sigma: float, epsilon: float, r: float,
                     quad: QuadratureConfig = QuadratureConfig()):
@@ -575,7 +597,9 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
     params = _vix_params(kappa, theta, sigma, epsilon, r)
 
     def objective(s):
-        rows = _vix_residuals(date_slice, params, quad, s)
+        state = _vix_state(date_slice, params, s)
+        rows = _residuals(date_slice.vix_quotes, lambda ks, tau: (
+            price_vix_strike_batch(ks, tau, state, params, quad)), r)
         return float(rows @ rows)
 
     res = minimize_scalar(objective, bounds=(0.0, 1.0), method="bounded",
@@ -583,10 +607,46 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
     return _vix_state(date_slice, params, float(res.x)), float(res.fun)
 
 
+def _msv_jets(sl, params, quad, s):
+    """The date's VIX residual rows at y = s ymax, each followed by its
+    derivatives in (kappa, theta, sigma, epsilon, s)."""
+    kappa, theta, eps = params.kappa, params.theta, params.epsilon
+    w = vix_weights(kappa, eps)
+    floor, b, e = w.a3 + w.a4, w.a2_star / 2.0, np.eye(5)
+    ymax, z0 = (_pinned(sl.vix_level, a, floor, theta) for a in (w.a1, w.a2))
+    state = HiddenState(y=s * ymax, z=(1.0 - s) * z0)
+    # gradients of b = a2*/2, a1, a2, u = (VIX/100)^2 - floor theta, y =
+    # s u/a1 and z = (1 - s) u/a2
+    g_b = (math.exp(-kappa * TAU0) - b) / kappa * e[0]
+    g_a1 = (w.a1 - math.exp(-TAU0 / eps)) / eps * e[3]
+    m = 1.0 / (1.0 - kappa * eps)
+    g_a2 = g_b * (1.0 + m) + (b - w.a1) * m * m * (eps * e[0] + kappa * e[3]) \
+        - m * g_a1
+    g_u = theta * (g_a1 + g_a2) - floor * e[1]
+    g_y = s * (g_u - ymax * g_a1) / w.a1 + ymax * e[4]
+    g_z = (1.0 - s) * (g_u - z0 * g_a2) / w.a2 - z0 * e[4]
+
+    def calls(ks, tau):
+        c1, c2 = _correction_coeffs(state, tau, params, w)
+        tr = math.exp(-tau / eps) if tau / eps < 745 else 0.0
+        # d(kappa, theta, sigma, z, slope, intercept, c1 = 2 tr a1 (y - z),
+        # c2 = kappa eps a2*)/d(kappa, theta, sigma, epsilon, s)
+        chain = block_diag([[1.0]], [
+            e[0], e[1], e[2], g_z, 2.0 * g_b,
+            (2.0 - 2.0 * b) * e[1] - 2.0 * theta * g_b,
+            c1 * (tau / eps**2 * e[3] + g_a1 / w.a1) + 2.0 * tr * w.a1 * (
+                g_y - g_z),
+            w.a2_star * (eps * e[0] + kappa * e[3]) + 2.0 * kappa * eps * g_b])
+        return vix_call_jets(ks, tau, state.z, kappa, theta, params.sigma,
+                             params.r, w.a2_star, (1.0 + w.a4_star) * theta,
+                             quad, c1, c2) @ chain
+    return _residuals(sl.vix_quotes, calls, params.r)
+
+
 def _msv_step1_objective(slices, r, quad, date_map=_DateMap):
     def date_rows(date, kappa, theta, sigma, epsilon, s):
         i, sl = date
-        return _vix_residuals(
+        return _msv_jets(
             sl, _vix_params(kappa, theta, sigma, epsilon, r), quad, s[i])
 
     terms = date_map(list(enumerate(slices)), date_rows)

@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data
 from .calibration import (CalibrationConfig, Quote, calibrate_heston,
                           calibrate_msv, price_quotes)
 from .data import (apply_filters, error_report, load_quotes,
@@ -448,11 +448,16 @@ def cmd_make_synthetic(args):
         y = params.theta * math.exp(0.5 * rng.standard_normal())
         z = params.theta * math.exp(0.5 * rng.standard_normal())
         states.append((date.isoformat(), HiddenState(y=y, z=z)))
+    if not args.noise >= 0:
+        raise DataError(f"--noise must be >= 0, got {args.noise}")
     quotes = make_synthetic_quotes(
         params, states, spx_level=args.x, noise=args.noise, seed=args.seed,
         quad=QuadratureConfig(args.abs_tol, args.rel_tol))
     write_quotes_csv(args.out, quotes)
-    print(f"wrote {args.out} ({len(quotes)} quotes, {args.n_dates} dates)")
+    grid = (len(data.VIX_TAUS) * len(data.VIX_MONEYNESS)
+            + len(data.SPX_TAUS) * len(data.SPX_MONEYNESS))
+    print(f"wrote {args.out} ({len(quotes)} quotes, {args.n_dates} dates; "
+          f"{grid * args.n_dates - len(quotes)} dropped at price <= 0)")
     return EXIT_OK
 
 

@@ -296,8 +296,11 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
     own (so calibration round trips are exact up to optimizer noise);
     multiplicative Gaussian noise of relative size `noise` is optional.
     All quotes are calls with volume 100.  A maturity is rounded to whole
-    days, as the expiry is written, and priced at that rounded maturity.
+    days, as the expiry is written, and priced at that rounded maturity;
+    one priced at or below 0 is left out.  A negative noise is an error.
     """
+    if not noise >= 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     quotes = []
     for date_str, state in states:

@@ -113,14 +113,16 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     single option.  Returns (leading[], correction[]).
     """
     strikes = [float(k) for k in strikes]
+    for name, value in (("tau", tau), ("spot", x), *(("strike", k)
+                                                     for k in strikes)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive, got {value}")
     model = [r, kappa, theta_e, sigma_e, rho_e, v0]
-    if not all(map(math.isfinite, [x, tau, *strikes, *model])) \
-            or min(x, tau, *strikes, kappa, theta_e, sigma_e) <= 0 \
-            or abs(rho_e) > 1.0 or v0 < 0:
-        raise DomainError(f"need finite positive spot, strikes, tau, kappa, "
-                          f"theta, sigma, finite r, |rho| <= 1, v0 >= 0; got "
-                          f"x {x}, tau {tau}, (r, kappa, theta, sigma, rho, "
-                          f"v0) {model}")
+    if not all(map(math.isfinite, model)) or abs(rho_e) > 1.0 or v0 < 0 \
+            or min(kappa, theta_e, sigma_e) <= 0:
+        raise DomainError(f"need finite r, kappa, theta, sigma > 0, |rho| <= "
+                          f"1, v0 >= 0; got the effective (r, kappa, theta, "
+                          f"sigma, rho, v0) {model}")
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])
     with_corr = corr_scale != 0.0

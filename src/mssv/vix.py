@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
@@ -56,19 +56,25 @@ class Ncx2Params:
                    lam=z * decay / delta, delta=delta)
 
 
-def _poisson_log_weights(lam: float):
-    """Log Poisson(lam/2) weights of the ncx2 terms, to ~12 sd past lam/2."""
-    half = lam / 2.0
-    if half == 0.0:
-        return np.array([0.0])
-    n_terms = int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
-    if n_terms > _MAX_TERMS:
-        raise QuadratureError(
-            f"ncx2 series needs {n_terms} terms > budget {_MAX_TERMS} "
-            f"(lam = {lam})"
-        )
-    j = np.arange(n_terms)
-    return -half + j * math.log(half) - gammaln(j + 1)
+def _ncx2_terms(z, params: Ncx2Params):
+    """(terms j over e^top, top, dof/2 + j) of the ncx2 series at z > 0:
+    Poisson(lam/2)-weighted chi-square(dof + 2j) densities, to ~12 sd."""
+    half = params.lam / 2.0
+    log_pois = np.array([0.0])
+    if half > 0.0:
+        n_terms = int(math.ceil(half + 12.0 * math.sqrt(half + 1.0))) + 30
+        if n_terms > _MAX_TERMS:
+            raise QuadratureError(
+                f"ncx2 series needs {n_terms} terms > budget {_MAX_TERMS} "
+                f"(lam = {params.lam})")
+        j = np.arange(n_terms)
+        log_pois = -half + j * math.log(half) - gammaln(j + 1)
+    m_half = params.dof / 2.0 + np.arange(len(log_pois))
+    log_chi2 = ((m_half[:, None] - 1.0) * np.log(z)[None, :] - z[None, :] / 2.0
+                - m_half[:, None] * math.log(2.0) - gammaln(m_half)[:, None])
+    log_terms = log_chi2 + log_pois[:, None]
+    top = log_terms.max(axis=0)  # the log-sum-exp's shift, point by point
+    return np.exp(log_terms - top), top, m_half
 
 
 def ncx2_pdf(zeta, params: Ncx2Params):
@@ -82,20 +88,24 @@ def ncx2_pdf(zeta, params: Ncx2Params):
     zeta = np.atleast_1d(zeta)
     out = np.zeros_like(zeta)
     pos = (zeta > 0) & (zeta < math.inf)
-    log_pois = _poisson_log_weights(params.lam)
-    # (terms, points) log densities of chi-square(dof + 2j) at zeta > 0
-    m_half, z = params.dof / 2.0 + np.arange(len(log_pois)), zeta[pos]
-    log_chi2 = ((m_half[:, None] - 1.0) * np.log(z)[None, :] - z[None, :] / 2.0
-                - m_half[:, None] * math.log(2.0) - gammaln(m_half)[:, None])
-    log_terms = log_chi2 + log_pois[:, None]
-    top = log_terms.max(axis=0)  # the log-sum-exp's shift, point by point
-    out[pos] = np.exp(top + np.log(np.exp(log_terms - top).sum(axis=0)))
+    terms, top, _ = _ncx2_terms(zeta[pos], params)
+    out[pos] = np.exp(top + np.log(terms.sum(axis=0)))
     if np.any(zeta == 0.0):
         at0 = math.inf if params.dof < 2.0 else 0.0
         if params.dof == 2.0:
             at0 = 0.5 * math.exp(-params.lam / 2.0)
         out[zeta == 0.0] = at0
     return float(out[0]) if scalar else out
+
+
+def _ncx2_pdf_grad(zeta, params: Ncx2Params):
+    """The density at zeta > 0 and its derivatives: in dof, the terms times
+    (log(zeta/2) - psi(dof/2 + j))/2; in lam, (p(dof + 2) - p)/2, with term
+    j of p(dof + 2) term j times zeta/(dof + 2j), which holds at lam = 0."""
+    terms, top, m_half = _ncx2_terms(zeta, params)
+    p, psi, up = np.exp(top) * (np.stack(
+        [np.ones_like(m_half), digamma(m_half), 0.5 / m_half]) @ terms)
+    return p, 0.5 * (np.log(zeta / 2.0) * p - psi), 0.5 * (zeta * up - p)
 
 
 def _payoff_block(strikes, slope, intercept, numer=None):
@@ -126,11 +136,11 @@ def _correction_coeffs(state, tau, params, w):
             params.kappa * params.epsilon * w.a2_star)
 
 
-def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
+def _integrate_payoff(integrand, ncx2: Ncx2Params, vstar: float,
                       quad: QuadratureConfig, kinks=()):
     """Integrate payoff rows against the ncx2 density over [zeta*, inf).
 
-    rows maps an array of factor values v to an (m, n) payoff array; the
+    integrand maps an array of zeta to (m, n) rows times the density; the
     kink at vstar is the lower endpoint and any further payoff kinks
     (batched strikes) become panel edges, so each panel sees a smooth
     integrand.  The upper limit starts at the mean plus 40 mixed-moment
@@ -150,14 +160,20 @@ def _integrate_payoff(rows, ncx2: Ncx2Params, vstar: float,
         halvings = min(math.ceil(80.0 / ncx2.dof), 1000)
         edges = np.concatenate(
             [edges, zmax / 8 * 0.5**np.arange(1, halvings + 1)])
-
-    def integrand(zeta):
-        return rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2)
-
     total, err, _ = integrate_with_tail_doubling(
         integrand, zstar, zmax, quad.abs_tol, quad.rel_tol, MAX_NODES,
         breakpoints=edges)
     return total, err
+
+
+def _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r):
+    """The slow factor's law at tau, once the inputs are checked."""
+    if not all(map(math.isfinite, [z, tau, r, kappa, theta, sigma, *strikes])) \
+            or min(z, *strikes) < 0 or min(kappa, theta, sigma) <= 0:
+        raise DomainError(f"need finite r, tau, z, strikes >= 0, kappa, theta, "
+                          f"sigma > 0; got (r, tau, z, kappa, theta, sigma) "
+                          f"{[r, tau, z, kappa, theta, sigma]}")
+    return Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
 
 
 def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
@@ -173,20 +189,63 @@ def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
     strikes = [float(k) for k in strikes]
     if not strikes:
         return []
-    if not all(map(math.isfinite, [z, tau, r, kappa, theta, sigma, *strikes])) \
-            or min(z, *strikes) < 0 or min(kappa, theta, sigma) <= 0:
-        raise DomainError(f"need finite r, tau, z, strikes >= 0, kappa, theta, "
-                          f"sigma > 0; got (r, tau, z, kappa, theta, sigma) "
-                          f"{[r, tau, z, kappa, theta, sigma]}")
-    ncx2 = Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
+    ncx2 = _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r)
     kinks, rows = _payoff_block(strikes, slope, intercept, numer)
-    vals, _ = _integrate_payoff(rows, ncx2, min(kinks), quad, kinks=kinks)
+    vals, _ = _integrate_payoff(
+        lambda zeta: rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2),
+        ncx2, min(kinks), quad, kinks=kinks)
     disc = math.exp(-r * tau)
     n = len(strikes)
     return [PriceDecomposition(
         leading=disc * float(vals[i]),
         correction=disc * float(vals[n + i]) if numer is not None else 0.0)
         for i in range(n)]
+
+
+def vix_call_jets(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
+                  quad, c1=0.0, c2=0.0):
+    """Calls for a strike grid in one pass, as `_density_pass` with numerator
+    c1 + c2 (v - theta): row i is strike i's price, then its derivatives in
+    kappa, theta, sigma, z, slope, intercept, c1 and c2, from the payoffs
+    against the density and its dof and lam derivatives and the payoffs'
+    intercept and c1 derivatives alone and times v (d/d delta = zeta d/dv);
+    a correction payoff's jump at its kink adds -payoff p d(kink zeta)."""
+    strikes = [float(k) for k in strikes]
+    ncx2 = _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r)
+    ks = np.array(strikes)[:, None]
+    kinks = ((ks[:, 0] / 100.0) ** 2 - intercept) / slope
+    delta, dof, lam = ncx2.delta, ncx2.dof, ncx2.lam
+
+    def integrand(zeta):
+        p, p_dof, p_lam = _ncx2_pdf_grad(zeta, ncx2)
+        v = delta * zeta
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root, gate = np.sqrt(slope * v + intercept), v >= kinks[:, None]
+            lead = np.where(gate, np.maximum(100.0 * root - ks, 0.0), 0.0)
+            d_c1 = np.where(gate, 25.0 / root, 0.0)  # the c1 derivative
+        corr = (c1 + c2 * (v - theta)) * d_c1
+        d_int = 2.0 * d_c1 - 0.5 * corr / root**2  # the intercept's
+        return np.concatenate([lead * p, corr * p, (lead + corr) * p_dof,
+                               (lead + corr) * p_lam, d_int * p, d_c1 * p,
+                               d_int * (v * p), d_c1 * (v * p)])
+
+    vals, _ = _integrate_payoff(integrand, ncx2, min(kinks), quad,
+                                kinks=kinks)
+    lead, corr, g_dof, g_lam, a0, b0, a1, b1 = vals.reshape(8, -1)
+    edge = kinks > 0  # a correction payoff jumps from 0 to 2500 numer/K
+    at = np.zeros(len(kinks))
+    at[edge] = (2500.0 * (c1 + c2 * (kinks[edge] - theta)) / ks[edge, 0]
+                * ncx2_pdf(kinks[edge] / delta, ncx2) / (slope * delta))
+    g_slope, g_int = a1 + at * kinks, a0 + at
+    g_delta = (slope * g_slope + c2 * b1) / delta
+    decay = math.exp(-kappa * tau)
+    delta_kappa = tau * decay * sigma**2 / (4.0 * kappa) - delta / kappa
+    return math.exp(-r * tau) * np.column_stack([lead + corr, g_dof * dof
+        / kappa - g_lam * lam * (tau + delta_kappa / delta) + g_delta
+        * delta_kappa,
+        g_dof * dof / theta - c2 * b0,
+        2.0 * (g_delta * delta - g_dof * dof - g_lam * lam) / sigma,
+        g_lam * decay / delta, g_slope, g_int, b0, b1 - theta * b0])
 
 
 def price_vix_strike_batch(strikes, tau: float, state: HiddenState,

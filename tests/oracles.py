@@ -367,3 +367,22 @@ def synthetic_grid(**grid):
         for name, value in grid.items():
             patch.setattr(mssv.data, name, value)
         yield
+
+
+def difference_jacobian(fun, x, steps, lo, hi):
+    """Central differences of the vector function fun at x, with steps[j]
+    in x[j]; a column whose step would leave [lo[j], hi[j]] takes the
+    second-order one-sided difference into the box instead."""
+    x, cols = np.asarray(x, dtype=float), []
+    for j, h in enumerate(steps):
+        e = np.zeros(len(x))
+        e[j] = h
+        if x[j] - h < lo[j]:
+            cols.append((-3.0 * fun(x) + 4.0 * fun(x + e) - fun(x + 2 * e))
+                        / (2.0 * h))
+        elif x[j] + h > hi[j]:
+            cols.append((3.0 * fun(x) - 4.0 * fun(x - e) + fun(x - 2 * e))
+                        / (2.0 * h))
+        else:
+            cols.append((fun(x + e) - fun(x - e)) / (2.0 * h))
+    return np.column_stack(cols)

@@ -660,3 +660,58 @@ def test_make_synthetic_into_a_missing_directory_is_a_data_error(tmp_path,
                "--n-dates", "1"])
     assert rc == 2
     assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["-0.5", "nan"])
+def test_make_synthetic_rejects_a_negative_noise(monkeypatch, tmp_path,
+                                                 capsys, noise):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a bad noise")
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    rc = main(["make-synthetic", *PARAM_FLAGS, "--x", "2000", "--n-dates",
+               "2", "--noise", noise, "--out", str(tmp_path / "q.csv")])
+    assert rc == 2
+    assert f"data error: --noise must be >= 0, got {float(noise)}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_synthetic_reports_the_quotes_priced_at_or_below_zero(tmp_path,
+                                                                   capsys):
+    # the grid has 2 x 4 VIX and 2 x 5 SPX quotes a date; at 300% noise
+    # some draw a price at or below 0 and are left out
+    out = tmp_path / "q.csv"
+    rc = main(["make-synthetic", *PARAM_FLAGS, "--x", "2000", "--n-dates",
+               "2", "--noise", "3", "--out", str(out)])
+    assert rc == 0
+    rows = len(out.read_text().splitlines()) - 1
+    assert 0 < rows < 36
+    assert capsys.readouterr().out.strip() == (
+        f"wrote {out} ({rows} quotes, 2 dates; {36 - rows} dropped at "
+        "price <= 0)")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--x", "2000", "--strikes", "2000", "--tau", "-0.1"],
+     "tau must be positive, got -0.1"),
+    (["--x", "0", "--strikes", "2000", "--tau", "0.1"],
+     "spot must be positive, got 0.0"),
+    (["--x", "2000", "--strikes", "1900,-5", "--tau", "0.1"],
+     "strike must be positive, got -5.0")])
+def test_price_spx_names_a_bad_maturity_spot_or_strike(capsys, flags,
+                                                       message):
+    rc = main(["price-spx", *PARAM_FLAGS, *STATE_FLAGS, *flags])
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == f"numerical failure: {message}"
+
+
+def test_price_spx_labels_the_effective_heston_values():
+    # the contour sees (2 theta, sqrt(2) sigma, rho / sqrt(2), 2 z); a bad
+    # one-factor input reaches it as given, and the message says which
+    # tuple it shows
+    with pytest.raises(mssv.DomainError, match=r"got the effective \(r, "
+                       r"kappa, theta, sigma, rho, v0\) \[0.02, 3.43, 0.04, "
+                       r"0.424, -1.5, 0.04\]"):
+        mssv.price_heston_call_batch(2000.0, [2000.0], 0.1, 0.02, 3.43, 0.04,
+                                     0.424, -1.5, 0.04)

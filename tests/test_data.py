@@ -243,3 +243,10 @@ def test_quote_validation():
         _q(expiry="2016-01-05")  # not after trade date
     with pytest.raises(ValueError):
         _q(und="NDX")
+
+
+@pytest.mark.parametrize("noise", [-0.01, float("nan")])
+def test_synthetic_quotes_reject_a_negative_noise(params, noise):
+    states = [("2016-01-05", HiddenState(0.0234, 0.0194))]
+    with pytest.raises(ValueError, match="noise must be >= 0"):
+        make_synthetic_quotes(params, states, noise=noise)

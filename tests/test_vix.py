@@ -200,13 +200,13 @@ def test_payoff_h1star_against_expansion_rederivation(params, state_high_y):
 
 def _pass_rows(monkeypatch, price, strikes):
     """The payoff block function a strike-batch density pass builds."""
-    seen = []
+    seen, block = [], mssv.vix._payoff_block
 
-    def capture(rows, *args, **kwargs):
-        seen.append(rows)
-        return np.zeros(2 * len(strikes)), 0.0
+    def capture(*args):
+        seen.append(block(*args)[1])
+        return block(*args)
 
-    monkeypatch.setattr(mssv.vix, "_integrate_payoff", capture)
+    monkeypatch.setattr(mssv.vix, "_payoff_block", capture)
     price(strikes)
     return seen[0]
 
