@@ -5,19 +5,17 @@ from .exceptions import (CharFnOverflowError, DataError, DomainError,
                          InfeasibleStateError, MssvError, NoRootError,
                          QuadratureError)
 from .model import (TAU0, HiddenState, ModelParams, PriceDecomposition,
-                    QuadratureConfig, VixWeights, heston_star_weights,
-                    vix_from_state, vix_limit_from_z, vix_weights)
-from .spx import (SpxOptionSpec, price_heston_call_batch, price_spx,
-                  price_spx_strike_batch)
+                    QuadratureConfig, Quote, VixWeights, heston_star_weights,
+                    price_quotes, vix_from_state, vix_limit_from_z,
+                    vix_weights)
+from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import (Ncx2Params, ncx2_pdf, price_vix_heston_strike_batch,
                   price_vix_strike_batch)
 from .impvol import (bs_call_price, bs_implied_vol, vix_normal_implied_vol,
                      vix_normal_price)
-from .mc import (McConfig, McEstimate, McModelParams, mc_price_spx_strikes,
-                 mc_price_strikes, mc_price_vix_strikes)
+from .mc import McConfig, McEstimate, McModelParams, mc_price_strikes
 from .calibration import (CalibrationConfig, CalibrationResult, DateSlice,
-                          Quote, calibrate_heston, calibrate_msv,
-                          inner_state_fit, price_quotes)
+                          calibrate_heston, calibrate_msv)
 from .data import (OptionQuote, apply_filters, error_report, load_quotes,
                    make_synthetic_quotes, split_train_test, to_date_slices,
                    write_quotes_csv)

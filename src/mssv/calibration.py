@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -38,8 +38,8 @@ from scipy.sparse import csr_array
 
 from .cores import usable_cores
 from .exceptions import DomainError, InfeasibleStateError, MssvError
-from .model import (TAU0, HiddenState, ModelParams, PriceDecomposition,
-                    QuadratureConfig, heston_star_weights, vix_weights)
+from .model import (TAU0, HiddenState, ModelParams, QuadratureConfig, Quote,
+                    heston_star_weights, price_quotes, vix_weights)
 from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import _correction_coeffs, price_vix_strike_batch, vix_call_jets
 
@@ -49,16 +49,6 @@ _PENALTY = 1e8
 WEIGHT_FLOOR = 0.1
 #: order of the fitted parameters in a CalibrationResult
 _PARAM_ORDER = ("kappa", "theta", "sigma", "rho", "epsilon", "w3_eps")
-
-
-@dataclass(frozen=True)
-class Quote:
-    """One option observation reduced to what pricing needs."""
-
-    strike: float
-    tau: float
-    is_call: bool
-    price: float
 
 
 @dataclass(frozen=True)
@@ -97,9 +87,10 @@ class CalibrationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "restarts"):
-            if (value := getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name, least in (("max_iter", 1), ("restarts", 1), ("seed", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(
+                    f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -203,44 +194,6 @@ def _pinned(vix, weight, floor_weight, theta):
         raise InfeasibleStateError(
             f"VIX = {vix} below the state-free floor: implied {v:.6g} < 0")
     return v
-
-
-def price_quotes(quotes, calls, r: float, spot: float | None = None
-                 ) -> list[PriceDecomposition]:
-    """Model prices of quotes, in their order, one pricing pass per maturity.
-
-    calls(strikes, tau) prices calls on a strike grid in one pass and
-    returns PriceDecompositions, plain prices (read as leading terms) or,
-    for VIX, jets: a price, then its derivatives.  This is the one place
-    puts are priced: by put-call parity, with the parity shift in the
-    leading term, against the spot for SPX and, for VIX (spot None),
-    against the zero-strike call, the discounted VIX forward, added to
-    the same batch; a put jet's derivatives are its call's minus the
-    forward's.
-    """
-    groups = {}
-    for i, q in enumerate(quotes):
-        groups.setdefault(q.tau, []).append(i)
-    out = [None] * len(quotes)
-    for tau, idx in groups.items():
-        strikes = [quotes[i].strike for i in idx]
-        need_fwd = spot is None and not all(quotes[i].is_call for i in idx)
-        batch = [d if isinstance(d, (PriceDecomposition, np.ndarray))
-                 else PriceDecomposition(leading=d, correction=0.0)
-                 for d in calls(strikes + ([0.0] if need_fwd else []), tau)]
-        forward = spot if spot is not None else getattr(batch[-1], "total",
-                                                        batch[-1])
-        disc = math.exp(-r * tau)
-        for j, i in enumerate(idx):
-            d = batch[j]
-            if isinstance(d, np.ndarray) and not quotes[i].is_call:
-                d = d - forward
-                d[0] += quotes[i].strike * disc
-            elif not quotes[i].is_call:
-                d = replace(d, leading=d.leading
-                            + (quotes[i].strike * disc - forward))
-            out[i] = d
-    return out
 
 
 def _residuals(quotes, calls, r):

@@ -21,8 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, data
-from .calibration import (CalibrationConfig, Quote, calibrate_heston,
-                          calibrate_msv, price_quotes)
+from .calibration import CalibrationConfig, calibrate_heston, calibrate_msv
 from .data import (apply_filters, error_report, load_quotes,
                    make_synthetic_quotes, split_train_test, to_date_slices,
                    write_error_table_csv, write_quotes_csv)
@@ -31,8 +30,8 @@ from .impvol import bs_implied_vol, vix_normal_implied_vol, write_surface_csv
 from .mc import McConfig, McModelParams, mc_price_strikes
 from .mc import (mc_price_spx_strikes,  # noqa: F401  perfbench's tracer
                  mc_price_vix_strikes)  # noqa: F401  patches both
-from .model import (HiddenState, ModelParams, QuadratureConfig,
-                    vix_from_state, vix_limit_from_z)
+from .model import (HiddenState, ModelParams, QuadratureConfig, Quote,
+                    price_quotes, vix_from_state, vix_limit_from_z)
 from .spx import price_heston_call_batch, price_spx_strike_batch
 from .vix import price_vix_heston_strike_batch, price_vix_strike_batch
 
@@ -148,27 +147,28 @@ def _add_quote_flags(p):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _price_grid(args, calls, spot=None):
-    """Print the decompositions of the --strikes grid at --tau, priced by
-    calls(strikes, tau, state, params, quad)."""
+def _two_factor(quotes, state, params, quad, spot=None, leading_only=False):
+    """Two-factor decompositions of quotes: of SPX options at spot, or of
+    VIX options when spot is None.  leading_only prices the leading term
+    alone: SPX at w3_eps = 0, VIX without its correction rows."""
+    if spot is None:
+        return price_quotes(quotes, lambda ks, tau: price_vix_strike_batch(
+            ks, tau, state, params, quad, not leading_only), params.r)
+    p = replace(params, w3_eps=0.0) if leading_only else params
+    return price_quotes(quotes, lambda ks, tau: price_spx_strike_batch(
+        spot, ks, tau, state, p, quad), params.r, spot)
+
+
+def cmd_price(args):
+    """price-spx (with --x) and price-vix: the --strikes grid at --tau."""
     strikes = _floats(args.strikes)
     _at_least_one(len(strikes), "--strikes")
     params, state = _model_params(args), _state(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
-    _print_decomps(strikes, price_quotes(
-        _grid(strikes, [args.tau], not args.put),
-        lambda ks, tau: calls(ks, tau, state, params, quad), params.r, spot))
+    _print_decomps(strikes, _two_factor(
+        _grid(strikes, [args.tau], not args.put), state, params, quad,
+        getattr(args, "x", None), getattr(args, "uncorrected", False)))
     return EXIT_OK
-
-
-def cmd_price_spx(args):
-    return _price_grid(args, lambda ks, tau, st, p, quad: (
-        price_spx_strike_batch(args.x, ks, tau, st, p, quad)), args.x)
-
-
-def cmd_price_vix(args):
-    return _price_grid(args, lambda ks, tau, st, p, quad: (
-        price_vix_strike_batch(ks, tau, st, p, quad, not args.uncorrected)))
 
 
 def _load_quotes(args):
@@ -251,34 +251,20 @@ def cmd_imvol_surface(args):
     params, state = _model_params(args), _state(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     z0 = state.z if args.uncorrected_z is None else args.uncorrected_z
-    state_u = HiddenState(y=z0, z=z0)
-    grid = _grid(strikes, taus)
-
-    if args.kind == "vix":
-        level_c = vix_from_state(state, params)
-        level_u = vix_limit_from_z(z0, params)
-        pc = price_quotes(grid, lambda ks, tau: price_vix_strike_batch(
-            ks, tau, state, params, quad), params.r)
-        pu = price_quotes(grid, lambda ks, tau: price_vix_strike_batch(
-            ks, tau, state_u, params, quad, include_correction=False), params.r)
-        corrected = _vols(lambda p, k, tau: vix_normal_implied_vol(
-            p, level_c, k, tau), grid, pc, len(strikes))
-        uncorrected = _vols(lambda p, k, tau: vix_normal_implied_vol(
-            p, level_u, k, tau), grid, pu, len(strikes))
+    grid, spot = _grid(strikes, taus), (args.x if args.kind == "spx" else None)
+    # the uncorrected surface is the leading term at (z0, z0)
+    prices = (_two_factor(grid, state, params, quad, spot),
+              _two_factor(grid, HiddenState(y=z0, z=z0), params, quad, spot,
+                          leading_only=True))
+    if spot is None:
+        inverts = [lambda p, k, tau, level=level: vix_normal_implied_vol(
+            p, level, k, tau) for level in (vix_from_state(state, params),
+                                            vix_limit_from_z(z0, params))]
     else:
-        x = args.x
-        # the uncorrected surface is the leading term at (z0, z0)
-        params_u = replace(params, w3_eps=0.0)
-        pc = price_quotes(grid, lambda ks, tau: price_spx_strike_batch(
-            x, ks, tau, state, params, quad), params.r, x)
-        pu = price_quotes(grid, lambda ks, tau: price_spx_strike_batch(
-            x, ks, tau, state_u, params_u, quad), params.r, x)
-
-        def invert(p, k, tau):
-            return bs_implied_vol(p, x, k, tau, params.r)
-
-        corrected = _vols(invert, grid, pc, len(strikes))
-        uncorrected = _vols(invert, grid, pu, len(strikes))
+        inverts = 2 * [lambda p, k, tau: bs_implied_vol(p, spot, k, tau,
+                                                        params.r)]
+    corrected, uncorrected = (_vols(invert, grid, d, len(strikes))
+                              for invert, d in zip(inverts, prices))
 
     write_surface_csv(args.out_corrected, strikes, taus, corrected)
     write_surface_csv(args.out_uncorrected, strikes, taus, uncorrected)
@@ -323,10 +309,8 @@ def cmd_validate(args):
         spx_ests, vix_ests = mc_price_strikes(
             mp, state, tau, mc_cfg, x, spx_strikes,
             vix_strikes if shared else ())
-        analytic = price_quotes(
-            _grid(spx_strikes, [tau]),
-            lambda ks, t: price_spx_strike_batch(x, ks, t, state, params, quad),
-            params.r, x)
+        analytic = _two_factor(_grid(spx_strikes, [tau]), state, params,
+                               quad, x)
         print(f"SPX tau={_g(tau)} x={_g(x)} paths={mc_cfg.paths} "
               f"(eta={_g(mp.eta)}, nu={_g(mp.nu)})")
         failures += _print_mc_rows(spx_strikes, spx_ests, analytic)
@@ -336,10 +320,8 @@ def cmd_validate(args):
         if not shared:
             _, vix_ests = mc_price_strikes(mp, state, tau, mc_cfg,
                                            vix_strikes=vix_strikes)
-        analytic = price_quotes(
-            _grid(vix_strikes, [tau]),
-            lambda ks, t: price_vix_strike_batch(ks, t, state, params, quad),
-            params.r)
+        analytic = _two_factor(_grid(vix_strikes, [tau]), state, params,
+                               quad)
         print(f"VIX tau={_g(tau)} paths={mc_cfg.paths}")
         failures += _print_mc_rows(vix_strikes, vix_ests, analytic)
     print(f"points outside 3 SE: {failures}")
@@ -411,10 +393,8 @@ def cmd_error_report(args):
         heston += price_quotes(sl.spx_quotes, lambda ks, tau: (
             price_heston_call_batch(x, ks, tau, h["r"], h["kappa"], h["theta"],
                                     h["sigma"], h["rho"], z, quad)), h["r"], x)
-        ours += price_quotes(sl.vix_quotes, lambda ks, tau: (
-            price_vix_strike_batch(ks, tau, st, params, quad)), params.r)
-        ours += price_quotes(sl.spx_quotes, lambda ks, tau: (
-            price_spx_strike_batch(x, ks, tau, st, params, quad)), params.r, x)
+        ours += _two_factor(sl.vix_quotes, st, params, quad)
+        ours += _two_factor(sl.spx_quotes, st, params, quad, x)
     if not dates:
         raise DataError("no dates shared by both calibration results")
 
@@ -440,6 +420,10 @@ def cmd_error_report(args):
 def cmd_make_synthetic(args):
     _at_least_one(args.n_dates, "--n-dates")
     params = _model_params(args)
+    for flag in ("noise", "seed", "state_seed"):
+        if not (value := getattr(args, flag)) >= 0:
+            raise DataError(f"--{flag.replace('_', '-')} must be >= 0, "
+                            f"got {value}")
     rng = np.random.default_rng(args.state_seed)
     start = dt.date.fromisoformat(args.start_date)
     states = []
@@ -448,8 +432,6 @@ def cmd_make_synthetic(args):
         y = params.theta * math.exp(0.5 * rng.standard_normal())
         z = params.theta * math.exp(0.5 * rng.standard_normal())
         states.append((date.isoformat(), HiddenState(y=y, z=z)))
-    if not args.noise >= 0:
-        raise DataError(f"--noise must be >= 0, got {args.noise}")
     quotes = make_synthetic_quotes(
         params, states, spx_level=args.x, noise=args.noise, seed=args.seed,
         quad=QuadratureConfig(args.abs_tol, args.rel_tol))
@@ -474,7 +456,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--strikes", required=True, help="comma-separated")
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--put", action="store_true")
-    sp.set_defaults(func=cmd_price_spx)
+    sp.set_defaults(func=cmd_price)
 
     vp = sub.add_parser("price-vix", help="price VIX options on a strike grid")
     _add_param_flags(vp, "y", "z")
@@ -483,7 +465,7 @@ def build_parser() -> _Parser:
     vp.add_argument("--put", action="store_true")
     vp.add_argument("--uncorrected", action="store_true",
                     help="leading term only (epsilon -> 0 surface)")
-    vp.set_defaults(func=cmd_price_vix)
+    vp.set_defaults(func=cmd_price)
 
     cp = sub.add_parser("calibrate", help="two-step calibration from quotes")
     _add_param_flags(cp)

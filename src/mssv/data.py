@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import WEIGHT_FLOOR, DateSlice, Quote
+from .calibration import WEIGHT_FLOOR, DateSlice
 from .exceptions import DataError
-from .model import ModelParams, QuadratureConfig, vix_from_state
+from .model import ModelParams, QuadratureConfig, Quote, vix_from_state
 from .spx import price_spx_strike_batch
 from .vix import price_vix_strike_batch
 

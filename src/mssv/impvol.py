@@ -26,8 +26,8 @@ def _norm_cdf(x: float) -> float:
 def vix_normal_price(vix_level: float, strike: float, tau: float,
                      sigma_n: float) -> float:
     """Call price under dVIX = sigma dW: (V-K) N(d) + sigma sqrt(tau) n(d)."""
-    if sigma_n < 0:
-        raise ValueError(f"sigma_n must be non-negative, got {sigma_n}")
+    if not 0 <= sigma_n < math.inf:
+        raise ValueError(f"sigma_n must be finite and >= 0, got {sigma_n}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if sigma_n == 0.0:
@@ -65,6 +65,10 @@ def vix_normal_implied_vol(price: float, vix_level: float, strike: float,
 def bs_call_price(x: float, strike: float, tau: float, r: float,
                   sigma: float) -> float:
     """Black-Scholes call, no dividends."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if sigma <= 0:
         return max(x - strike * math.exp(-r * tau), 0.0)
     st = sigma * math.sqrt(tau)

@@ -82,6 +82,8 @@ class McConfig:
             raise ValueError(f"oracle runs need >= 10^4 paths, got {self.paths}")
         if self.steps_per_eps < 1:
             raise ValueError("steps_per_eps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

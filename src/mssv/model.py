@@ -1,4 +1,5 @@
-"""Model parameters and the VIX <-> hidden-state algebra.
+"""Model parameters, the VIX <-> hidden-state algebra, and the pricing of
+option quotes from a pricer of call strike grids (puts by parity).
 
 The model has a fast variance factor Y (mean reversion rate 1/epsilon) and
 a slow CIR factor Z (rate kappa); instantaneous variance of the index is
@@ -11,7 +12,9 @@ annualized variances; VIX levels are in index points (x100 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .exceptions import DomainError
 
@@ -126,14 +129,63 @@ class PriceDecomposition:
         return self.leading + self.correction
 
 
+@dataclass(frozen=True)
+class Quote:
+    """One option observation reduced to what pricing needs."""
+
+    strike: float
+    tau: float
+    is_call: bool
+    price: float
+
+
+def price_quotes(quotes, calls, r: float, spot: float | None = None
+                 ) -> list[PriceDecomposition]:
+    """Model prices of quotes, in their order, one pricing pass per maturity.
+
+    calls(strikes, tau) prices calls on a strike grid in one pass and
+    returns PriceDecompositions, plain prices (read as leading terms) or,
+    for VIX, jets: a price, then its derivatives.  This is the one place
+    puts are priced: by put-call parity, with the parity shift in the
+    leading term, against the spot for SPX and, for VIX (spot None),
+    against the zero-strike call, the discounted VIX forward, added to
+    the same batch; a put jet's derivatives are its call's minus the
+    forward's.
+    """
+    groups = {}
+    for i, q in enumerate(quotes):
+        groups.setdefault(q.tau, []).append(i)
+    out = [None] * len(quotes)
+    for tau, idx in groups.items():
+        strikes = [quotes[i].strike for i in idx]
+        need_fwd = spot is None and not all(quotes[i].is_call for i in idx)
+        batch = [d if isinstance(d, (PriceDecomposition, np.ndarray))
+                 else PriceDecomposition(leading=d, correction=0.0)
+                 for d in calls(strikes + ([0.0] if need_fwd else []), tau)]
+        forward = spot if spot is not None else getattr(batch[-1], "total",
+                                                        batch[-1])
+        disc = math.exp(-r * tau)
+        for j, i in enumerate(idx):
+            d = batch[j]
+            if isinstance(d, np.ndarray) and not quotes[i].is_call:
+                d = d - forward
+                d[0] += quotes[i].strike * disc
+            elif not quotes[i].is_call:
+                d = replace(d, leading=d.leading
+                            + (quotes[i].strike * disc - forward))
+            out[i] = d
+    return out
+
+
 def vix_weights(kappa: float, epsilon: float) -> VixWeights:
     """Weights of the exact 30-day forward-variance integration.
 
     The limits a2*, a4* are computed from their own closed forms, never by
     substituting a small epsilon.
     """
-    if kappa <= 0 or epsilon <= 0:
-        raise DomainError(f"kappa and epsilon must be positive, got ({kappa}, {epsilon})")
+    if not (0 < kappa < math.inf and 0 < epsilon < math.inf):
+        raise DomainError(f"kappa and epsilon must be positive and finite, "
+                          f"got ({kappa}, {epsilon})")
     if kappa * epsilon >= 1.0:
         raise DomainError(
             f"kappa*epsilon = {kappa * epsilon:.4f} >= 1: the 1/(1-kappa*eps) "
@@ -149,8 +201,8 @@ def vix_weights(kappa: float, epsilon: float) -> VixWeights:
 
 def heston_star_weights(kappa: float) -> tuple[float, float]:
     """(b2*, b4*) of the one-factor benchmark: VIX^2/100^2 = b2* z + b4* theta."""
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
+    if not 0 < kappa < math.inf:
+        raise DomainError(f"kappa must be positive and finite, got {kappa}")
     b2 = -math.expm1(-kappa * TAU0) / (kappa * TAU0)
     return b2, 1.0 - b2
 

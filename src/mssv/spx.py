@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CharFnOverflowError, DomainError
-from .model import HiddenState, ModelParams, PriceDecomposition, QuadratureConfig
+from .model import (HiddenState, ModelParams, PriceDecomposition,
+                    QuadratureConfig, Quote, price_quotes)
 from .quadrature import MAX_NODES, integrate_with_tail_doubling
 
 #: below this maturity the asymptotic expansion is not trusted; results
@@ -97,8 +98,6 @@ def price_spx(spec: SpxOptionSpec, state: HiddenState, params: ModelParams,
               quad: QuadratureConfig = QuadratureConfig()) -> PriceDecomposition:
     """One SPX option: leading term plus fast-factor correction; a put is
     priced by parity in `price_quotes`."""
-    from .calibration import Quote, price_quotes  # calibration imports us
-
     quote = Quote(spec.strike, spec.tau, spec.is_call, math.nan)
     return price_quotes([quote], lambda ks, tau: price_spx_strike_batch(
         spec.x, ks, tau, state, params, quad), params.r, spec.x)[0]

@@ -17,7 +17,8 @@ from scipy.special import digamma, gammaln
 
 from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
-                    QuadratureConfig, heston_star_weights, vix_weights)
+                    QuadratureConfig, _check_finite, heston_star_weights,
+                    vix_weights)
 from .quadrature import MAX_NODES, integrate_with_tail_doubling
 from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
@@ -39,6 +40,7 @@ class Ncx2Params:
     delta: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.dof <= 0 or self.delta <= 0 or self.lam < 0:
             raise ValueError(
                 f"need dof > 0, delta > 0, lam >= 0, got "

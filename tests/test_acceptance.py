@@ -23,13 +23,13 @@ from scipy.integrate import quad as scipy_quad
 from mssv import (CalibrationConfig, HiddenState, McConfig, McModelParams,
                   ModelParams, Ncx2Params, QuadratureConfig, bs_call_price, bs_implied_vol,
                   calibrate_heston, calibrate_msv, error_report,
-                  make_synthetic_quotes, mc_price_spx_strikes,
-                  mc_price_vix_strikes, ncx2_pdf, price_heston_call_batch,
+                  make_synthetic_quotes, ncx2_pdf, price_heston_call_batch,
                   price_spx_strike_batch,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   to_date_slices, vix_from_state, vix_limit_from_z,
                   vix_normal_implied_vol, vix_normal_price)
 from mssv.data import BUCKET_LABELS, OptionQuote
+from mssv.mc import mc_price_spx_strikes, mc_price_vix_strikes
 from mssv.model import TAU0
 from mssv.spx import effective_heston
 
@@ -109,7 +109,8 @@ def test_criterion_3_vix_level():
     v2 = vix_from_state(STATE_2, PARAMS)
     ok = abs(v1 - 20.0) <= 0.05 and abs(v2 - 20.0) <= 0.05
     detail = (f"states map to VIX {v1:.4f} and {v2:.4f}; required 20.0 +- 0.05 "
-              "(the published rounded parameters land ~0.08-0.09 low)")
+              "(the whole rounding box of the published values reaches at "
+              "most 19.966 and 19.974; see README)")
     assert _report(3, ok, detail), detail
 
 

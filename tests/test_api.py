@@ -2,7 +2,8 @@
 field and the parameters of the functions the benchmark tracer wraps or
 that lost a setting only the tests set are listed here, so adding one is
 a deliberate change; the module-level names the tracer wraps and the
-names the benchmark's workloads use must stay bound."""
+names the benchmark's workloads use must stay bound, and no module
+imports a sibling inside a function."""
 
 import ast
 import dataclasses
@@ -28,24 +29,36 @@ EXPORTS = [
     "InfeasibleStateError", "McConfig", "McEstimate", "McModelParams",
     "ModelParams", "MssvError", "Ncx2Params", "NoRootError", "OptionQuote",
     "PriceDecomposition", "QuadratureConfig", "QuadratureError", "Quote",
-    "SpxOptionSpec", "TAU0", "VixWeights", "apply_filters", "bs_call_price",
-    "bs_implied_vol", "calibrate_heston", "calibrate_msv", "error_report",
-    "heston_star_weights", "inner_state_fit", "load_quotes",
-    "make_synthetic_quotes", "mc_price_spx_strikes", "mc_price_strikes",
-    "mc_price_vix_strikes", "ncx2_pdf", "price_heston_call_batch",
-    "price_quotes", "price_spx", "price_spx_strike_batch",
-    "price_vix_heston_strike_batch", "price_vix_strike_batch",
-    "split_train_test", "to_date_slices", "vix_from_state", "vix_limit_from_z",
-    "vix_normal_implied_vol", "vix_normal_price", "vix_weights",
-    "write_quotes_csv",
+    "TAU0", "VixWeights", "apply_filters", "bs_call_price", "bs_implied_vol",
+    "calibrate_heston", "calibrate_msv", "error_report",
+    "heston_star_weights", "load_quotes", "make_synthetic_quotes",
+    "mc_price_strikes", "ncx2_pdf", "price_heston_call_batch",
+    "price_quotes", "price_spx_strike_batch", "price_vix_heston_strike_batch",
+    "price_vix_strike_batch", "split_train_test", "to_date_slices",
+    "vix_from_state", "vix_limit_from_z", "vix_normal_implied_vol",
+    "vix_normal_price", "vix_weights", "write_quotes_csv",
 ]
 
 
 def test_reexported_names():
     names = sorted(n for n, v in vars(mssv).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
-    assert len(EXPORTS) == 51
+    assert len(EXPORTS) == 46
     assert names == EXPORTS
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    # a function-level `from .x import` hides an import cycle; the one
+    # allowed function-level import is calibration's `multiprocessing`,
+    # which a one-core run never loads
+    late = []
+    for path in sorted((ROOT / "src" / "mssv").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                late += [(path.name, fn.name, node.lineno)
+                         for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level]
+    assert late == []
 
 
 def test_settings_fields():

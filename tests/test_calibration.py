@@ -18,14 +18,14 @@ from scipy.sparse import csr_array
 import mssv.calibration as calibration
 from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   Quote, QuadratureConfig, apply_filters, calibrate_heston,
-                  calibrate_msv, inner_state_fit, make_synthetic_quotes,
-                  price_quotes, price_spx_strike_batch,
-                  price_vix_strike_batch, to_date_slices, vix_from_state,
-                  vix_weights)
+                  calibrate_msv, make_synthetic_quotes, price_quotes,
+                  price_spx_strike_batch, price_vix_strike_batch,
+                  to_date_slices, vix_from_state, vix_weights)
 from mssv.calibration import (_BOUNDS, _DateMap, _heston_step1_objective,
                               _jac_over_dates, _jac_sparsity, _least_squares,
                               _msv_step1_objective, _msv_step2_objective,
-                              _pinned, _rho_search, _sum_over_dates)
+                              _pinned, _rho_search, _sum_over_dates,
+                              inner_state_fit)
 from mssv.exceptions import DomainError, MssvError
 
 from .oracles import (difference_jacobian, nelder_mead_min, synthetic_grid,
@@ -387,6 +387,11 @@ def test_a_solve_needs_an_evaluation():
 def test_a_fit_needs_a_start(restarts):
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         CalibrationConfig(restarts=restarts)
+
+
+def test_a_seed_is_not_negative():
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        CalibrationConfig(seed=-1)
 
 
 def test_jac_sparsity_matches_the_residual_rows(monkeypatch, params):

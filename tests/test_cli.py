@@ -13,11 +13,11 @@ import mssv.cli
 import mssv.mc
 import mssv.quadrature
 from mssv import (CharFnOverflowError, HiddenState, McConfig, McModelParams,
-                  ModelParams, QuadratureConfig, SpxOptionSpec,
-                  mc_price_spx_strikes, mc_price_vix_strikes,
-                  price_heston_call_batch, price_spx,
+                  ModelParams, QuadratureConfig, price_heston_call_batch,
                   price_vix_heston_strike_batch)
 from mssv.cli import main
+from mssv.mc import mc_price_spx_strikes, mc_price_vix_strikes
+from mssv.spx import SpxOptionSpec, price_spx
 
 from .conftest import FITTED, FITTED_HESTON
 from .oracles import (VixOptionSpec, mc_call_estimates, mc_vix_samples,
@@ -102,7 +102,9 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
 
 def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text(CONFIG_PARAMS + "paths=50000\nmax_iter=10\nstate_seed=3\n")
+    # price-vix has no --x: the shared file's x is not passed to it
+    cfg.write_text(CONFIG_PARAMS
+                   + "paths=50000\nmax_iter=10\nstate_seed=3\nx=2000\n")
     rc = main(["price-vix", "--config", str(cfg), *STATE_FLAGS,
                "--strikes", "20", "--tau", "0.08219178"])
     assert rc == 0
@@ -201,6 +203,16 @@ def test_calibrate_rejects_restarts_below_one(tmp_path, capsys):
     assert rc == 3
     assert "restarts must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_rejects_a_negative_seed_before_loading_quotes(tmp_path,
+                                                                 capsys):
+    # the quotes file does not exist: reading it would be a data error
+    rc = main(["calibrate", "--model", "msv", "--quotes",
+               str(tmp_path / "absent.csv"), "--out",
+               str(tmp_path / "fit.json"), "--seed", "-1"])
+    assert rc == 3
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -373,6 +385,11 @@ def test_validate_command(capsys):
 VALIDATE = ["validate", *PARAM_FLAGS, *STATE_FLAGS, "--spx-strikes",
             "1900,2000", "--vix-strikes", "18,22", "--paths", "10000",
             "--steps-per-eps", "2", "--seed", "5"]
+
+
+def test_validate_rejects_a_negative_seed(capsys):
+    assert main([*VALIDATE[:-1], "-1"]) == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def _traced_validate(monkeypatch, argv):
@@ -673,6 +690,21 @@ def test_make_synthetic_rejects_a_negative_noise(monkeypatch, tmp_path,
                "2", "--noise", noise, "--out", str(tmp_path / "q.csv")])
     assert rc == 2
     assert f"data error: --noise must be >= 0, got {float(noise)}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--state-seed"])
+def test_make_synthetic_rejects_a_negative_seed(monkeypatch, tmp_path, capsys,
+                                                flag):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a bad seed")
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    rc = main(["make-synthetic", *PARAM_FLAGS, "--x", "2000", flag, "-1",
+               "--out", str(tmp_path / "q.csv")])
+    assert rc == 2
+    assert f"data error: {flag} must be >= 0, got -1" in \
         capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

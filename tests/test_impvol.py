@@ -74,6 +74,16 @@ def test_bs_atm_one_year_reference():
     assert iv == pytest.approx(0.20, abs=1e-4)
 
 
+def test_prices_reject_a_non_finite_vol_or_no_time_left():
+    with pytest.raises(ValueError, match="tau must be positive"):
+        bs_call_price(2000.0, 2000.0, 0.0, 0.02, 0.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            bs_call_price(2000.0, 2000.0, 0.25, 0.02, bad)
+        with pytest.raises(ValueError, match="sigma_n must be finite"):
+            vix_normal_price(20.0, 20.0, 0.1, bad)
+
+
 def test_invert_point_flags_failures():
     # the surface's inversion writes nan where a point has no root
     grid = [Quote(20.0, 0.1, True, math.nan), Quote(18.0, 0.1, True, math.nan)]

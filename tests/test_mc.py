@@ -8,8 +8,8 @@ import pytest
 
 import mssv.mc
 from mssv import (DomainError, HiddenState, McConfig, McEstimate,
-                  McModelParams, ModelParams, bs_call_price,
-                  mc_price_spx_strikes, mc_price_strikes, mc_price_vix_strikes)
+                  McModelParams, ModelParams, bs_call_price, mc_price_strikes)
+from mssv.mc import mc_price_spx_strikes, mc_price_vix_strikes
 
 from .conftest import FITTED
 from .oracles import (expected_y, expected_z, mc_call_estimates,
@@ -185,6 +185,8 @@ def test_config_validation():
         McConfig(paths=100)  # oracle floor
     with pytest.raises(ValueError):
         McConfig(paths=10_000, steps_per_eps=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        McConfig(paths=10_000, seed=-1)
 
 
 def test_jobs_follow_the_usable_cores(monkeypatch, params, state_high_y):

@@ -79,6 +79,15 @@ def test_weights_degenerate_timescales():
         vix_weights(-1.0, 0.01)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weights_reject_a_non_finite_input(bad):
+    for weights in (lambda: vix_weights(bad, 0.01),
+                    lambda: vix_weights(3.0, bad),
+                    lambda: heston_star_weights(bad)):
+        with pytest.raises(DomainError, match="finite"):
+            weights()
+
+
 def test_vix_from_state_fitted_pairs(params, state_high_y, state_low_y):
     # the study reports these states as producing a VIX of 20; with the
     # published rounded parameters the exact relation gives ~19.91-19.92

@@ -8,9 +8,10 @@ import pytest
 
 import mssv.spx
 from mssv import (CharFnOverflowError, DomainError, HiddenState, ModelParams,
-                  QuadratureConfig, SpxOptionSpec, price_heston_call_batch,
-                  price_spx, price_spx_strike_batch)
-from mssv.spx import _cf_terms, _correction_factors, effective_heston
+                  QuadratureConfig, price_heston_call_batch,
+                  price_spx_strike_batch)
+from mssv.spx import (SpxOptionSpec, _cf_terms, _correction_factors,
+                      effective_heston, price_spx)
 
 from .conftest import FITTED
 from .oracles import char_fn_ode, f0_hat_quad, f1_hat_quad

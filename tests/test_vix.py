@@ -274,7 +274,10 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
         ks, tau, st, params, include_correction=c) for c in (True, False)]
     benchmark = lambda ks, tau, st: price_vix_heston_strike_batch(
         ks, tau, st.z, 3.43, 0.04, 0.424, 0.02)
-    for price in two_factor + [benchmark]:
+    jets = lambda ks, tau, st: mssv.vix.vix_call_jets(
+        ks, tau, st.z, params.kappa, params.theta, params.sigma, params.r,
+        0.9, 0.03, QuadratureConfig())
+    for price in two_factor + [benchmark, jets]:
         with pytest.raises(DomainError):
             price(strikes, TAU0, state_high_y)
         with pytest.raises(DomainError):
@@ -292,6 +295,25 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
     for change in bad:
         with pytest.raises(DomainError):
             price_vix_heston_strike_batch([20.0], TAU0, **{**base, **change})
+
+
+@pytest.mark.parametrize("sigma", [FITTED["sigma"], 0.8])  # dof 2.5, 0.47
+def test_jets_price_column_is_the_plain_pass_total(sigma):
+    params = ModelParams(**{**FITTED, "sigma": sigma})
+    quad = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11)
+    w = vix_weights(params.kappa, params.epsilon)
+    strikes = [0.0, 12.0, 16.0, 20.0, 24.0, 30.0]
+    for state in (HiddenState(y=0.0234, z=0.0194), HiddenState(y=0.0, z=0.02),
+                  HiddenState(y=0.03, z=0.0)):
+        for tau in (7 / 365, 30 / 365, 60 / 365):
+            plain = price_vix_strike_batch(strikes, tau, state, params, quad)
+            jets = mssv.vix.vix_call_jets(
+                strikes, tau, state.z, params.kappa, params.theta,
+                params.sigma, params.r, w.a2_star,
+                (1.0 + w.a4_star) * params.theta, quad,
+                *_correction_coeffs(state, tau, params, w))
+            assert np.abs(jets[:, 0] - [d.total for d in plain]).max() \
+                <= 5e-11, (state, tau)
 
 
 def test_price_monotone_in_strike(params, state_high_y):
@@ -425,3 +447,11 @@ def test_spec_validation():
         VixOptionSpec(strike=20.0, tau=0.0)
     with pytest.raises(ValueError):
         Ncx2Params(dof=0.0, lam=1.0, delta=1.0)
+
+
+@pytest.mark.parametrize("field", ["dof", "lam", "delta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ncx2_params_reject_a_non_finite_field(field, bad):
+    # a nan lam would price the central density, an infinite one overflow
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Ncx2Params(**{"dof": 1.0, "lam": 1.0, "delta": 1.0, field: bad})
