@@ -152,13 +152,12 @@ def _least_squares(fun, x0, bounds, jac, cfg: CalibrationConfig, trace):
                              lo, hi) for _ in range(cfg.restarts - 1)]
     traced, runs, outcomes = _traced(fun, trace, "step1"), [], []
     for k, x in enumerate(starts):
-        before = traced.count
         res = least_squares(traced, x, jac=lambda _: jac(), bounds=(lo, hi),
                             method="trf", x_scale="jac",
                             max_nfev=cfg.max_iter, **_LSQ_TOL)
         runs.append(res)
-        outcomes.append(_outcome("step1", k, res.success, res.njev,
-                                 traced.count - before, res.message))
+        outcomes.append(_outcome("step1", k, res.success, res.njev, res.nfev,
+                                 res.message))
     best = min(runs, key=lambda res: res.cost)
     return best.x, 2.0 * float(best.cost), outcomes
 
@@ -320,11 +319,6 @@ def _charged(terms):
     return [charge if isinstance(t, MssvError) else t for t in terms]
 
 
-def _sum_over_dates(terms):
-    """Objective value: the charged per-date terms summed in date order."""
-    return sum(_charged(terms))
-
-
 def _rows_over_dates(terms, slices):
     """Residual vector: each date's residual rows (its jets' first column),
     joined in date order; a failed date's are equal rows whose squares
@@ -337,25 +331,21 @@ def _rows_over_dates(terms, slices):
         for t, c, sl in zip(terms, sse, slices)])
 
 
-def _jac_sparsity(slices, n_params, state_columns):
-    """Step 1's Jacobian pattern: every residual row depends on the n_params
-    parameters and, with state_columns, date i's rows on column n_params + i
-    too, the date's s_i."""
+def _jac_over_dates(terms, slices, n_params, state_columns):
+    """Step 1's Jacobian, in CSR form: every residual row holds its jets'
+    derivatives (zeros for a failed date, whose charge is no model value)
+    in the n_params parameter columns and, with state_columns, date i's
+    rows in column n_params + i too, the date's s_i."""
     sizes = [len(sl.vix_quotes) for sl in slices]
-    pattern = np.ones((sum(sizes), n_params))
-    if not state_columns:
-        return pattern
-    return np.hstack([pattern, block_diag(*[np.ones((n, 1)) for n in sizes])])
-
-
-def _jac_over_dates(terms, slices, pattern):
-    """Step 1's Jacobian in the CSR pattern: a date's rows hold its jets'
-    derivatives, or zeros if it failed (its charge is no model value)."""
+    width, rows = n_params + state_columns, sum(sizes)
+    indices = np.tile(np.arange(width), (rows, 1))
+    if state_columns:
+        indices[:, -1] += np.repeat(np.arange(len(sizes)), sizes)
     return csr_array((np.concatenate([
-        np.zeros(len(sl.vix_quotes) * pattern.indptr[1])
-        if isinstance(t, MssvError) else t[:, 1:].ravel()
-        for t, sl in zip(terms, slices)]), pattern.indices, pattern.indptr),
-        shape=pattern.shape)
+        np.zeros(n * width) if isinstance(t, MssvError) else t[:, 1:].ravel()
+        for t, n in zip(terms, sizes)]), indices.ravel(),
+        np.arange(rows + 1) * width),
+        shape=(rows, n_params + state_columns * len(sizes)))
 
 
 def _two_step(model, slices, cfg, quad, r, start, step1_objective,
@@ -396,11 +386,11 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
         s0 = [] if state_start is None else [
             0.5 if isinstance(s, MssvError) else s
             for s in date_map(usable, state_start)(*p0)]
-        pattern = csr_array(_jac_sparsity(usable, len(names), bool(s0)))
         x, obj1, restarts1 = _least_squares(
             step1_objective(usable, r, quad, date_map), p0 + s0,
             [_BOUNDS[n] for n in names] + [(0.0, 1.0)] * len(s0),
-            lambda: _jac_over_dates(live[0].last, usable, pattern), cfg, trace)
+            lambda: _jac_over_dates(live[0].last, usable, len(names),
+                                    bool(s0)), cfg, trace)
         p = {n: float(v) for n, v in zip(names, x)}
 
         states, skipped = {}, []
@@ -488,9 +478,9 @@ def _spx_objective(dates, r, calls, profiled, date_map):
         profiled["w3_eps"] = w = (
             float(np.clip(-ab / bb, *_BOUNDS["w3_eps"])) if bb > 0 else 0.0)
         # max: rounding may take the quadratic a hair below 0
-        return _sum_over_dates([
+        return sum(_charged([
             t if isinstance(t, MssvError)
-            else max(float(t @ [1.0, 2.0 * w, w * w]), 0.0) for t in sums])
+            else max(float(t @ [1.0, 2.0 * w, w * w]), 0.0) for t in sums]))
     return fun
 
 

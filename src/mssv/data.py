@@ -223,7 +223,6 @@ class ErrorReport:
     """Per (underlying, maturity-bucket) weighted-error statistics."""
 
     cells: dict = field(default_factory=dict)
-    total_count: int = 0
 
     def cell(self, underlying: str, label: str) -> ErrorCell:
         return self.cells.get((underlying, label), ErrorCell(math.nan, math.nan, 0))
@@ -241,7 +240,7 @@ def error_report(model_prices, quotes) -> ErrorReport:
         e = option_error(p, q.mid_price)
         groups[(q.underlying_kind, bucket_label(q.tau))].append(e)
         groups[(q.underlying_kind, "total")].append(e)
-    report = ErrorReport(total_count=len(quotes))
+    report = ErrorReport()
     for key, errs in groups.items():
         arr = np.asarray(errs)
         report.cells[key] = ErrorCell(mean=float(arr.mean()),
@@ -297,10 +296,12 @@ def make_synthetic_quotes(params: ModelParams, states, spx_level: float = 2000.0
     multiplicative Gaussian noise of relative size `noise` is optional.
     All quotes are calls with volume 100.  A maturity is rounded to whole
     days, as the expiry is written, and priced at that rounded maturity;
-    one priced at or below 0 is left out.  A negative noise is an error.
+    one priced at or below 0 is left out.  Noise or seed below 0 is an error.
     """
     if not noise >= 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     quotes = []
     for date_str, state in states:

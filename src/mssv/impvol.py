@@ -14,6 +14,7 @@ import math
 from scipy.optimize import brentq
 
 from .exceptions import NoRootError
+from .model import _check_finite
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_ITER = 100
@@ -28,6 +29,7 @@ def vix_normal_price(vix_level: float, strike: float, tau: float,
     """Call price under dVIX = sigma dW: (V-K) N(d) + sigma sqrt(tau) n(d)."""
     if not 0 <= sigma_n < math.inf:
         raise ValueError(f"sigma_n must be finite and >= 0, got {sigma_n}")
+    _check_finite(dict(vix_level=vix_level, strike=strike, tau=tau))
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if sigma_n == 0.0:
@@ -55,7 +57,7 @@ def _invert(price_fn, target, hi_max):
 def vix_normal_implied_vol(price: float, vix_level: float, strike: float,
                            tau: float) -> float:
     """Invert the normal-model call price for sigma."""
-    intrinsic = max(vix_level - strike, 0.0)
+    intrinsic = vix_normal_price(vix_level, strike, tau, 0.0)  # checks inputs
     if not intrinsic < price < math.inf:
         raise NoRootError(f"price {price} outside ({intrinsic:.6g}, inf)")
     return _invert(lambda s: vix_normal_price(vix_level, strike, tau, s),
@@ -65,8 +67,7 @@ def vix_normal_implied_vol(price: float, vix_level: float, strike: float,
 def bs_call_price(x: float, strike: float, tau: float, r: float,
                   sigma: float) -> float:
     """Black-Scholes call, no dividends."""
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    _check_finite(dict(x=x, strike=strike, tau=tau, r=r, sigma=sigma))
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if sigma <= 0:
@@ -79,7 +80,7 @@ def bs_call_price(x: float, strike: float, tau: float, r: float,
 def bs_implied_vol(price: float, x: float, strike: float, tau: float,
                    r: float) -> float:
     """Invert Black-Scholes for the call vol inside the no-arbitrage band."""
-    lower = max(x - strike * math.exp(-r * tau), 0.0)
+    lower = bs_call_price(x, strike, tau, r, 0.0)  # checks inputs
     if not lower < price < x:
         raise NoRootError(
             f"price {price} outside the no-arbitrage band ({lower:.6g}, {x})")

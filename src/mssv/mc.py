@@ -90,7 +90,6 @@ class McConfig:
 class McEstimate:
     mean: float
     standard_error: float
-    paths_used: int
 
 
 def _chunk_rngs(seed: int, n_chunks: int):
@@ -162,8 +161,7 @@ def _simulate(mp: McModelParams, state0: HiddenState, x0, horizon: float,
 def _estimate(payoff: np.ndarray) -> McEstimate:
     n = payoff.shape[0]
     return McEstimate(mean=float(payoff.mean()),
-                      standard_error=float(payoff.std(ddof=1) / math.sqrt(n)),
-                      paths_used=n)
+                      standard_error=float(payoff.std(ddof=1) / math.sqrt(n)))
 
 
 def mc_price_strikes(mp: McModelParams, state0: HiddenState, tau: float,

@@ -12,7 +12,7 @@ annualized variances; VIX levels are in index points (x100 convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +22,11 @@ from .exceptions import DomainError
 TAU0 = 30.0 / 365.0
 
 
-def _check_finite(obj):
-    """ValueError naming the first nan or infinite field of dataclass obj."""
-    for f in fields(obj):
-        if not math.isfinite(value := getattr(obj, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+def _check_finite(values):
+    """ValueError naming the first nan or infinite value in a dict of them."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ModelParams:
     r: float = 0.02
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(vars(self))
         if self.kappa <= 0 or self.theta <= 0 or self.sigma <= 0:
             raise ValueError(
                 f"kappa, theta, sigma must be positive, got "
@@ -77,7 +77,7 @@ class HiddenState:
     z: float
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(vars(self))
         if self.y < 0 or self.z < 0:
             raise ValueError(f"state must be non-negative, got ({self.y}, {self.z})")
 
@@ -110,7 +110,7 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(vars(self))
         if min(self.abs_tol, self.rel_tol) <= 0:
             raise ValueError(f"tolerances must be positive, got "
                              f"{(self.abs_tol, self.rel_tol)}")

@@ -115,26 +115,26 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
 
 
 def integrate_with_tail_doubling(f, a: float, b: float, abs_tol: float,
-                                 rel_tol: float, max_nodes: int,
-                                 initial_panels: int = 8, breakpoints=None):
+                                 rel_tol: float, initial_panels: int = 8,
+                                 breakpoints=None):
     """Integrate f over [a, inf): the core [a, b] as `integrate` does,
-    then 4-panel tails [b, 2b], [2b, 4b], ... on the budget left, until
-    every component of a tail is below abs_tol.
+    then 4-panel tails [b, 2b], [2b, 4b], ... on what is left of the
+    MAX_NODES budget, until every component of a tail is below abs_tol.
 
     Used where the integrand decays fast but the safe truncation is not
     known in advance.  Raises QuadratureError when the budget is spent
     or after 6 tails.
     """
-    total, err, nodes = integrate(f, a, b, abs_tol, rel_tol, max_nodes,
+    total, err, nodes = integrate(f, a, b, abs_tol, rel_tol, MAX_NODES,
                                   initial_panels, breakpoints)
     lo = b
     for _ in range(6):
-        if nodes >= max_nodes:
+        if nodes >= MAX_NODES:
             raise QuadratureError(
-                f"node budget {max_nodes} spent before the tail",
+                f"node budget {MAX_NODES} spent before the tail",
                 estimate=total, error_estimate=err)
         tail, terr, tn = integrate(f, lo, 2.0 * lo, abs_tol, rel_tol,
-                                   max_nodes - nodes, initial_panels=4)
+                                   MAX_NODES - nodes, initial_panels=4)
         nodes += tn
         total = total + tail
         err = err + terr

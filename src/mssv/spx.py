@@ -24,7 +24,7 @@ import numpy as np
 from .exceptions import CharFnOverflowError, DomainError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, Quote, price_quotes)
-from .quadrature import MAX_NODES, integrate_with_tail_doubling
+from .quadrature import integrate_with_tail_doubling
 
 #: below this maturity the asymptotic expansion is not trusted; results
 #: carry a warning flag instead of failing
@@ -147,7 +147,7 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
     vals, _, _ = integrate_with_tail_doubling(
         integrand, 0.0, TRUNCATION,
         abs_tol=quad.abs_tol * max(strikes) * (math.pi * math.exp(r * tau)),
-        rel_tol=quad.rel_tol, max_nodes=MAX_NODES, initial_panels=4,
+        rel_tol=quad.rel_tol, initial_panels=4,
     )
     vals = vals.real * math.exp(-r * tau) / math.pi
     n = len(strikes)

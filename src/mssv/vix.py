@@ -19,7 +19,7 @@ from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, _check_finite, heston_star_weights,
                     vix_weights)
-from .quadrature import MAX_NODES, integrate_with_tail_doubling
+from .quadrature import integrate_with_tail_doubling
 from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
 
 #: the ncx2 series' term budget, which lam up to about 1.9e5 fits
@@ -40,7 +40,7 @@ class Ncx2Params:
     delta: float
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_finite(vars(self))
         if self.dof <= 0 or self.delta <= 0 or self.lam < 0:
             raise ValueError(
                 f"need dof > 0, delta > 0, lam >= 0, got "
@@ -138,22 +138,23 @@ def _correction_coeffs(state, tau, params, w):
             params.kappa * params.epsilon * w.a2_star)
 
 
-def _integrate_payoff(integrand, ncx2: Ncx2Params, vstar: float,
-                      quad: QuadratureConfig, kinks=()):
+def _integrate_payoff(integrand, ncx2: Ncx2Params, quad: QuadratureConfig,
+                      kinks):
     """Integrate payoff rows against the ncx2 density over [zeta*, inf).
 
     integrand maps an array of zeta to (m, n) rows times the density; the
-    kink at vstar is the lower endpoint and any further payoff kinks
-    (batched strikes) become panel edges, so each panel sees a smooth
-    integrand.  The upper limit starts at the mean plus 40 mixed-moment
-    standard deviations (at least 1.5 zeta* + 10) and doubles until the
-    tail adds less than abs_tol.  A density singular at zeta* = 0 (dof <
-    2) gets breakpoints halving the first core panel [0, zmax/8] toward 0,
-    since the K15 - G7 estimate understates the error of the panels next
-    to the singularity: mass within d of 0 grows like d^(dof/2), so 80/dof
-    halvings leave ~2^-40 of it inside (at most 1000: normal floats).
+    lowest payoff kink, v*, is the lower endpoint zeta* = v*/delta and the
+    others (batched strikes) become panel edges, so each panel sees a
+    smooth integrand.  The upper limit starts at the mean plus 40
+    mixed-moment standard deviations (at least 1.5 zeta* + 10) and doubles
+    until the tail adds less than abs_tol.  A density singular at zeta* = 0
+    (dof < 2) gets breakpoints halving the first core panel [0, zmax/8]
+    toward 0, since the K15 - G7 estimate understates the error of the
+    panels next to the singularity: mass within d of 0 grows like
+    d^(dof/2), so 80/dof halvings leave ~2^-40 of it inside (at most 1000:
+    normal floats).  Returns the rows' integrals.
     """
-    zstar = max(vstar / ncx2.delta, 0.0)
+    zstar = max(min(kinks) / ncx2.delta, 0.0)
     zmax = max(ncx2.dof + ncx2.lam
                + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)),
                zstar * 1.5 + 10.0)
@@ -162,10 +163,8 @@ def _integrate_payoff(integrand, ncx2: Ncx2Params, vstar: float,
         halvings = min(math.ceil(80.0 / ncx2.dof), 1000)
         edges = np.concatenate(
             [edges, zmax / 8 * 0.5**np.arange(1, halvings + 1)])
-    total, err, _ = integrate_with_tail_doubling(
-        integrand, zstar, zmax, quad.abs_tol, quad.rel_tol, MAX_NODES,
-        breakpoints=edges)
-    return total, err
+    return integrate_with_tail_doubling(integrand, zstar, zmax, quad.abs_tol,
+                                        quad.rel_tol, breakpoints=edges)[0]
 
 
 def _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r):
@@ -193,9 +192,9 @@ def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
         return []
     ncx2 = _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r)
     kinks, rows = _payoff_block(strikes, slope, intercept, numer)
-    vals, _ = _integrate_payoff(
+    vals = _integrate_payoff(
         lambda zeta: rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2),
-        ncx2, min(kinks), quad, kinks=kinks)
+        ncx2, quad, kinks=kinks)
     disc = math.exp(-r * tau)
     n = len(strikes)
     return [PriceDecomposition(
@@ -231,8 +230,7 @@ def vix_call_jets(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
                                (lead + corr) * p_lam, d_int * p, d_c1 * p,
                                d_int * (v * p), d_c1 * (v * p)])
 
-    vals, _ = _integrate_payoff(integrand, ncx2, min(kinks), quad,
-                                kinks=kinks)
+    vals = _integrate_payoff(integrand, ncx2, quad, kinks=kinks)
     lead, corr, g_dof, g_lam, a0, b0, a1, b1 = vals.reshape(8, -1)
     edge = kinks > 0  # a correction payoff jumps from 0 to 2500 numer/K
     at = np.zeros(len(kinks))

@@ -22,15 +22,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 from scipy.stats import ncx2
 
 import mssv.data
 import mssv.mc
-from mssv import (DomainError, HiddenState, McModelParams, ModelParams,
-                  QuadratureConfig, Quote, price_quotes,
-                  price_vix_strike_batch)
+from mssv import (DomainError, HiddenState, McEstimate, McModelParams,
+                  ModelParams, MssvError, QuadratureConfig, Quote,
+                  price_quotes, price_vix_strike_batch)
 from mssv.calibration import WEIGHT_FLOOR
 from mssv.model import heston_star_weights, vix_weights
 
@@ -302,14 +304,14 @@ def within(est, value: float, n_se: float, slack: float = 0.0) -> bool:
 
 
 def mc_call_estimates(underlying, strikes, tau: float, r: float) -> list:
-    """(mean, standard error, paths) of the discounted call payoff on
-    each strike over the terminal samples underlying."""
+    """The McEstimate (mean, standard error) of the discounted call payoff
+    on each strike over the terminal samples underlying."""
     disc, n = math.exp(-r * tau), len(underlying)
     out = []
     for k in strikes:
         payoff = disc * np.maximum(underlying - k, 0.0)
-        out.append((float(payoff.mean()),
-                    float(payoff.std(ddof=1) / math.sqrt(n)), n))
+        out.append(McEstimate(float(payoff.mean()),
+                              float(payoff.std(ddof=1) / math.sqrt(n))))
     return out
 
 
@@ -386,3 +388,20 @@ def difference_jacobian(fun, x, steps, lo, hi):
         else:
             cols.append((fun(x + e) - fun(x - e)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def dense_pattern_jacobian(terms, slices, n_params, state_columns):
+    """Step 1's Jacobian by way of its dense 0/1 pattern: every row depends
+    on the n_params parameters and, with state_columns, date i's rows on
+    column n_params + i too; the pattern's CSR indices then place each
+    date's jets derivatives (zeros for a failed date)."""
+    sizes = [len(sl.vix_quotes) for sl in slices]
+    pattern = np.ones((sum(sizes), n_params))
+    if state_columns:
+        pattern = np.hstack(
+            [pattern, block_diag(*[np.ones((n, 1)) for n in sizes])])
+    pattern = csr_array(pattern)
+    return csr_array((np.concatenate([
+        np.zeros(n * pattern.indptr[1]) if isinstance(t, MssvError)
+        else t[:, 1:].ravel() for t, n in zip(terms, sizes)]),
+        pattern.indices, pattern.indptr), shape=pattern.shape)

@@ -10,6 +10,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,15 +22,15 @@ from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   calibrate_msv, make_synthetic_quotes, price_quotes,
                   price_spx_strike_batch, price_vix_strike_batch,
                   to_date_slices, vix_from_state, vix_weights)
-from mssv.calibration import (_BOUNDS, _DateMap, _heston_step1_objective,
-                              _jac_over_dates, _jac_sparsity, _least_squares,
-                              _msv_step1_objective, _msv_step2_objective,
-                              _pinned, _rho_search, _sum_over_dates,
+from mssv.calibration import (_BOUNDS, _charged, _DateMap,
+                              _heston_step1_objective, _jac_over_dates,
+                              _least_squares, _msv_step1_objective,
+                              _msv_step2_objective, _pinned, _rho_search,
                               inner_state_fit)
 from mssv.exceptions import DomainError, MssvError
 
-from .oracles import (difference_jacobian, nelder_mead_min, synthetic_grid,
-                      weighted_sse)
+from .oracles import (dense_pattern_jacobian, difference_jacobian,
+                      nelder_mead_min, synthetic_grid, weighted_sse)
 
 QUAD = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
 FAST = CalibrationConfig(max_iter=60, restarts=1, seed=0)
@@ -400,19 +401,23 @@ def test_jac_sparsity_matches_the_residual_rows(monkeypatch, params):
                                    HiddenState(0.0110, 0.0203)],
                           taus=(30 / 365, 60 / 365))
     slices.append(_state_panel(params, [HiddenState(0.03, 0.026)])[0])
-    fun = _msv_step1_objective(slices, params.r, QUAD)
-    x = np.array([params.kappa, params.theta, params.sigma, params.epsilon,
-                  0.3, 0.5, 0.7])
-    base = fun(x)
-    pattern = _jac_sparsity(slices, 4, True)
-    assert base.shape == (6 + 6 + 3,) and pattern.shape == (15, 7)
-    # every parameter moves every row; s_i moves its date's rows alone
-    for j in range(7):
-        step = x.copy()
-        step[j] += 1e-4
-        moved = fun(step) != base
-        assert np.array_equal(moved, pattern[:, j].astype(bool)), j
-    assert np.array_equal(_jac_sparsity(slices, 3, False), np.ones((15, 3)))
+    msv = np.array([params.kappa, params.theta, params.sigma, params.epsilon,
+                    0.3, 0.5, 0.7])
+    for factory, n_params, x in ((_msv_step1_objective, 4, msv),
+                                 (_heston_step1_objective, 3, msv[:3])):
+        with _step1(factory, slices, params.r, QUAD, n_params) as (fun, jac):
+            base = fun(x)
+            built = jac()
+            # the entries the Jacobian stores, zero or not
+            stored = csr_array((np.ones_like(built.data), built.indices,
+                                built.indptr), shape=built.shape).toarray()
+            assert base.shape == (6 + 6 + 3,) and stored.shape == (15, len(x))
+            # every parameter moves every row; s_i its date's rows alone
+            for j in range(len(x)):
+                step = x.copy()
+                step[j] += 1e-4
+                moved = fun(step) != base
+                assert np.array_equal(moved, stored[:, j] == 1), j
 
 
 def test_states_at_both_ends_of_the_vix_line(monkeypatch, params):
@@ -543,7 +548,7 @@ def test_failed_dates_are_skipped_alike_on_any_core_count(monkeypatch):
         terms = _DateMap(range(5), term)
         try:
             out = terms(0.1)
-            results[cores] = ([type(t) for t in out], _sum_over_dates(out))
+            results[cores] = ([type(t) for t in out], sum(_charged(out)))
         finally:
             terms.close()
     assert results[1] == results[2] == results[3]
@@ -672,7 +677,7 @@ def test_step2_charges_a_failed_date_as_sum_over_dates(monkeypatch, params):
     alone(-0.8)
     assert alone_profiled["w3_eps"] == w
     terms = [_direct_sse([d], params, -0.8, w) for d in priced]
-    expected = _sum_over_dates(terms[:2] + [DomainError("failed")] + terms[2:])
+    expected = sum(_charged(terms[:2] + [DomainError("failed")] + terms[2:]))
     assert value == pytest.approx(expected, rel=1e-8)
 
 
@@ -722,7 +727,7 @@ def test_rho_search_matches_bounded_brent(centre, expected):
 @contextlib.contextmanager
 def _step1(factory, slices, r, quad, n_params):
     """(fun, jac) of a step-1 objective: the residual vector and, after
-    it, the exact Jacobian at the point it evaluated last, as dense."""
+    it, the exact sparse Jacobian at the point it evaluated last."""
     maps = []
 
     def date_map(dates, fn):
@@ -730,10 +735,9 @@ def _step1(factory, slices, r, quad, n_params):
         return maps[-1]
 
     fun = factory(slices, r, quad, date_map)
-    pattern = csr_array(_jac_sparsity(slices, n_params, n_params == 4))
     try:
-        yield fun, lambda: _jac_over_dates(maps[0].last, slices,
-                                           pattern).toarray()
+        yield fun, lambda: _jac_over_dates(maps[0].last, slices, n_params,
+                                           n_params == 4)
     finally:
         maps[0].close()
 
@@ -769,7 +773,7 @@ def test_step1_jacobian_equals_central_differences(monkeypatch, params,
     x = np.array(x)
     with _step1(factory, slices, params.r, tight, n_params) as (fun, jac):
         fun(x)
-        exact = jac()
+        exact = jac().toarray()
         steps = [1e-5 * v for v in x[:n_params]] + [1e-5] * (len(x)
                                                               - n_params)
         diff = difference_jacobian(fun, x, steps, [0.0] * len(x),
@@ -779,6 +783,37 @@ def test_step1_jacobian_equals_central_differences(monkeypatch, params,
         scale = np.abs(diff[:, j]).max()
         assert scale > 0, j
         assert np.abs(exact[:, j] - diff[:, j]).max() <= 1e-6 * scale, j
+
+
+@pytest.mark.parametrize("n_params, state_columns", ((4, True), (3, False)))
+def test_step1_jacobian_is_built_from_the_date_blocks(n_params,
+                                                      state_columns):
+    # the paper's sample size, 750 dates of 30 VIX quotes (29 on every
+    # third date), with random jets and one failed date: the CSR arrays
+    # are the dense pattern's, and no rows x columns array is made
+    rng = np.random.default_rng(0)
+    slices = [DateSlice(date=f"d{i}", spx_level=None, vix_level=20.0,
+                        vix_quotes=(Quote(20.0, 0.1, True, 1.0),)
+                        * (30 - (i % 3 == 2)))
+              for i in range(750)]
+    terms = [rng.standard_normal((len(sl.vix_quotes),
+                                  1 + n_params + state_columns))
+             for sl in slices]
+    terms[7] = DomainError("failed")
+    tracemalloc.start()
+    try:
+        built = _jac_over_dates(terms, slices, n_params, state_columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    oracle = dense_pattern_jacobian(terms, slices, n_params, state_columns)
+    assert built.shape == oracle.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(built, name), getattr(oracle, name))
+    first = sum(len(sl.vix_quotes) for sl in slices[:7])
+    assert built[first:first + 30].count_nonzero() == 0
+    assert built[first + 30].count_nonzero() == n_params + state_columns
 
 
 def test_step1_jacobian_does_not_depend_on_the_core_count(monkeypatch,
@@ -803,8 +838,9 @@ def test_step1_jacobian_does_not_depend_on_the_core_count(monkeypatch,
             with _step1(factory, slices, params.r, QUAD, n_params) as (fun,
                                                                        jac):
                 rows = fun(np.array(x))
-                seen[cores].append((rows.tobytes(), jac().tobytes()))
+                dense = jac().toarray()
+                seen[cores].append((rows.tobytes(), dense.tobytes()))
                 assert np.all(rows[n:n + 2] > 0)
-                assert not jac()[n:n + 2].any() and jac()[:n].any()
+                assert not dense[n:n + 2].any() and dense[:n].any()
         assert multiprocessing.active_children() == []
     assert seen[1] == seen[2] == seen[3]

@@ -421,8 +421,8 @@ def test_validate_simulates_once_per_maturity(monkeypatch, capsys):
     (spx_ests, vix_ests), = priced
     assert spx_ests == mc_price_spx_strikes(mp, state, 2000.0, spx, 0.05, cfg)
     _, yt, zt = simulate_terminal(mp, state, 2000.0, 0.05, cfg)
-    assert [(e.mean, e.standard_error, e.paths_used) for e in vix_ests] == \
-        mc_call_estimates(mc_vix_samples(mp, yt, zt), vix, 0.05, FITTED["r"])
+    assert vix_ests == mc_call_estimates(mc_vix_samples(mp, yt, zt), vix,
+                                         0.05, FITTED["r"])
     shared = capsys.readouterr().out
 
     # at two maturities, the two simulations of the one-grid pricers

@@ -148,7 +148,7 @@ def test_error_report_perfect_fit():
     quotes = [_q(), _q(strike=22.0, price=0.7)]
     rep = error_report([1.5, 0.7], quotes)
     assert rep.cell("VIX", "total").mean == 0.0
-    assert rep.total_count == 2
+    assert rep.cell("VIX", "total").count == 2
 
 
 def test_error_report_single_option_value():
@@ -250,3 +250,9 @@ def test_synthetic_quotes_reject_a_negative_noise(params, noise):
     states = [("2016-01-05", HiddenState(0.0234, 0.0194))]
     with pytest.raises(ValueError, match="noise must be >= 0"):
         make_synthetic_quotes(params, states, noise=noise)
+
+
+def test_synthetic_quotes_reject_a_negative_seed(params):
+    states = [("2016-01-05", HiddenState(0.0234, 0.0194))]
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        make_synthetic_quotes(params, states, noise=0.01, seed=-1)

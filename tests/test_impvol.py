@@ -84,6 +84,26 @@ def test_prices_reject_a_non_finite_vol_or_no_time_left():
             vix_normal_price(20.0, 20.0, 0.1, bad)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_prices_and_inversions_reject_a_non_finite_input(bad):
+    # a nan maturity, rate, spot, level or strike is an input error, not a
+    # failed inversion
+    bs = {"x": 2000.0, "strike": 2100.0, "tau": 0.25, "r": 0.02}
+    vix = {"vix_level": 20.0, "strike": 21.0, "tau": 0.1}
+    for name in bs:
+        args = {**bs, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bs_call_price(**args, sigma=0.2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bs_implied_vol(50.0, **args)
+    for name in vix:
+        args = {**vix, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            vix_normal_price(**args, sigma_n=4.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            vix_normal_implied_vol(1.0, **args)
+
+
 def test_invert_point_flags_failures():
     # the surface's inversion writes nan where a point has no root
     grid = [Quote(20.0, 0.1, True, math.nan), Quote(18.0, 0.1, True, math.nan)]
@@ -104,11 +124,16 @@ def test_residual_tolerance():
 
 
 def test_inversion_failures_are_no_root_errors(monkeypatch):
-    # a nan price inside the bracket (here from a nan maturity), and a
-    # root not reached within the iteration cap, raise NoRootError, never
-    # the root finder's own ValueError or RuntimeError
-    with pytest.raises(NoRootError, match="NaN"):
-        vix_normal_implied_vol(1.0, 20.0, 20.0, math.nan)
+    # a nan price inside the bracket (here from a pricer that returns nan
+    # at every vol above 0), and a root not reached within the iteration
+    # cap, raise NoRootError, never the root finder's own ValueError or
+    # RuntimeError
+    real = mssv.impvol.vix_normal_price
+    with monkeypatch.context() as patch:
+        patch.setattr(mssv.impvol, "vix_normal_price",
+                      lambda *args: math.nan if args[-1] else real(*args))
+        with pytest.raises(NoRootError, match="NaN"):
+            vix_normal_implied_vol(1.0, 20.0, 20.0, 0.1)
     monkeypatch.setattr(mssv.impvol, "_MAX_ITER", 2)
     price = bs_call_price(2000.0, 2100.0, 0.5, 0.02, 0.2)
     with pytest.raises(NoRootError, match="converge"):

@@ -108,10 +108,6 @@ def test_split_invariance_within_tolerance(params, state_high_y):
     assert abs(a.mean - b.mean) <= 3 * se + slack
 
 
-def _triples(estimates):
-    return [(e.mean, e.standard_error, e.paths_used) for e in estimates]
-
-
 def test_one_grid_pricers_price_their_own_simulation(params, state_high_y):
     # bit for bit the payoffs of simulate_terminal's X_T and of
     # simulate_variance_terminal's VIX_T, the index not simulated
@@ -119,12 +115,10 @@ def test_one_grid_pricers_price_their_own_simulation(params, state_high_y):
     cfg = McConfig(paths=10_000, seed=31, steps_per_eps=2)
     spx, vix = [1900.0, 2000.0, 2100.0], [15.0, 20.0]
     xt, _, _ = simulate_terminal(mp, state_high_y, 2000.0, tau, cfg)
-    assert _triples(mc_price_spx_strikes(mp, state_high_y, 2000.0, spx, tau,
-                                         cfg)) == \
+    assert mc_price_spx_strikes(mp, state_high_y, 2000.0, spx, tau, cfg) == \
         mc_call_estimates(xt, spx, tau, params.r)
     yt, zt = simulate_variance_terminal(mp, state_high_y, tau, cfg)
-    assert _triples(mc_price_vix_strikes(mp, state_high_y, vix, tau,
-                                         cfg)) == \
+    assert mc_price_vix_strikes(mp, state_high_y, vix, tau, cfg) == \
         mc_call_estimates(mc_vix_samples(mp, yt, zt), vix, tau, params.r)
 
 
@@ -148,7 +142,7 @@ def test_both_grids_are_priced_off_one_simulation(monkeypatch, params,
     # the VIX rows read the same run's (Y_T, Z_T): the index's normals
     # sit between their draws, so a VIX-only run gives other numbers
     _, yt, zt = simulate_terminal(mp, state_high_y, 2000.0, tau, cfg)
-    assert _triples(vix_ests) == mc_call_estimates(
+    assert vix_ests == mc_call_estimates(
         mc_vix_samples(mp, yt, zt), vix, tau, params.r)
     runs.clear()
     alone = mc_price_vix_strikes(mp, state_high_y, vix, tau, cfg)
@@ -211,7 +205,7 @@ def test_jobs_follow_the_usable_cores(monkeypatch, params, state_high_y):
 
 
 def test_estimate_within_helper():
-    est = McEstimate(mean=10.0, standard_error=0.5, paths_used=100)
+    est = McEstimate(mean=10.0, standard_error=0.5)
     assert within(est, 11.0, 3.0)
     assert not within(est, 12.0, 3.0)
     assert within(est, 12.0, 3.0, slack=1.0)

@@ -434,7 +434,7 @@ def test_heston_vix_pricer_monotone_and_parity():
 def test_node_budget_below_breakpoint_panels_raises(params, state_high_y,
                                                     monkeypatch):
     # 50 strikes put 50 kinks into the core integral: 58 panels, 870 nodes
-    monkeypatch.setattr(mssv.vix, "MAX_NODES", 500)
+    monkeypatch.setattr(mssv.quadrature, "MAX_NODES", 500)
     strikes = np.linspace(15.0, 30.0, 50)
     with pytest.raises(QuadratureError):
         price_vix_strike_batch(strikes, TAU0, state_high_y, params)
