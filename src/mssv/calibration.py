@@ -41,7 +41,7 @@ from .exceptions import DomainError, InfeasibleStateError, MssvError
 from .model import (TAU0, HiddenState, ModelParams, QuadratureConfig, Quote,
                     heston_star_weights, price_quotes, vix_weights)
 from .spx import price_heston_call_batch, price_spx_strike_batch
-from .vix import _correction_coeffs, price_vix_strike_batch, vix_call_jets
+from .vix import _correction_coeffs, price_vix_strike_batch, vix_call_pass
 
 _PENALTY = 1e8
 #: the price floor of the weighted error (model - P)/(WEIGHT_FLOOR + P)
@@ -445,9 +445,9 @@ def _heston_step1_objective(slices, r, quad, date_map=_DateMap):
         chain = block_diag([[1.0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [
             db * (theta - z) / b2, 1 - 1 / b2, 0], [db, 0, 0],
             [-db * theta, b4, 0], [0, 0, 0], [0, 0, 0]])
-        return _residuals(sl.vix_quotes, lambda ks, tau: vix_call_jets(
-            ks, tau, z, kappa, theta, sigma, r, b2, b4 * theta, quad) @ chain,
-            r)
+        return _residuals(sl.vix_quotes, lambda ks, tau: vix_call_pass(
+            ks, tau, z, kappa, theta, sigma, r, b2, b4 * theta, quad,
+            jets=True) @ chain, r)
 
     terms = date_map(slices, date_rows)
     return lambda x: _rows_over_dates(terms(*x), slices)
@@ -580,9 +580,9 @@ def _msv_jets(sl, params, quad, s):
             c1 * (tau / eps**2 * e[3] + g_a1 / w.a1) + 2.0 * tr * w.a1 * (
                 g_y - g_z),
             w.a2_star * (eps * e[0] + kappa * e[3]) + 2.0 * kappa * eps * g_b])
-        return vix_call_jets(ks, tau, state.z, kappa, theta, params.sigma,
+        return vix_call_pass(ks, tau, state.z, kappa, theta, params.sigma,
                              params.r, w.a2_star, (1.0 + w.a4_star) * theta,
-                             quad, c1, c2) @ chain
+                             quad, c1, c2, jets=True) @ chain
     return _residuals(sl.vix_quotes, calls, params.r)
 
 

@@ -122,6 +122,8 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
         raise DomainError(f"need finite r, kappa, theta, sigma > 0, |rho| <= "
                           f"1, v0 >= 0; got the effective (r, kappa, theta, "
                           f"sigma, rho, v0) {model}")
+    if not strikes:
+        return [], []
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])
     with_corr = corr_scale != 0.0
@@ -160,8 +162,6 @@ def price_spx_strike_batch(x: float, strikes, tau: float, state: HiddenState,
                            quad: QuadratureConfig = QuadratureConfig()
                            ) -> list[PriceDecomposition]:
     """Call decompositions for a strike grid in one contour pass."""
-    if len(strikes) == 0:
-        return []
     ke, te, se, re_ = effective_heston(params)
     leading, correction = _fourier_call_batch(
         x, strikes, tau, params.r, ke, te, se, re_, 2.0 * state.z,
@@ -178,8 +178,6 @@ def price_heston_call_batch(x: float, strikes, tau: float, r: float,
                             quad: QuadratureConfig = QuadratureConfig()
                             ) -> list[float]:
     """One-factor benchmark calls for a strike grid in one contour pass."""
-    if len(strikes) == 0:
-        return []
     leading, _ = _fourier_call_batch(x, strikes, tau, r, kappa, theta, sigma,
                                      rho, v0, 0.0, quad)
     return leading

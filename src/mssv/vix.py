@@ -110,23 +110,24 @@ def _ncx2_pdf_grad(zeta, params: Ncx2Params):
     return p, 0.5 * (np.log(zeta / 2.0) * p - psi), 0.5 * (zeta * up - p)
 
 
-def _payoff_block(strikes, slope, intercept, numer=None):
-    """(kinks, rows) of a strike grid: K pays (100*sqrt(slope*v + intercept) - K)+
-    once v reaches its kink; rows(v) is one block of every strike's leading
-    row, then, given the strike-free numer(v), every strike's correction row."""
-    kinks = np.array([((k / 100.0) ** 2 - intercept) / slope for k in strikes])
-    gates, ks = kinks[:, None], np.array(strikes, dtype=float)[:, None]
-
-    def rows(v):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            root = np.sqrt(slope * v + intercept)
-            gate = v >= gates
-            block = np.maximum(np.where(gate, 100.0 * root - ks, 0.0), 0.0)
-            if numer is None:
-                return block
-            return np.concatenate(
-                [block, np.where(gate, 100.0 * numer(v) / (4.0 * root), 0.0)])
-    return kinks, rows
+def _payoff_rows(v, ks, kinks, slope, intercept, coeffs=None):
+    """(rows, root, off) of a strike grid at slow-factor values v, with
+    root = sqrt(slope v + intercept) and off = v < kinks: the strike
+    column ks pays (100 root - K)+ from its kinks on, and given coeffs =
+    (c1, c2, theta) its correction rows, 100 (c1 + c2 (v - theta)) /
+    (4 root) from the kinks on, follow the leading rows.  The rows are
+    written into one block, with no strike-by-node temporary."""
+    n, off = len(ks), v < kinks[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(slope * v + intercept)
+        rows = np.empty((n if coeffs is None else 2 * n, len(v)))
+        lead = np.subtract(100.0 * root, ks, out=rows[:n])
+        np.copyto(np.maximum(lead, 0.0, out=lead), 0.0, where=off)
+        if coeffs is not None:
+            c1, c2, theta = coeffs
+            rows[n:] = (c1 + c2 * (v - theta)) * (25.0 / root)
+            np.copyto(rows[n:], 0.0, where=off)
+    return rows, root, off
 
 
 def _correction_coeffs(state, tau, params, w):
@@ -170,77 +171,68 @@ def _integrate_payoff(integrand, ncx2: Ncx2Params, quad: QuadratureConfig,
 def _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r):
     """The slow factor's law at tau, once the inputs are checked."""
     if not all(map(math.isfinite, [z, tau, r, kappa, theta, sigma, *strikes])) \
-            or min(z, *strikes) < 0 or min(kappa, theta, sigma) <= 0:
+            or min([z, *strikes]) < 0 or min(kappa, theta, sigma) <= 0:
         raise DomainError(f"need finite r, tau, z, strikes >= 0, kappa, theta, "
                           f"sigma > 0; got (r, tau, z, kappa, theta, sigma) "
                           f"{[r, tau, z, kappa, theta, sigma]}")
     return Ncx2Params.from_cir(kappa, theta, sigma, z, tau)
 
 
-def _density_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
-                  quad, numer=None):
-    """Call decompositions for a strike grid in one density pass.
+def vix_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
+                  quad, c1=0.0, c2=0.0, jets=False):
+    """Calls for a strike grid in one density pass, the density shared by
+    every strike.
 
     The slow factor is the CIR (kappa, theta, sigma) process started at
-    z, and a strike K pays (100*sqrt(slope*v + intercept) - K)+ in its
-    value v; numer(v), if given, adds correction rows (`_payoff_block`).
-    The non-central chi-square density dominates the cost and is shared
-    by every strike.
+    z, and a strike K pays (100 sqrt(slope v + intercept) - K)+ in its
+    value v, plus, unless c1 = c2 = 0, the correction payoff of numerator
+    c1 + c2 (v - theta) (`_payoff_rows`).  Returns the (leading,
+    correction) columns, the correction 0 without its rows.  With jets,
+    row i is strike i's price, then its derivatives in kappa, theta,
+    sigma, z, slope, intercept, c1 and c2, from the payoffs against the
+    density and its dof and lam derivatives and the payoffs' intercept and
+    c1 derivatives alone and times v (d/d delta = zeta d/dv); a correction
+    payoff's jump at its kink adds -payoff p d(kink zeta).
     """
     strikes = [float(k) for k in strikes]
-    if not strikes:
-        return []
     ncx2 = _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r)
-    kinks, rows = _payoff_block(strikes, slope, intercept, numer)
-    vals = _integrate_payoff(
-        lambda zeta: rows(ncx2.delta * zeta) * ncx2_pdf(zeta, ncx2),
-        ncx2, quad, kinks=kinks)
-    disc = math.exp(-r * tau)
-    n = len(strikes)
-    return [PriceDecomposition(
-        leading=disc * float(vals[i]),
-        correction=disc * float(vals[n + i]) if numer is not None else 0.0)
-        for i in range(n)]
-
-
-def vix_call_jets(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
-                  quad, c1=0.0, c2=0.0):
-    """Calls for a strike grid in one pass, as `_density_pass` with numerator
-    c1 + c2 (v - theta): row i is strike i's price, then its derivatives in
-    kappa, theta, sigma, z, slope, intercept, c1 and c2, from the payoffs
-    against the density and its dof and lam derivatives and the payoffs'
-    intercept and c1 derivatives alone and times v (d/d delta = zeta d/dv);
-    a correction payoff's jump at its kink adds -payoff p d(kink zeta)."""
-    strikes = [float(k) for k in strikes]
-    ncx2 = _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r)
+    n, disc = len(strikes), math.exp(-r * tau)
+    if not n:
+        return np.zeros((0, 9 if jets else 2))
     ks = np.array(strikes)[:, None]
     kinks = ((ks[:, 0] / 100.0) ** 2 - intercept) / slope
     delta, dof, lam = ncx2.delta, ncx2.dof, ncx2.lam
+    coeffs = (c1, c2, theta) if jets or c1 != 0.0 or c2 != 0.0 else None
 
     def integrand(zeta):
-        p, p_dof, p_lam = _ncx2_pdf_grad(zeta, ncx2)
         v = delta * zeta
-        with np.errstate(invalid="ignore", divide="ignore"):
-            root, gate = np.sqrt(slope * v + intercept), v >= kinks[:, None]
-            lead = np.where(gate, np.maximum(100.0 * root - ks, 0.0), 0.0)
-            d_c1 = np.where(gate, 25.0 / root, 0.0)  # the c1 derivative
-        corr = (c1 + c2 * (v - theta)) * d_c1
+        if not jets:  # the density product in place
+            rows = _payoff_rows(v, ks, kinks, slope, intercept, coeffs)[0]
+            rows *= ncx2_pdf(zeta, ncx2)
+            return rows
+        p, p_dof, p_lam = _ncx2_pdf_grad(zeta, ncx2)
+        rows, root, off = _payoff_rows(v, ks, kinks, slope, intercept, coeffs)
+        lead, corr = rows[:n], rows[n:]
+        with np.errstate(divide="ignore"):
+            d_c1 = np.where(off, 0.0, 25.0 / root)  # the c1 derivative
         d_int = 2.0 * d_c1 - 0.5 * corr / root**2  # the intercept's
         return np.concatenate([lead * p, corr * p, (lead + corr) * p_dof,
                                (lead + corr) * p_lam, d_int * p, d_c1 * p,
                                d_int * (v * p), d_c1 * (v * p)])
 
     vals = _integrate_payoff(integrand, ncx2, quad, kinks=kinks)
+    if not jets:
+        return disc * np.pad(vals, (0, 2 * n - len(vals))).reshape(2, n).T
     lead, corr, g_dof, g_lam, a0, b0, a1, b1 = vals.reshape(8, -1)
     edge = kinks > 0  # a correction payoff jumps from 0 to 2500 numer/K
-    at = np.zeros(len(kinks))
+    at = np.zeros(n)
     at[edge] = (2500.0 * (c1 + c2 * (kinks[edge] - theta)) / ks[edge, 0]
                 * ncx2_pdf(kinks[edge] / delta, ncx2) / (slope * delta))
     g_slope, g_int = a1 + at * kinks, a0 + at
     g_delta = (slope * g_slope + c2 * b1) / delta
     decay = math.exp(-kappa * tau)
     delta_kappa = tau * decay * sigma**2 / (4.0 * kappa) - delta / kappa
-    return math.exp(-r * tau) * np.column_stack([lead + corr, g_dof * dof
+    return disc * np.column_stack([lead + corr, g_dof * dof
         / kappa - g_lam * lam * (tau + delta_kappa / delta) + g_delta
         * delta_kappa,
         g_dof * dof / theta - c2 * b0,
@@ -259,12 +251,13 @@ def price_vix_strike_batch(strikes, tau: float, state: HiddenState,
     "uncorrected" surface), which depends on z only.
     """
     w = vix_weights(params.kappa, params.epsilon)
-    c1, c2 = _correction_coeffs(state, tau, params, w)
-    numer = (lambda v: c1 + c2 * (v - params.theta)) \
-        if include_correction else None
-    return _density_pass(strikes, tau, state.z, params.kappa, params.theta,
-                         params.sigma, params.r, w.a2_star,
-                         (1.0 + w.a4_star) * params.theta, quad, numer)
+    coeffs = _correction_coeffs(state, tau, params, w) \
+        if include_correction else ()
+    calls = vix_call_pass(strikes, tau, state.z, params.kappa, params.theta,
+                          params.sigma, params.r, w.a2_star,
+                          (1.0 + w.a4_star) * params.theta, quad, *coeffs)
+    return [PriceDecomposition(leading=lead, correction=corr)
+            for lead, corr in calls.tolist()]
 
 
 def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,
@@ -273,5 +266,5 @@ def price_vix_heston_strike_batch(strikes, tau: float, z: float, kappa: float,
                                   ) -> list[float]:
     """One-factor benchmark VIX calls for a strike grid in one pass."""
     b2, b4 = heston_star_weights(kappa)
-    return [d.leading for d in _density_pass(strikes, tau, z, kappa, theta,
-                                             sigma, r, b2, b4 * theta, quad)]
+    return vix_call_pass(strikes, tau, z, kappa, theta, sigma, r, b2,
+                         b4 * theta, quad)[:, 0].tolist()

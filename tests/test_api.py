@@ -1,10 +1,10 @@
 """The package's public surface: every re-exported name, every settings
-field and the parameters of the functions the benchmark tracer wraps or
-that lost a setting only the tests set are listed here, so adding one is
-a deliberate change; the module-level names the tracer wraps and the
-names the benchmark's workloads use must stay bound, the imports kept for
-the tracer alone are listed, and no module imports a sibling inside a
-function."""
+field and the parameters of the functions the benchmark tracer wraps, of
+those that lost a setting only the tests set and of the one VIX density
+pass are listed here, so adding one is a deliberate change; the
+module-level names the tracer wraps and the names the benchmark's
+workloads use must stay bound, the imports kept for the tracer alone are
+listed, and no module imports a sibling inside a function."""
 
 import ast
 import dataclasses
@@ -18,8 +18,8 @@ import mssv.vix
 from mssv import (CalibrationConfig, HiddenState, McConfig, McEstimate,
                   McModelParams, QuadratureConfig, apply_filters,
                   calibrate_heston, calibrate_msv, error_report,
-                  make_synthetic_quotes, ncx2_pdf, vix_from_state,
-                  vix_limit_from_z)
+                  make_synthetic_quotes, ncx2_pdf, price_vix_strike_batch,
+                  vix_from_state, vix_limit_from_z)
 
 from .oracles import synthetic_grid
 
@@ -114,6 +114,20 @@ def test_parameters_of_the_traced_functions():
                                                 "quad"],
                       "vix_from_state": ["state", "params"],
                       "vix_limit_from_z": ["z", "params"]}
+
+
+def test_parameters_of_the_vix_pass():
+    # one density pass prices every VIX grid; a new setting there, or in
+    # the two-factor grid pricer, is a deliberate change
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (mssv.vix.vix_call_pass, price_vix_strike_batch)}
+    assert params == {"vix_call_pass": ["strikes", "tau", "z", "kappa",
+                                        "theta", "sigma", "r", "slope",
+                                        "intercept", "quad", "c1", "c2",
+                                        "jets"],
+                      "price_vix_strike_batch": ["strikes", "tau", "state",
+                                                 "params", "quad",
+                                                 "include_correction"]}
 
 
 def test_every_name_the_benchmark_workloads_use_resolves():

@@ -247,6 +247,18 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
                                     **{**base, **change})
 
 
+def test_empty_grid_is_checked_then_priced_empty(params, state_high_y):
+    two_factor = lambda x, tau: price_spx_strike_batch(
+        x, [], tau, state_high_y, params)
+    benchmark = lambda x, tau: price_heston_call_batch(
+        x, [], tau, 0.02, 3.43, 0.04, 0.424, -1.0, 0.04)
+    for price in (two_factor, benchmark):
+        assert price(2000.0, 0.1) == []
+        for x, tau in ((2000.0, -1.0), (2000.0, math.nan), (-1.0, 0.1)):
+            with pytest.raises(DomainError):
+                price(x, tau)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SpxOptionSpec(x=-1.0, strike=100.0, tau=0.1)

@@ -18,7 +18,7 @@ from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   vix_weights)
 from mssv.model import TAU0
-from mssv.vix import _correction_coeffs, _payoff_block
+from mssv.vix import _correction_coeffs, _payoff_rows
 
 from .conftest import FITTED
 from .oracles import (VixOptionSpec, mc_params_from_eta_nu, price_vix,
@@ -111,16 +111,16 @@ def test_ncx2_pdf_matches_scipy_on_a_wide_grid(dof, lam):
 
 
 def _strike_row(v, params, strike, state=None, tau=None):
-    """One strike's last row of the two-factor pass's payoff block at v:
+    """One strike's last row of the two-factor pass's payoff rows at v:
     the leading payoff, or with a state the correction payoff."""
     w = vix_weights(params.kappa, params.epsilon)
-    c1, c2 = (None, None) if state is None else _correction_coeffs(
-        state, tau, params, w)
-    numer = None if state is None else (
-        lambda u: c1 + c2 * (u - params.theta))
-    _, rows = _payoff_block([float(strike)], w.a2_star,
-                            (1.0 + w.a4_star) * params.theta, numer)
-    row = rows(np.ravel(np.asarray(v, dtype=float)))[-1]
+    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
+    coeffs = None if state is None else (
+        *_correction_coeffs(state, tau, params, w), params.theta)
+    ks = np.array([[float(strike)]])
+    kinks = ((ks[:, 0] / 100.0) ** 2 - intercept) / slope
+    row = _payoff_rows(np.ravel(np.asarray(v, dtype=float)), ks, kinks,
+                       slope, intercept, coeffs)[0][-1]
     return row.reshape(np.shape(v)) if np.ndim(v) else float(row[0])
 
 
@@ -199,28 +199,29 @@ def test_payoff_h1star_against_expansion_rederivation(params, state_high_y):
 
 
 def _pass_rows(monkeypatch, price, strikes):
-    """The payoff block function a strike-batch density pass builds."""
-    seen, block = [], mssv.vix._payoff_block
+    """The payoff rows, as a function of v, that a strike-batch density
+    pass builds."""
+    seen, rows = [], mssv.vix._payoff_rows
 
-    def capture(*args):
-        seen.append(block(*args)[1])
-        return block(*args)
+    def capture(v, *args):
+        seen.append(args)
+        return rows(v, *args)
 
-    monkeypatch.setattr(mssv.vix, "_payoff_block", capture)
+    monkeypatch.setattr(mssv.vix, "_payoff_rows", capture)
     price(strikes)
-    return seen[0]
+    return lambda v: rows(v, *seen[0])[0]
 
 
 def _per_strike_rows(v, slope, intercept, strike, numer=None):
-    """The per-strike leading (and correction) payoff the block replaced."""
+    """The per-strike leading (and correction) payoff the rows replaced."""
     vstar = ((strike / 100.0) ** 2 - intercept) / slope
     gate = v >= vstar
     h0, h1 = np.zeros_like(v), np.zeros_like(v)
     h0[gate] = 100.0 * np.sqrt(slope * v[gate] + intercept) - strike
     if numer is not None:  # K = 0 at its own kink divides by a zero root
         with np.errstate(divide="ignore"):
-            h1[gate] = 100.0 * numer[gate] / (4.0 * np.sqrt(slope * v[gate]
-                                                            + intercept))
+            h1[gate] = numer[gate] * (25.0 / np.sqrt(slope * v[gate]
+                                                     + intercept))
     return np.maximum(h0, 0.0), h1
 
 
@@ -274,9 +275,9 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
         ks, tau, st, params, include_correction=c) for c in (True, False)]
     benchmark = lambda ks, tau, st: price_vix_heston_strike_batch(
         ks, tau, st.z, 3.43, 0.04, 0.424, 0.02)
-    jets = lambda ks, tau, st: mssv.vix.vix_call_jets(
+    jets = lambda ks, tau, st: mssv.vix.vix_call_pass(
         ks, tau, st.z, params.kappa, params.theta, params.sigma, params.r,
-        0.9, 0.03, QuadratureConfig())
+        0.9, 0.03, QuadratureConfig(), jets=True)
     for price in two_factor + [benchmark, jets]:
         with pytest.raises(DomainError):
             price(strikes, TAU0, state_high_y)
@@ -297,6 +298,57 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
             price_vix_heston_strike_batch([20.0], TAU0, **{**base, **change})
 
 
+def _vix_modes(params, state):
+    """The one density pass's four uses as strike-grid pricers at TAU0:
+    corrected, uncorrected, the benchmark and step 1's jets."""
+    w = vix_weights(params.kappa, params.epsilon)
+    return {
+        "corrected": lambda ks, tau=TAU0: price_vix_strike_batch(
+            ks, tau, state, params),
+        "uncorrected": lambda ks, tau=TAU0: price_vix_strike_batch(
+            ks, tau, state, params, include_correction=False),
+        "benchmark": lambda ks, tau=TAU0: price_vix_heston_strike_batch(
+            ks, tau, state.z, 3.43, 0.04, 0.424, 0.02),
+        "jets": lambda ks, tau=TAU0: mssv.vix.vix_call_pass(
+            ks, tau, state.z, params.kappa, params.theta, params.sigma,
+            params.r, w.a2_star, (1.0 + w.a4_star) * params.theta,
+            QuadratureConfig(), *_correction_coeffs(state, TAU0, params, w),
+            jets=True)}
+
+
+def test_empty_grid_is_checked_then_priced_empty(params, state_high_y):
+    for mode, price in _vix_modes(params, state_high_y).items():
+        assert list(price([])) == [], mode
+        for tau in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                price([], tau)
+
+
+def test_a_pass_integrates_only_the_rows_it_uses(monkeypatch, params,
+                                                 state_high_y):
+    passes, integrate = [], mssv.vix._integrate_payoff
+
+    def spy(integrand, *args, **kwargs):
+        heights = set()
+        passes.append(heights)
+
+        def rows(zeta):
+            out = integrand(zeta)
+            heights.add(out.shape[0])
+            return out
+        return integrate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(mssv.vix, "_integrate_payoff", spy)
+    strikes = [0.0, 15.0, 20.0, 25.0, 35.0]
+    n = len(strikes)
+    per_strike = {"corrected": 2, "uncorrected": 1, "benchmark": 1,
+                  "jets": 8}
+    for mode, price in _vix_modes(params, state_high_y).items():
+        passes.clear()
+        price(strikes)
+        assert passes == [{per_strike[mode] * n}], mode
+
+
 @pytest.mark.parametrize("sigma", [FITTED["sigma"], 0.8])  # dof 2.5, 0.47
 def test_jets_price_column_is_the_plain_pass_total(sigma):
     params = ModelParams(**{**FITTED, "sigma": sigma})
@@ -307,11 +359,11 @@ def test_jets_price_column_is_the_plain_pass_total(sigma):
                   HiddenState(y=0.03, z=0.0)):
         for tau in (7 / 365, 30 / 365, 60 / 365):
             plain = price_vix_strike_batch(strikes, tau, state, params, quad)
-            jets = mssv.vix.vix_call_jets(
+            jets = mssv.vix.vix_call_pass(
                 strikes, tau, state.z, params.kappa, params.theta,
                 params.sigma, params.r, w.a2_star,
                 (1.0 + w.a4_star) * params.theta, quad,
-                *_correction_coeffs(state, tau, params, w))
+                *_correction_coeffs(state, tau, params, w), jets=True)
             assert np.abs(jets[:, 0] - [d.total for d in plain]).max() \
                 <= 5e-11, (state, tau)
 
