@@ -17,11 +17,12 @@ which a date's rows depend on the parameters and its s_i alone.  Step 2
 is one bounded search over rho: SPX prices are affine in w3_eps, so its
 optimum at each rho is closed-form (variable projection).
 The per-date terms of every evaluation are independent, so they run on
-one process per usable core (at most one per date): the start fits and
-each step fork their workers once, they evaluate a fixed share of the
-dates, and the terms come back to the calling process, which joins them
-in date order.  A date's term is the same number in any process, so
-fits are bitwise reproducible for a given seed on any core count.
+one process per usable core (at most one per date): each fit forks its
+workers once, before the start fits, and keeps them through step 2; each
+evaluates a fixed share of the dates, and the terms come back to the
+calling process, which joins them in date order.  A date's term is the
+same number in any process, so fits are bitwise reproducible for a given
+seed on any core count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .exceptions import DomainError, InfeasibleStateError, MssvError
 from .model import (TAU0, HiddenState, ModelParams, QuadratureConfig, Quote,
                     heston_star_weights, price_quotes, vix_weights)
 from .spx import price_heston_call_batch, price_spx_strike_batch
-from .vix import _correction_coeffs, price_vix_strike_batch, vix_call_pass
+from .vix import price_vix_strike_batch, vix_call_pass
 
 _PENALTY = 1e8
 #: the price floor of the weighted error (model - P)/(WEIGHT_FLOOR + P)
@@ -208,27 +209,30 @@ def _residuals(quotes, calls, r):
 
 
 class _DateMap:
-    """fn(date, *args) for each of a fixed list of dates, in date order,
-    on n = min(usable cores, dates) processes.
+    """A fixed list of dates whose terms run on n = min(usable cores,
+    dates) processes: a call dates(fn, *args) returns fn(i, dates[i],
+    *args) for each date i, in date order.
 
-    The n - 1 workers are forked when the map is made, after fn and the
-    dates exist, so they share them without pickling; worker k evaluates
-    dates k, k + n, k + 2n, ... and the calling process evaluates share 0
-    itself.  A call sends each worker its date indices and the argument
-    tuple over a pipe and gets back one result per date: the value, or the
-    exception the date raised (last keeps the last call's); failed maps the
-    index of each date that ever raised an MssvError to that first error's
-    class name.  Calibration starts no threads, so at fork time the only
-    others are the BLAS pools, which OpenBLAS stops and restarts around a
-    fork.  With n = 1 nothing is forked.  close() stops the workers; those
-    of a map dropped unclosed exit when its pipe ends are collected.
+    The n - 1 workers are forked when the map is made, after the dates
+    exist, so they share them without pickling; worker k evaluates dates
+    k, k + n, k + 2n, ... and the calling process evaluates share 0
+    itself.  A call sends each worker fn, its date indices and the
+    argument tuple over a pipe, so fn must be a module-level function,
+    which pickle sends by name; it gets back one result per date: the
+    value, or the exception the date raised (last keeps the last call's);
+    failed maps the index of each date that ever raised an MssvError to
+    that first error's class name.  Calibration starts no threads, so at
+    fork time the only others are the BLAS pools, which OpenBLAS stops
+    and restarts around a fork.  With n = 1 nothing is forked.  close()
+    stops the workers; those of a map dropped unclosed exit when its pipe
+    ends are collected.
 
     It is neither a stdlib process pool nor a thread pool: both were
     measured slower on the same fits (see the README).
     """
 
-    def __init__(self, dates, fn):
-        self.dates, self.fn = list(dates), fn
+    def __init__(self, dates):
+        self.dates = list(dates)
         self.failed = {}
         n = max(min(usable_cores(), len(self.dates)), 1)
         self.shares = [range(k, len(self.dates), n) for k in range(n)]
@@ -249,11 +253,11 @@ class _DateMap:
             self.close()
             raise
 
-    def _evaluate(self, share, args):
+    def _evaluate(self, share, fn, args):
         out = []
         for i in share:
             try:
-                out.append(self.fn(self.dates[i], *args))
+                out.append(fn(i, self.dates[i], *args))
             except MssvError as exc:
                 out.append(exc)
             except Exception as exc:  # raised by the caller, in date order
@@ -274,10 +278,10 @@ class _DateMap:
         except (EOFError, BrokenPipeError, KeyboardInterrupt):
             pass  # the caller went away or was interrupted
 
-    def __call__(self, *args):
+    def __call__(self, fn, *args):
         for (_, conn), share in zip(self.workers, self.shares[1:]):
-            conn.send((share, args))
-        parts = [self._evaluate(self.shares[0], args)]
+            conn.send((share, fn, args))
+        parts = [self._evaluate(self.shares[0], fn, args)]
         for proc, conn in self.workers:
             try:
                 parts.append(conn.recv())
@@ -352,44 +356,37 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
               date_state, step2_objective, state_start=None):
     """The two-step calibration both models share.
 
-    Step 1 fits the parameters named in start, from their values there,
-    and, if state_start is given, one s_i in [0, 1] per usable date,
-    started at state_start(sl, *p);
-    step1_objective(usable dates, r, quad, date_map)(x) is the residual
-    vector, its map's last terms the dates' jets, whence the Jacobian.
-    date_state(sl, p, s_i) then gives each date's hidden state as
-    a dict under the step-1 fit p (s_i None without state columns), and
-    step 2 searches rho with step2_objective(dates, p, r, quad, profiled,
-    date_map), dates being the (slice, state) pairs of the dates with a
-    state and SPX quotes; its last call, at the fitted rho, sets the
-    profiled-out parameters.  With no such date step 2 is skipped: the
-    result has no rho, its step-2 objective is None and its one step-2
-    record says so, with success false and no evaluation.
-    date_map(dates, fn) makes a _DateMap; each map's workers are stopped
-    before the next map forks its own.
+    One _DateMap over the usable dates serves the whole fit: its workers
+    are forked before the start fits and stopped after step 2.  Step 1
+    fits the parameters named in start, from their values there, and, if
+    state_start is given, one s_i in [0, 1] per usable date, started at
+    state_start(i, sl, *p, r, quad) on the map;
+    step1_objective(dates, r, quad)(x) is the residual vector, the map's
+    last terms the dates' jets, whence the Jacobian.  date_state(sl, p,
+    s_i) then gives each date's hidden state as a dict under the step-1
+    fit p (s_i None without state columns), and step 2 searches rho with
+    step2_objective(dates, states, p, r, quad, profiled), states[i] being
+    date i's state if it has one and SPX quotes, else None; its last
+    call, at the fitted rho, sets the profiled-out parameters.  With no
+    such date step 2 is skipped: the result has no rho, its step-2
+    objective is None and its one step-2 record says so, with success
+    false and no evaluation.
     """
     usable = [sl for sl in slices if sl.vix_level and sl.vix_quotes]
     if not usable:
         raise MssvError("no dates with VIX quotes and a VIX close")
-    live = []
-
-    def date_map(dates, fn):
-        while live:
-            live.pop().close()
-        live.append(_DateMap(dates, fn))
-        return live[0]
-
     names = list(start)
     p0 = [start[n] for n in names]
     trace = []
+    dates = _DateMap(usable)
     try:
         s0 = [] if state_start is None else [
             0.5 if isinstance(s, MssvError) else s
-            for s in date_map(usable, state_start)(*p0)]
+            for s in dates(state_start, *p0, r, quad)]
         x, obj1, restarts1 = _least_squares(
-            step1_objective(usable, r, quad, date_map), p0 + s0,
+            step1_objective(dates, r, quad), p0 + s0,
             [_BOUNDS[n] for n in names] + [(0.0, 1.0)] * len(s0),
-            lambda: _jac_over_dates(live[0].last, usable, len(names),
+            lambda: _jac_over_dates(dates.last, usable, len(names),
                                     bool(s0)), cfg, trace)
         p = {n: float(v) for n, v in zip(names, x)}
 
@@ -401,25 +398,24 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
             except MssvError as exc:
                 skipped.append({"date": sl.date, "error": type(exc).__name__})
 
-        dates = [(sl, states[sl.date]) for sl in slices if sl.date in states
-                 and sl.spx_quotes and sl.spx_level is not None]
+        spx_states = [states.get(sl.date) if sl.spx_quotes
+                      and sl.spx_level is not None else None for sl in usable]
         fitted = dict(p)
-        if dates:
+        if any(spx_states):
+            # from here on, failed names the dates step 2 charged
+            dates.failed.clear()
             rho, obj2, restarts2 = _rho_search(step2_objective(
-                dates, p, r, quad, fitted, date_map), cfg, trace, "step2")
+                dates, spx_states, p, r, quad, fitted), cfg, trace, "step2")
             fitted["rho"] = rho
-            # live[0], the step-2 objective's map, knows the dates it
-            # charged at some evaluation instead of fitting them
-            skipped += [{"date": dates[i][0].date, "error": error,
+            skipped += [{"date": usable[i].date, "error": error,
                          "step": "step2"}
-                        for i, error in live[0].failed.items()]
+                        for i, error in dates.failed.items()]
         else:
             obj2, restarts2 = None, [_outcome(
                 "step2", 0, False, 0, 0,
                 "step 2 skipped: no date has SPX quotes and a state")]
     finally:
-        while live:
-            live.pop().close()
+        dates.close()
     return CalibrationResult(
         model=model,
         params={**{n: fitted[n] for n in _PARAM_ORDER if n in fitted}, "r": r},
@@ -432,47 +428,29 @@ def _two_step(model, slices, cfg, quad, r, start, step1_objective,
     )
 
 
-# ---------------------------------------------------------------------------
-# one-factor benchmark
-# ---------------------------------------------------------------------------
-
-def _heston_step1_objective(slices, r, quad, date_map=_DateMap):
-    def date_rows(sl, kappa, theta, sigma):
-        b2, b4 = heston_star_weights(kappa)
-        z = _pinned(sl.vix_level, b2, b4, theta)
-        db = (math.exp(-kappa * TAU0) - b2) / kappa  # d b2/d kappa
-        # the jets' (kappa, theta, sigma, z, slope, intercept, c1, c2) in x
-        chain = block_diag([[1.0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [
-            db * (theta - z) / b2, 1 - 1 / b2, 0], [db, 0, 0],
-            [-db * theta, b4, 0], [0, 0, 0], [0, 0, 0]])
-        return _residuals(sl.vix_quotes, lambda ks, tau: vix_call_pass(
-            ks, tau, z, kappa, theta, sigma, r, b2, b4 * theta, quad,
-            jets=True) @ chain, r)
-
-    terms = date_map(slices, date_rows)
-    return lambda x: _rows_over_dates(terms(*x), slices)
+def _spx_sums(i, sl, calls, states, p, r, quad, rho):
+    """Date i's sums of a^2, ab and b^2, a = (L - P)/(WEIGHT_FLOOR + P) and
+    b = U/(WEIGHT_FLOOR + P), over its SPX quotes priced by calls(sl,
+    states[i], p, rho, r, quad) as leading terms L and corrections U at
+    w3_eps = 1 (U = 0 for the benchmark); None for a date that has no
+    state or no SPX quotes (states[i] None)."""
+    if states[i] is None:
+        return None
+    decomps = price_quotes(sl.spx_quotes, calls(sl, states[i], p, rho, r,
+                                                quad), r, sl.spx_level)
+    a, b = np.array([[(d.leading - q.price) / (WEIGHT_FLOOR + q.price),
+                      d.correction / (WEIGHT_FLOOR + q.price)]
+                     for d, q in zip(decomps, sl.spx_quotes)]).T
+    return np.array([a @ a, a @ b, b @ b])
 
 
-def _spx_objective(dates, r, calls, profiled, date_map):
+def _spx_objective(dates, states, calls, p, r, quad, profiled):
     """objective(rho): the weighted SSE at the w3_eps minimising it, set
-    in profiled["w3_eps"].  calls(sl, st, rho) prices a date's strikes as
-    leading terms L and corrections U at w3_eps = 1 (U = 0 for the
-    benchmark), so a date's SSE is quadratic in w3_eps with coefficients
-    the sums of a^2, ab and b^2, a = (L - P)/(WEIGHT_FLOOR + P), b =
-    U/(WEIGHT_FLOOR + P)."""
-    def date_sums(date, rho):
-        sl, st = date
-        decomps = price_quotes(sl.spx_quotes, calls(sl, st, rho), r,
-                               sl.spx_level)
-        a, b = np.array([[(d.leading - q.price) / (WEIGHT_FLOOR + q.price),
-                          d.correction / (WEIGHT_FLOOR + q.price)]
-                         for d, q in zip(decomps, sl.spx_quotes)]).T
-        return np.array([a @ a, a @ b, b @ b])
-
-    terms = date_map(dates, date_sums)
-
+    in profiled["w3_eps"].  A date's SSE is quadratic in w3_eps, with the
+    coefficients _spx_sums gives."""
     def fun(rho):
-        sums = terms(float(rho))
+        sums = [t for t in dates(_spx_sums, calls, states, p, r, quad,
+                                 float(rho)) if t is not None]
         _, ab, bb = sum((t for t in sums if not isinstance(t, MssvError)),
                         np.zeros(3))
         profiled["w3_eps"] = w = (
@@ -484,13 +462,39 @@ def _spx_objective(dates, r, calls, profiled, date_map):
     return fun
 
 
-def _heston_step2_objective(dates, p, r, quad, profiled,
-                            date_map=_DateMap):  # profiled: no w3_eps here
-    return _spx_objective(
-        dates, r, lambda sl, st, rho: lambda ks, tau: (
-            price_heston_call_batch(sl.spx_level, ks, tau, r, p["kappa"],
-                                    p["theta"], p["sigma"], rho, st["z"],
-                                    quad)), {}, date_map)
+# ---------------------------------------------------------------------------
+# one-factor benchmark
+# ---------------------------------------------------------------------------
+
+def _heston_rows(i, sl, kappa, theta, sigma, r, quad):
+    """The date's VIX residual rows, each followed by its derivatives in
+    (kappa, theta, sigma), with z pinned by the VIX close."""
+    b2, b4 = heston_star_weights(kappa)
+    z = _pinned(sl.vix_level, b2, b4, theta)
+    db = (math.exp(-kappa * TAU0) - b2) / kappa  # d b2/d kappa
+    # the jets' (kappa, theta, sigma, z, slope, intercept, c1, c2) in x
+    chain = block_diag([[1.0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [
+        db * (theta - z) / b2, 1 - 1 / b2, 0], [db, 0, 0],
+        [-db * theta, b4, 0], [0, 0, 0], [0, 0, 0]])
+    return _residuals(sl.vix_quotes, lambda ks, tau: vix_call_pass(
+        ks, tau, z, kappa, theta, sigma, r, b2, b4 * theta, quad,
+        jets=True) @ chain, r)
+
+
+def _heston_step1_objective(dates, r, quad):
+    return lambda x: _rows_over_dates(dates(_heston_rows, *x, r, quad),
+                                      dates.dates)
+
+
+def _heston_calls(sl, st, p, rho, r, quad):
+    return lambda ks, tau: price_heston_call_batch(
+        sl.spx_level, ks, tau, r, p["kappa"], p["theta"], p["sigma"], rho,
+        st["z"], quad)
+
+
+def _heston_step2_objective(dates, states, p, r, quad,
+                            profiled):  # profiled: no w3_eps here
+    return _spx_objective(dates, states, _heston_calls, p, r, quad, {})
 
 
 def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -510,18 +514,14 @@ def calibrate_heston(slices, cfg: CalibrationConfig = CalibrationConfig(),
 # two-factor model
 # ---------------------------------------------------------------------------
 
-def _vix_params(kappa, theta, sigma, epsilon, r):
-    """Parameters for VIX pricing, which reads neither rho nor w3_eps."""
-    return ModelParams(kappa, theta, sigma, -0.5, epsilon, 0.0, r)
-
-
-def _vix_state(sl, params, s):
-    """The date's state at y = s ymax: z falls linearly in y along the
-    VIX close's line, from z(0) at y = 0 to exactly 0 at ymax."""
-    w = vix_weights(params.kappa, params.epsilon)
-    return HiddenState(
-        y=s * _pinned(sl.vix_level, w.a1, w.a3 + w.a4, params.theta),
-        z=(1.0 - s) * _pinned(sl.vix_level, w.a2, w.a3 + w.a4, params.theta))
+def _msv_line(sl, kappa, theta, epsilon):
+    """The weights of (kappa, epsilon) and the date's VIX-close line, on
+    which z falls linearly in y, from z0 at y = 0 to exactly 0 at ymax:
+    the state at s in [0, 1] is y = s ymax, z = (1 - s) z0.  Returns (w,
+    ymax, z0)."""
+    w = vix_weights(kappa, epsilon)
+    return w, *(_pinned(sl.vix_level, a, w.a3 + w.a4, theta)
+                for a in (w.a1, w.a2))
 
 
 def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
@@ -532,32 +532,36 @@ def inner_state_fit(date_slice: DateSlice, kappa: float, theta: float,
     The constraint z = z(y) is linear and exact, so the two-dimensional
     per-date fit reduces losslessly to a bounded search over y in
     [0, ymax], as y = s ymax with s in [0, 1].  Step 1 of the two-factor
-    calibration starts each date's s here.  Returns (state, objective).
+    calibration starts each date's s here.  Returns (s, objective).
     """
     if not date_slice.vix_quotes or not date_slice.vix_level:
         raise MssvError(f"date {date_slice.date} has no VIX data")
 
-    params = _vix_params(kappa, theta, sigma, epsilon, r)
+    # VIX pricing reads neither rho nor w3_eps
+    params = ModelParams(kappa, theta, sigma, -0.5, epsilon, 0.0, r)
+    _, ymax, z0 = _msv_line(date_slice, kappa, theta, epsilon)
 
     def objective(s):
-        state = _vix_state(date_slice, params, s)
+        state = HiddenState(y=s * ymax, z=(1.0 - s) * z0)
         rows = _residuals(date_slice.vix_quotes, lambda ks, tau: (
             price_vix_strike_batch(ks, tau, state, params, quad)), r)
         return float(rows @ rows)
 
     res = minimize_scalar(objective, bounds=(0.0, 1.0), method="bounded",
                           options={"xatol": _INNER_XTOL})
-    return _vix_state(date_slice, params, float(res.x)), float(res.fun)
+    return float(res.x), float(res.fun)
 
 
-def _msv_jets(sl, params, quad, s):
-    """The date's VIX residual rows at y = s ymax, each followed by its
-    derivatives in (kappa, theta, sigma, epsilon, s)."""
-    kappa, theta, eps = params.kappa, params.theta, params.epsilon
-    w = vix_weights(kappa, eps)
-    floor, b, e = w.a3 + w.a4, w.a2_star / 2.0, np.eye(5)
-    ymax, z0 = (_pinned(sl.vix_level, a, floor, theta) for a in (w.a1, w.a2))
-    state = HiddenState(y=s * ymax, z=(1.0 - s) * z0)
+def _msv_start(i, sl, kappa, theta, sigma, epsilon, r, quad):
+    return inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad)[0]
+
+
+def _msv_rows(i, sl, kappa, theta, sigma, eps, s, r, quad):
+    """The date's VIX residual rows at y = s[i] ymax, each followed by its
+    derivatives in (kappa, theta, sigma, epsilon, s_i)."""
+    w, ymax, z0 = _msv_line(sl, kappa, theta, eps)
+    s, floor, b, e = s[i], w.a3 + w.a4, w.a2_star / 2.0, np.eye(5)
+    y, z = s * ymax, (1.0 - s) * z0
     # gradients of b = a2*/2, a1, a2, u = (VIX/100)^2 - floor theta, y =
     # s u/a1 and z = (1 - s) u/a2
     g_b = (math.exp(-kappa * TAU0) - b) / kappa * e[0]
@@ -570,39 +574,42 @@ def _msv_jets(sl, params, quad, s):
     g_z = (1.0 - s) * (g_u - z0 * g_a2) / w.a2 - z0 * e[4]
 
     def calls(ks, tau):
-        c1, c2 = _correction_coeffs(state, tau, params, w)
         tr = math.exp(-tau / eps) if tau / eps < 745 else 0.0
-        # d(kappa, theta, sigma, z, slope, intercept, c1 = 2 tr a1 (y - z),
-        # c2 = kappa eps a2*)/d(kappa, theta, sigma, epsilon, s)
+        # vix._correction_coeffs, written out as the chain differentiates it
+        c1, c2 = 2.0 * tr * w.a1 * (y - z), kappa * eps * w.a2_star
+        # d(kappa, theta, sigma, z, slope, intercept, c1, c2)/d(kappa,
+        # theta, sigma, epsilon, s)
         chain = block_diag([[1.0]], [
             e[0], e[1], e[2], g_z, 2.0 * g_b,
             (2.0 - 2.0 * b) * e[1] - 2.0 * theta * g_b,
             c1 * (tau / eps**2 * e[3] + g_a1 / w.a1) + 2.0 * tr * w.a1 * (
                 g_y - g_z),
             w.a2_star * (eps * e[0] + kappa * e[3]) + 2.0 * kappa * eps * g_b])
-        return vix_call_pass(ks, tau, state.z, kappa, theta, params.sigma,
-                             params.r, w.a2_star, (1.0 + w.a4_star) * theta,
-                             quad, c1, c2, jets=True) @ chain
-    return _residuals(sl.vix_quotes, calls, params.r)
+        return vix_call_pass(ks, tau, z, kappa, theta, sigma, r, w.a2_star,
+                             (1.0 + w.a4_star) * theta, quad, c1, c2,
+                             jets=True) @ chain
+    return _residuals(sl.vix_quotes, calls, r)
 
 
-def _msv_step1_objective(slices, r, quad, date_map=_DateMap):
-    def date_rows(date, kappa, theta, sigma, epsilon, s):
-        i, sl = date
-        return _msv_jets(
-            sl, _vix_params(kappa, theta, sigma, epsilon, r), quad, s[i])
-
-    terms = date_map(list(enumerate(slices)), date_rows)
-    return lambda x: _rows_over_dates(terms(*x[:4], tuple(x[4:])), slices)
+def _msv_step1_objective(dates, r, quad):
+    return lambda x: _rows_over_dates(
+        dates(_msv_rows, *x[:4], tuple(x[4:]), r, quad), dates.dates)
 
 
-def _msv_step2_objective(dates, p, r, quad, profiled, date_map=_DateMap):
-    def calls(sl, st, rho):
-        params = ModelParams(**p, rho=rho, w3_eps=1.0, r=r)
-        return lambda ks, tau: price_spx_strike_batch(
-            sl.spx_level, ks, tau, HiddenState(**st), params, quad)
+def _msv_calls(sl, st, p, rho, r, quad):
+    params = ModelParams(**p, rho=rho, w3_eps=1.0, r=r)
+    return lambda ks, tau: price_spx_strike_batch(
+        sl.spx_level, ks, tau, HiddenState(**st), params, quad)
 
-    return _spx_objective(dates, r, calls, profiled, date_map)
+
+def _msv_step2_objective(dates, states, p, r, quad, profiled):
+    return _spx_objective(dates, states, _msv_calls, p, r, quad, profiled)
+
+
+def _msv_state(sl, p, s):
+    """The date's state at y = s ymax on its VIX-close line."""
+    _, ymax, z0 = _msv_line(sl, p["kappa"], p["theta"], p["epsilon"])
+    return {"y": float(s) * ymax, "z": (1.0 - float(s)) * z0}
 
 
 def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
@@ -616,16 +623,6 @@ def calibrate_msv(slices, cfg: CalibrationConfig = CalibrationConfig(),
     quotes, with w3_eps solved in closed form at each rho.  Step 2 never
     touches step-1 output.
     """
-    def date_state(sl, p, s):
-        st = _vix_state(sl, _vix_params(**p, r=r), float(s))
-        return {"y": st.y, "z": st.z}
-
-    def state_start(sl, kappa, theta, sigma, epsilon):
-        st, _ = inner_state_fit(sl, kappa, theta, sigma, epsilon, r, quad)
-        w = vix_weights(kappa, epsilon)
-        ymax = _pinned(sl.vix_level, w.a1, w.a3 + w.a4, theta)
-        return min(st.y / ymax, 1.0) if ymax > 0 else 0.0
-
     return _two_step(
         "msv", slices, cfg, quad, r, _MSV_START, _msv_step1_objective,
-        date_state, _msv_step2_objective, state_start)
+        _msv_state, _msv_step2_objective, _msv_start)

@@ -138,7 +138,7 @@ def _add_param_flags(p, *keys):
 
 def _add_quote_flags(p):
     p.add_argument("--quotes", required=True)
-    p.add_argument("--split-date")
+    p.add_argument("--split-date", type=dt.date.fromisoformat)
     p.add_argument("--use", choices=["train", "test"], default="train")
     p.add_argument("--no-filters", action="store_true")
 
@@ -161,7 +161,7 @@ def _two_factor(quotes, state, params, quad, spot=None, leading_only=False):
 
 def cmd_price(args):
     """price-spx (with --x) and price-vix: the --strikes grid at --tau."""
-    strikes = _floats(args.strikes)
+    strikes = args.strikes
     _at_least_one(len(strikes), "--strikes")
     params, state = _model_params(args), _state(args)
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
@@ -183,8 +183,7 @@ def _load_quotes(args):
               f"{stats.removed_by_volume} by volume, "
               f"{stats.removed_by_price} by price, "
               f"{stats.removed_by_expiry} by expiry", file=sys.stderr)
-    if args.split_date:
-        split = dt.date.fromisoformat(args.split_date)
+    if split := args.split_date:
         train, test = split_train_test(quotes, split)
         quotes = train if args.use == "train" else test
         print(f"split at {split}: using {args.use} set "
@@ -245,7 +244,7 @@ def _vols(invert, grid, prices, n_strikes):
 
 
 def cmd_imvol_surface(args):
-    strikes, taus = _floats(args.strikes), _floats(args.taus)
+    strikes, taus = args.strikes, args.taus
     _at_least_one(len(strikes), "--strikes")
     _at_least_one(len(taus), "--taus")
     params, state = _model_params(args), _state(args)
@@ -292,8 +291,7 @@ def _print_mc_rows(strikes, ests, analytic) -> int:
 
 
 def cmd_validate(args):
-    spx_strikes = _floats(args.spx_strikes)
-    vix_strikes = _floats(args.vix_strikes)
+    spx_strikes, vix_strikes = args.spx_strikes, args.vix_strikes
     _at_least_one(len(spx_strikes) + len(vix_strikes),
                   "--spx-strikes or --vix-strikes")
     params, state, x = _model_params(args), _state(args), args.x
@@ -425,10 +423,9 @@ def cmd_make_synthetic(args):
             raise DataError(f"--{flag.replace('_', '-')} must be >= 0, "
                             f"got {value}")
     rng = np.random.default_rng(args.state_seed)
-    start = dt.date.fromisoformat(args.start_date)
     states = []
     for i in range(args.n_dates):
-        date = start + dt.timedelta(days=7 * i)
+        date = args.start_date + dt.timedelta(days=7 * i)
         y = params.theta * math.exp(0.5 * rng.standard_normal())
         z = params.theta * math.exp(0.5 * rng.standard_normal())
         states.append((date.isoformat(), HiddenState(y=y, z=z)))
@@ -453,14 +450,15 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("price-spx", help="price SPX options on a strike grid")
     _add_param_flags(sp, "y", "z")
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--strikes", required=True, help="comma-separated")
+    sp.add_argument("--strikes", type=_floats, required=True,
+                    help="comma-separated")
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--put", action="store_true")
     sp.set_defaults(func=cmd_price)
 
     vp = sub.add_parser("price-vix", help="price VIX options on a strike grid")
     _add_param_flags(vp, "y", "z")
-    vp.add_argument("--strikes", required=True)
+    vp.add_argument("--strikes", type=_floats, required=True)
     vp.add_argument("--tau", type=float, required=True)
     vp.add_argument("--put", action="store_true")
     vp.add_argument("--uncorrected", action="store_true",
@@ -479,8 +477,8 @@ def build_parser() -> _Parser:
                         help="corrected/uncorrected implied-vol grids")
     _add_param_flags(ip, "x", "y", "z", "uncorrected_z")
     ip.add_argument("--kind", choices=["spx", "vix"], required=True)
-    ip.add_argument("--strikes", required=True)
-    ip.add_argument("--taus", required=True)
+    ip.add_argument("--strikes", type=_floats, required=True)
+    ip.add_argument("--taus", type=_floats, required=True)
     ip.add_argument("--out-corrected", required=True)
     ip.add_argument("--out-uncorrected", required=True)
     ip.add_argument("--out-diff", required=True)
@@ -488,9 +486,11 @@ def build_parser() -> _Parser:
 
     vl = sub.add_parser("validate", help="Monte Carlo vs analytic report")
     _add_param_flags(vl, "x", "y", "z", "eta")
-    vl.add_argument("--spx-strikes", default="", dest="spx_strikes")
+    vl.add_argument("--spx-strikes", type=_floats, default="",
+                    dest="spx_strikes")
     vl.add_argument("--spx-tau", type=float, default=0.25, dest="spx_tau")
-    vl.add_argument("--vix-strikes", default="", dest="vix_strikes")
+    vl.add_argument("--vix-strikes", type=_floats, default="",
+                    dest="vix_strikes")
     vl.add_argument("--vix-tau", type=float, default=30 / 365, dest="vix_tau")
     _flags(vl, _MC_KEYS, int)
     vl.set_defaults(func=cmd_validate)
@@ -509,7 +509,8 @@ def build_parser() -> _Parser:
     _add_param_flags(mp, "x")
     mp.add_argument("--out", required=True)
     mp.add_argument("--n-dates", type=int, default=6, dest="n_dates")
-    mp.add_argument("--start-date", default="2016-01-05", dest="start_date")
+    mp.add_argument("--start-date", type=dt.date.fromisoformat,
+                    default="2016-01-05", dest="start_date")
     mp.add_argument("--noise", type=float, default=0.0)
     _flags(mp, ("seed", "state_seed"), int)
     mp.set_defaults(func=cmd_make_synthetic)

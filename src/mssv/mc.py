@@ -174,7 +174,7 @@ def mc_price_strikes(mp: McModelParams, state0: HiddenState, tau: float,
     no expansion).  Grids priced together share their paths, so their
     errors are correlated."""
     with_x = bool(len(spx_strikes))
-    if with_x and x0 <= 0:
+    if with_x and (x0 is None or not x0 > 0):
         raise DomainError(f"x0 must be positive, got {x0}")
     xt, yt, zt = _simulate(mp, state0, x0, tau, cfg, with_x=with_x)
     disc = math.exp(-mp.params.r * tau)

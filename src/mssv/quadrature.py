@@ -60,9 +60,8 @@ def _eval_panels(f, lo, hi):
     return i_k, np.abs(i_k - i_g)
 
 
-def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
-              rel_tol: float = 1e-10, max_nodes: int = 100_000,
-              initial_panels: int = 8, breakpoints=None):
+def integrate(f, a: float, b: float, abs_tol: float, rel_tol: float,
+              max_nodes: int, initial_panels: int, breakpoints=None):
     """Adaptively integrate f over [a, b].
 
     f maps a 1-D array of points to an array of shape (m, npoints) (or

@@ -24,7 +24,7 @@ from mssv import (CalibrationConfig, DateSlice, HiddenState, ModelParams,
                   to_date_slices, vix_from_state, vix_weights)
 from mssv.calibration import (_BOUNDS, _charged, _DateMap,
                               _heston_step1_objective, _jac_over_dates,
-                              _least_squares, _msv_step1_objective,
+                              _least_squares, _msv_line, _msv_step1_objective,
                               _msv_step2_objective, _pinned, _rho_search,
                               inner_state_fit)
 from mssv.exceptions import DomainError, MssvError
@@ -65,11 +65,18 @@ def _vix_slice(params, state, date="2016-01-05", taus=(30 / 365, 60 / 365)):
                      vix_quotes=tuple(quotes))
 
 
+def _line_state(sl, params, s):
+    """The state at s on the date's VIX-close line under params."""
+    _, ymax, z0 = _msv_line(sl, params.kappa, params.theta, params.epsilon)
+    return HiddenState(y=s * ymax, z=(1.0 - s) * z0)
+
+
 def test_inner_state_fit_round_trip(params):
     truth = HiddenState(y=0.0234, z=0.0194)
     sl = _vix_slice(params, truth)
-    state, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
-                                 params.epsilon, params.r, QUAD)
+    s, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
+                             params.epsilon, params.r, QUAD)
+    state = _line_state(sl, params, s)
     assert state.y == pytest.approx(truth.y, abs=1e-3)
     assert state.z == pytest.approx(truth.z, abs=1e-3)
     assert obj < 1e-8
@@ -83,9 +90,9 @@ def test_inner_state_fit_boundary_is_evaluable(params):
     sl = _vix_slice(params, truth)
     ymax = y_max_for_vix(sl.vix_level, params)
     # objective is finite on the whole feasible interval including ymax
-    state, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
-                                 params.epsilon, params.r, QUAD)
-    assert 0.0 <= state.y <= ymax
+    s, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
+                             params.epsilon, params.r, QUAD)
+    assert 0.0 <= _line_state(sl, params, s).y <= ymax
     assert np.isfinite(obj)
 
 
@@ -95,8 +102,8 @@ def test_inner_state_fit_single_quote_returns_a_minimizer(params):
     d = price_vix_strike_batch([20.0], 30 / 365, truth, params, QUAD)[0]
     sl = DateSlice(date="2016-01-05", spx_level=None, vix_level=vix,
                    vix_quotes=(Quote(20.0, 30 / 365, True, d.total),))
-    state, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
-                                 params.epsilon, params.r, QUAD)
+    _, obj = inner_state_fit(sl, params.kappa, params.theta, params.sigma,
+                             params.epsilon, params.r, QUAD)
     assert obj < 1e-7  # some minimizer; uniqueness not guaranteed
 
 
@@ -178,17 +185,22 @@ def test_calibration_determinism(params):
     assert a.step_objectives == b.step_objectives
 
 
-def test_infeasible_dates_are_skipped_not_fatal(params):
+def test_infeasible_dates_are_skipped_not_fatal(monkeypatch, params):
     slices = _tiny_dataset(params)
-    # a date whose VIX sits below the state-free floor of any candidate
+    # a date whose VIX sits below the state-free floor of any candidate:
+    # it fails at every start fit and step-1 evaluation, and gets one
+    # record, none from step 2
     bad = DateSlice(date="2016-02-01", spx_level=2000.0, vix_level=4.0,
                     vix_quotes=(Quote(5.0, 30 / 365, True, 0.8),))
-    res = calibrate_heston(slices + [bad], FAST, QUAD, r=params.r)
-    assert res.n_skipped_dates >= 1
-    assert len(res.states) == 3
-    assert res.skipped_dates == [{"date": "2016-02-01",
-                                  "error": "InfeasibleStateError"}]
-    assert res.n_skipped_dates == len(res.skipped_dates)
+    for cores in (1, 2):
+        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        for fit in (calibrate_heston, calibrate_msv):
+            res = fit(slices + [bad], FAST, QUAD, r=params.r)
+            assert res.n_skipped_dates >= 1
+            assert len(res.states) == 3
+            assert res.skipped_dates == [{"date": "2016-02-01",
+                                          "error": "InfeasibleStateError"}]
+            assert res.n_skipped_dates == len(res.skipped_dates)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -516,19 +528,14 @@ def test_fits_do_not_depend_on_the_core_count(monkeypatch, params):
     values, fits = {}, {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
-        maps = []
-
-        def date_map(dates, fn):
-            maps.append(_DateMap(dates, fn))
-            return maps[-1]
-
-        fun = _msv_step1_objective(slices, params.r, QUAD, date_map)
+        dates = _DateMap(slices)
+        fun = _msv_step1_objective(dates, params.r, QUAD)
         try:
-            assert len(maps[0].workers) == cores - 1
+            assert len(dates.workers) == cores - 1
             values[cores] = [fun(np.array(x + s)).tolist()
                              for x in points for s in states]
         finally:
-            maps[0].close()
+            dates.close()
         fits[cores] = calibrate_msv(slices, cfg, QUAD, r=params.r).as_dict()
         assert multiprocessing.active_children() == []
     assert values[1] == values[2] == values[3]
@@ -536,24 +543,47 @@ def test_fits_do_not_depend_on_the_core_count(monkeypatch, params):
     assert len(fits[1]["states"]) == 5 and fits[1]["trace"]
 
 
-def test_failed_dates_are_skipped_alike_on_any_core_count(monkeypatch):
-    def term(date, scale):
-        if date % 2:
-            raise DomainError(f"date {date}")
-        return scale * (date + 1.0)
+def _odd_dates_fail(i, date, scale):
+    """A map's term: scale (date + 1), or DomainError for an odd date."""
+    if date % 2:
+        raise DomainError(f"date {date}")
+    return scale * (date + 1.0)
 
+
+def test_failed_dates_are_skipped_alike_on_any_core_count(monkeypatch):
     results = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
-        terms = _DateMap(range(5), term)
+        terms = _DateMap(range(5))
         try:
-            out = terms(0.1)
+            out = terms(_odd_dates_fail, 0.1)
             results[cores] = ([type(t) for t in out], sum(_charged(out)))
         finally:
             terms.close()
     assert results[1] == results[2] == results[3]
     assert results[1][0] == [float, DomainError] * 2 + [float]
     assert results[1][1] == pytest.approx(0.1 + 0.3 + 0.5 + 2 * 10.0 * 0.3)
+
+
+@pytest.mark.parametrize("fit", [calibrate_heston, calibrate_msv])
+def test_one_map_serves_the_whole_fit(monkeypatch, params, fit):
+    # the start fits and both steps run on one map's workers
+    slices, real = _five_date_panel(params), calibration._DateMap
+    cfg = CalibrationConfig(max_iter=12, restarts=1, seed=4)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(calibration, "usable_cores", lambda: cores)
+        workers = []
+
+        def counted(dates):
+            made = real(dates)
+            workers.append(len(made.workers))
+            return made
+
+        monkeypatch.setattr(calibration, "_DateMap", counted)
+        res = fit(slices, cfg, QUAD, r=params.r)
+        assert workers == [min(cores, len(slices)) - 1]
+        assert multiprocessing.active_children() == []
+        assert res.restarts[-1]["step"] == "step2" and "rho" in res.params
 
 
 def test_worker_error_is_raised_in_the_caller(monkeypatch, params):
@@ -613,10 +643,12 @@ def _direct_sse(dates, params, rho, w3_eps):
 
 def _profiled(dates, params):
     """The two-factor objective(rho) under params' step-1 values, and the
-    dict it sets the profiled w3_eps in."""
+    dict it sets the profiled w3_eps in; dates are (slice, state) pairs."""
     p = {n: getattr(params, n) for n in ("kappa", "theta", "sigma", "epsilon")}
     profiled = {}
-    fun = _msv_step2_objective(dates, p, params.r, QUAD, profiled=profiled)
+    fun = _msv_step2_objective(_DateMap(sl for sl, _ in dates),
+                               [st for _, st in dates], p, params.r, QUAD,
+                               profiled=profiled)
     return fun, profiled
 
 
@@ -728,18 +760,12 @@ def test_rho_search_matches_bounded_brent(centre, expected):
 def _step1(factory, slices, r, quad, n_params):
     """(fun, jac) of a step-1 objective: the residual vector and, after
     it, the exact sparse Jacobian at the point it evaluated last."""
-    maps = []
-
-    def date_map(dates, fn):
-        maps.append(_DateMap(dates, fn))
-        return maps[-1]
-
-    fun = factory(slices, r, quad, date_map)
+    dates = _DateMap(slices)
     try:
-        yield fun, lambda: _jac_over_dates(maps[0].last, slices, n_params,
-                                           n_params == 4)
+        yield factory(dates, r, quad), lambda: _jac_over_dates(
+            dates.last, slices, n_params, n_params == 4)
     finally:
-        maps[0].close()
+        dates.close()
 
 
 def _panel_with_puts(params):

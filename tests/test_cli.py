@@ -495,6 +495,30 @@ def test_an_empty_grid_or_date_count_is_a_data_error(monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["price-vix", *STATE_FLAGS, "--strikes", "20,abc", "--tau", "0.1"],
+     "--strikes"),
+    (["imvol-surface", *STATE_FLAGS, "--kind", "vix", "--strikes", "20",
+      "--taus", "0.1,x", *SURFACE_OUT], "--taus"),
+    (["validate", *STATE_FLAGS, "--spx-strikes", "2000,abc"],
+     "--spx-strikes"),
+    (["validate", *STATE_FLAGS, "--vix-strikes", "abc"], "--vix-strikes"),
+    (["calibrate", "--model", "heston", "--quotes", "OUT/q.csv", "--out",
+      "OUT/fit.json", "--split-date", "2016-13-01"], "--split-date"),
+    (["make-synthetic", "--out", "OUT/q.csv", "--start-date",
+      "2016-13-01"], "--start-date")])
+def test_a_value_that_fails_to_parse_is_a_usage_error(tmp_path, capsys,
+                                                      argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *PARAM_FLAGS,
+              *[a.replace("OUT", str(tmp_path)) for a in argv[1:]]])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mssv {argv[0]} ")
+    assert f"argument {flag}: invalid" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_imvol_surface_writes_nan_where_inversion_fails(tmp_path, capsys):
     # SPX K = 2200 prices at -1.84; the VIX K = 10 price has no normal vol
     out = [tmp_path / n for n in ("c.csv", "u.csv", "d.csv")]

@@ -150,8 +150,9 @@ def test_both_grids_are_priced_off_one_simulation(monkeypatch, params,
     assert mc_price_strikes(mp, state_high_y, tau, cfg,
                             vix_strikes=vix) == ([], alone)
     assert runs == [False, False]
-    with pytest.raises(DomainError):
-        mc_price_strikes(mp, state_high_y, tau, cfg, 0.0, spx, vix)
+    for x0 in (0.0, None):
+        with pytest.raises(DomainError, match="x0 must be positive"):
+            mc_price_strikes(mp, state_high_y, tau, cfg, x0, spx, vix)
 
 
 def test_mc_params_consistency():
