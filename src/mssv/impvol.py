@@ -68,8 +68,9 @@ def bs_call_price(x: float, strike: float, tau: float, r: float,
                   sigma: float) -> float:
     """Black-Scholes call, no dividends."""
     _check_finite(dict(x=x, strike=strike, tau=tau, r=r, sigma=sigma))
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    for name, value in (("tau", tau), ("x", x), ("strike", strike)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if sigma <= 0:
         return max(x - strike * math.exp(-r * tau), 0.0)
     st = sigma * math.sqrt(tau)

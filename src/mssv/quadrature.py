@@ -3,7 +3,9 @@
 The integrand is called once per refinement round on every pending panel's
 nodes at once, so vectorized (numpy) integrands run at C speed.  Supports
 vector-valued integrands that share nodes: the SPX pricer evaluates the
-leading-term and correction-term integrands in a single pass.
+leading-term and correction-term integrands in a single pass.  Each round's
+panel sums are one stacked matmul of the (rows, panels, 15) values with a
+(15, 2) matrix whose columns are the K15 and G7 weights.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ _WG = np.array([
 
 #: all 15 Kronrod nodes on [-1, 1], ascending
 NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
-WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-# Gauss-7 weights aligned with NODES: zeros on the Kronrod-only nodes
-WEIGHTS_G = np.zeros(15)
-WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+# columns: the K15 weights and the Gauss-7 weights aligned with NODES
+# (zeros on the Kronrod-only nodes)
+_WEIGHTS_KG = np.zeros((15, 2))
+_WEIGHTS_KG[:, 0] = np.concatenate([_WK[:-1], _WK[::-1]])
+_WEIGHTS_KG[1:-1:2, 1] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 NODES_PER_PANEL = 15
 
@@ -46,7 +49,11 @@ def _eval_panels(f, lo, hi):
     """Evaluate f on all 15 nodes of each (lo, hi) panel.
 
     Returns (integral_k, err) with shapes (m, npanels): the Kronrod
-    estimate per component and the |K15 - G7| error proxy.
+    estimate per component and the |K15 - G7| error proxy.  Both sums
+    come from one stacked (m, npanels, 15) @ (15, 2) matmul, one small
+    BLAS call per row, so a row's sums do not depend on the other rows
+    of the pass.  A single 2-D gemm over every panel is large enough for
+    BLAS to spread over threads, so its time depends on a free core.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -55,9 +62,9 @@ def _eval_panels(f, lo, hi):
     if vals.ndim == 1:
         vals = vals[None, :]
     vals = vals.reshape(vals.shape[0], len(lo), NODES_PER_PANEL)
-    i_k = (vals * WEIGHTS_K).sum(axis=2) * half
-    i_g = (vals * WEIGHTS_G).sum(axis=2) * half
-    return i_k, np.abs(i_k - i_g)
+    kg = vals @ _WEIGHTS_KG
+    i_k = kg[..., 0] * half
+    return i_k, np.abs(i_k - kg[..., 1] * half)
 
 
 def integrate(f, a: float, b: float, abs_tol: float, rel_tol: float,

@@ -104,6 +104,19 @@ def test_prices_and_inversions_reject_a_non_finite_input(bad):
             vix_normal_implied_vol(1.0, **args)
 
 
+@pytest.mark.parametrize("x, strike, name", [
+    (2000.0, 0.0, "strike"), (0.0, 2000.0, "x"), (-1.0, 2000.0, "x"),
+    (2000.0, -5.0, "strike")])
+def test_bs_price_and_inversion_reject_a_non_positive_spot_or_strike(
+        x, strike, name):
+    # a log-moneyness needs both positive: the price names the bad input
+    # before its zero-vol branch, and the inversion fails with it
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        bs_call_price(x, strike, 0.1, 0.02, 0.2)
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        bs_implied_vol(1.0, x, strike, 0.1, 0.02)
+
+
 def test_invert_point_flags_failures():
     # the surface's inversion writes nan where a point has no root
     grid = [Quote(20.0, 0.1, True, math.nan), Quote(18.0, 0.1, True, math.nan)]
