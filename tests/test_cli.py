@@ -449,6 +449,22 @@ def test_validate_needs_a_valid_x_for_an_spx_grid_only(capsys):
         assert "x0 must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--vix-tau", "inf", "horizon must be positive and finite"),
+    ("--vix-tau", "nan", "horizon must be positive and finite"),
+    ("--spx-tau", "inf", "horizon must be positive and finite"),
+    ("--x", "inf", "x0 must be positive and finite"),
+    ("--x", "nan", "x0 must be positive and finite")])
+def test_validate_rejects_a_non_finite_time_or_spot(monkeypatch, capsys, flag,
+                                                    value, message):
+    rc, runs, _ = _traced_validate(monkeypatch, [*VALIDATE, flag, value])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if flag == "--x":
+        assert runs == []  # rejected before any simulation
+
+
 @pytest.mark.parametrize("w3_eps", ["-0.015", "0"])
 def test_validate_names_the_eta_that_splits_w3_eps(capsys, w3_eps):
     # at the default eta of -1, nu > 0 needs w3_eps > 0

@@ -182,6 +182,41 @@ def test_config_validation():
         McConfig(paths=10_000, steps_per_eps=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         McConfig(paths=10_000, seed=-1)
+    # numpy integers are ints
+    assert McConfig(paths=np.int64(10_000), seed=np.int64(1)).seed == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("paths", 20_000.0), ("paths", float("nan")), ("paths", True),
+    ("seed", 1.5), ("seed", False), ("steps_per_eps", 2.0),
+    ("steps_per_eps", "2")])
+def test_config_settings_must_be_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        McConfig(**{"paths": 10_000, field: value})
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan"), 0.0, -0.1])
+def test_horizon_must_be_positive_and_finite(params, state_high_y, tau):
+    cfg = McConfig(paths=10_000, seed=3, steps_per_eps=1)
+    for run in (lambda: mc_price_vix_strikes(_mp(params), state_high_y,
+                                             [20.0], tau, cfg),
+                lambda: mc_price_spx_strikes(_mp(params), state_high_y,
+                                             2000.0, [2000.0], tau, cfg)):
+        with pytest.raises(DomainError,
+                           match="horizon must be positive and finite"):
+            run()
+
+
+@pytest.mark.parametrize("x0", [float("inf"), float("nan"), -float("inf")])
+def test_non_finite_spot_is_rejected_before_simulating(monkeypatch, params,
+                                                       state_high_y, x0):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated with a non-finite spot")
+
+    monkeypatch.setattr(mssv.mc, "_simulate", never)
+    cfg = McConfig(paths=10_000, seed=3, steps_per_eps=1)
+    with pytest.raises(DomainError, match="x0 must be positive and finite"):
+        mc_price_strikes(_mp(params), state_high_y, 0.05, cfg, x0, [2000.0])
 
 
 def test_jobs_follow_the_usable_cores(monkeypatch, params, state_high_y):
@@ -203,6 +238,42 @@ def test_jobs_follow_the_usable_cores(monkeypatch, params, state_high_y):
         assert pools == ([] if cores == 1 else [2])
     for serial, threaded in zip(runs[1], runs[2]):
         assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("paths", [100_000, 3 * mssv.mc._CHUNK + 1])
+def test_paths_split_the_same_way_on_any_core_count(monkeypatch, params,
+                                                    state_high_y, paths):
+    # ceil(paths / _CHUNK) chunks on 1, 2 or 3 threads, each on its own
+    # stream and reduced in chunk order: the estimates are the same bit
+    # for bit, and more than one usable core starts a pool of that many
+    mp, tau = _mp(params), 0.01
+    cfg = McConfig(paths=paths, seed=41, steps_per_eps=1)
+    chunks, pools = [], []
+    sim_exact, pool = mssv.mc._sim_exact, mssv.mc.ThreadPoolExecutor
+
+    def counted_chunk(rng, n, *args):
+        chunks.append(n)
+        return sim_exact(rng, n, *args)
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(mssv.mc, "_sim_exact", counted_chunk)
+    monkeypatch.setattr(mssv.mc, "ThreadPoolExecutor", counted_pool)
+    estimates = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(mssv.mc, "usable_cores", lambda: cores)
+        chunks.clear()
+        pools.clear()
+        estimates.append(mc_price_strikes(mp, state_high_y, tau, cfg, 2000.0,
+                                          [1900.0, 2000.0], [18.0, 22.0]))
+        assert len(chunks) == math.ceil(paths / mssv.mc._CHUNK)
+        assert sum(chunks) == paths
+        assert pools == ([] if cores == 1 else [cores])
+        xt, yt, zt = simulate_terminal(mp, state_high_y, 2000.0, tau, cfg)
+        assert len(xt) == len(yt) == len(zt) == paths
+    assert estimates[0] == estimates[1] == estimates[2]
 
 
 def test_estimate_within_helper():
