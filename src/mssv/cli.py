@@ -25,7 +25,7 @@ from .calibration import CalibrationConfig, calibrate_heston, calibrate_msv
 from .data import (apply_filters, error_report, load_quotes,
                    make_synthetic_quotes, split_train_test, to_date_slices,
                    write_error_table_csv, write_quotes_csv)
-from .exceptions import DataError, MssvError, NoRootError
+from .exceptions import DataError, DomainError, MssvError, NoRootError
 from .impvol import bs_implied_vol, vix_normal_implied_vol, write_surface_csv
 from .mc import McConfig, McModelParams, mc_price_strikes
 from .mc import (mc_price_spx_strikes,  # noqa: F401  perfbench's tracer
@@ -298,6 +298,12 @@ def cmd_validate(args):
     quad = QuadratureConfig(args.abs_tol, args.rel_tol)
     mc_cfg = McConfig(args.paths, args.seed, args.steps_per_eps)
     mp = McModelParams(params, eta=args.eta)
+    # every leg's maturity, before the first simulation prints anything
+    for tau, strikes in ((args.spx_tau, spx_strikes),
+                         (args.vix_tau, vix_strikes)):
+        if strikes and not 0 < tau < math.inf:
+            raise DomainError(
+                f"horizon must be positive and finite, got {tau}")
     failures = 0
 
     # grids at one maturity are priced off one path set
@@ -442,85 +448,98 @@ def cmd_make_synthetic(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def build_parser(command: str) -> _Parser:
+    """The parser with every subcommand and its help line, and the flags
+    of command alone.  argparse sizes a help formatter to the terminal
+    for each flag it adds, which made building every subcommand's flags
+    most of a short run's cost."""
     p = _Parser(prog="mssv", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("price-spx", help="price SPX options on a strike grid")
-    _add_param_flags(sp, "y", "z")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--strikes", type=_floats, required=True,
-                    help="comma-separated")
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--put", action="store_true")
-    sp.set_defaults(func=cmd_price)
+    def flagged(name, line):
+        """name's subparser if its flags are to be built, else None."""
+        sp = sub.add_parser(name, help=line)
+        return sp if name == command else None
 
-    vp = sub.add_parser("price-vix", help="price VIX options on a strike grid")
-    _add_param_flags(vp, "y", "z")
-    vp.add_argument("--strikes", type=_floats, required=True)
-    vp.add_argument("--tau", type=float, required=True)
-    vp.add_argument("--put", action="store_true")
-    vp.add_argument("--uncorrected", action="store_true",
-                    help="leading term only (epsilon -> 0 surface)")
-    vp.set_defaults(func=cmd_price)
+    if sp := flagged("price-spx", "price SPX options on a strike grid"):
+        _add_param_flags(sp, "y", "z")
+        sp.add_argument("--x", type=float, required=True)
+        sp.add_argument("--strikes", type=_floats, required=True,
+                        help="comma-separated")
+        sp.add_argument("--tau", type=float, required=True)
+        sp.add_argument("--put", action="store_true")
+        sp.set_defaults(func=cmd_price)
 
-    cp = sub.add_parser("calibrate", help="two-step calibration from quotes")
-    _add_param_flags(cp)
-    _add_quote_flags(cp)
-    cp.add_argument("--model", choices=["heston", "msv"], required=True)
-    cp.add_argument("--out", required=True)
-    _flags(cp, ("max_iter", "restarts", "seed"), int)
-    cp.set_defaults(func=cmd_calibrate)
+    if vp := flagged("price-vix", "price VIX options on a strike grid"):
+        _add_param_flags(vp, "y", "z")
+        vp.add_argument("--strikes", type=_floats, required=True)
+        vp.add_argument("--tau", type=float, required=True)
+        vp.add_argument("--put", action="store_true")
+        vp.add_argument("--uncorrected", action="store_true",
+                        help="leading term only (epsilon -> 0 surface)")
+        vp.set_defaults(func=cmd_price)
 
-    ip = sub.add_parser("imvol-surface",
-                        help="corrected/uncorrected implied-vol grids")
-    _add_param_flags(ip, "x", "y", "z", "uncorrected_z")
-    ip.add_argument("--kind", choices=["spx", "vix"], required=True)
-    ip.add_argument("--strikes", type=_floats, required=True)
-    ip.add_argument("--taus", type=_floats, required=True)
-    ip.add_argument("--out-corrected", required=True)
-    ip.add_argument("--out-uncorrected", required=True)
-    ip.add_argument("--out-diff", required=True)
-    ip.set_defaults(func=cmd_imvol_surface)
+    if cp := flagged("calibrate", "two-step calibration from quotes"):
+        _add_param_flags(cp)
+        _add_quote_flags(cp)
+        cp.add_argument("--model", choices=["heston", "msv"], required=True)
+        cp.add_argument("--out", required=True)
+        _flags(cp, ("max_iter", "restarts", "seed"), int)
+        cp.set_defaults(func=cmd_calibrate)
 
-    vl = sub.add_parser("validate", help="Monte Carlo vs analytic report")
-    _add_param_flags(vl, "x", "y", "z", "eta")
-    vl.add_argument("--spx-strikes", type=_floats, default="",
-                    dest="spx_strikes")
-    vl.add_argument("--spx-tau", type=float, default=0.25, dest="spx_tau")
-    vl.add_argument("--vix-strikes", type=_floats, default="",
-                    dest="vix_strikes")
-    vl.add_argument("--vix-tau", type=float, default=30 / 365, dest="vix_tau")
-    _flags(vl, _MC_KEYS, int)
-    vl.set_defaults(func=cmd_validate)
+    if ip := flagged("imvol-surface",
+                     "corrected/uncorrected implied-vol grids"):
+        _add_param_flags(ip, "x", "y", "z", "uncorrected_z")
+        ip.add_argument("--kind", choices=["spx", "vix"], required=True)
+        ip.add_argument("--strikes", type=_floats, required=True)
+        ip.add_argument("--taus", type=_floats, required=True)
+        ip.add_argument("--out-corrected", required=True)
+        ip.add_argument("--out-uncorrected", required=True)
+        ip.add_argument("--out-diff", required=True)
+        ip.set_defaults(func=cmd_imvol_surface)
 
-    ep = sub.add_parser("error-report",
-                        help="bucketed two-model error tables from quotes")
-    _add_param_flags(ep)
-    _add_quote_flags(ep)
-    ep.add_argument("--heston-result", required=True, dest="heston_result")
-    ep.add_argument("--msv-result", required=True, dest="msv_result")
-    ep.add_argument("--out", required=True)
-    ep.set_defaults(func=cmd_error_report)
+    if vl := flagged("validate", "Monte Carlo vs analytic report"):
+        _add_param_flags(vl, "x", "y", "z", "eta")
+        vl.add_argument("--spx-strikes", type=_floats, default="",
+                        dest="spx_strikes")
+        vl.add_argument("--spx-tau", type=float, default=0.25, dest="spx_tau")
+        vl.add_argument("--vix-strikes", type=_floats, default="",
+                        dest="vix_strikes")
+        vl.add_argument("--vix-tau", type=float, default=30 / 365,
+                        dest="vix_tau")
+        _flags(vl, _MC_KEYS, int)
+        vl.set_defaults(func=cmd_validate)
 
-    mp = sub.add_parser("make-synthetic",
-                        help="generate a synthetic quote CSV from known parameters")
-    _add_param_flags(mp, "x")
-    mp.add_argument("--out", required=True)
-    mp.add_argument("--n-dates", type=int, default=6, dest="n_dates")
-    mp.add_argument("--start-date", type=dt.date.fromisoformat,
-                    default="2016-01-05", dest="start_date")
-    mp.add_argument("--noise", type=float, default=0.0)
-    _flags(mp, ("seed", "state_seed"), int)
-    mp.set_defaults(func=cmd_make_synthetic)
+    if ep := flagged("error-report",
+                     "bucketed two-model error tables from quotes"):
+        _add_param_flags(ep)
+        _add_quote_flags(ep)
+        ep.add_argument("--heston-result", required=True,
+                        dest="heston_result")
+        ep.add_argument("--msv-result", required=True, dest="msv_result")
+        ep.add_argument("--out", required=True)
+        ep.set_defaults(func=cmd_error_report)
+
+    if mp := flagged("make-synthetic",
+                     "generate a synthetic quote CSV from known parameters"):
+        _add_param_flags(mp, "x")
+        mp.add_argument("--out", required=True)
+        mp.add_argument("--n-dates", type=int, default=6, dest="n_dates")
+        mp.add_argument("--start-date", type=dt.date.fromisoformat,
+                        default="2016-01-05", dest="start_date")
+        mp.add_argument("--noise", type=float, default=0.0)
+        _flags(mp, ("seed", "state_seed"), int)
+        mp.set_defaults(func=cmd_make_synthetic)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no values, so its first word names the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")),
+                               ""))
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -109,7 +109,13 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
 
     The transform terms are strike-independent; only the payoff
     transform differs per strike, so the grid costs barely more than a
-    single option.  Returns (leading[], correction[]).
+    single option.  The core [0, TRUNCATION] integrates only the real
+    part that the price reads, in real arithmetic: per node a = x -
+    ln(ik - k^2), with x the transform's exponent, and per strike and node
+    one cosine.  The tails, a few panels, integrate the complex transform,
+    so their stop rule reads its size, not a real part that can pass
+    near 0 while the transform still matters.  Returns (leading[],
+    correction[]).
     """
     strikes = [float(k) for k in strikes]
     for name, value in (("tau", tau), ("spot", x), *(("strike", k)
@@ -126,33 +132,58 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
         return [], []
     q = r * tau + math.log(x)
     log_ks = np.array([math.log(k) for k in strikes])
+    k_roots = np.array(strikes) ** -0.5
     with_corr = corr_scale != 0.0
+    n = len(strikes)
 
-    def integrand(u):
+    def exponents(u):
+        """a = x - ln(ik - k^2) at each node, x the transform's exponent,
+        then a plus the log of the correction's factor."""
         k = u + 1j * CONTOUR_SHIFT
         C, D, d, g, E = _cf_terms(tau, k, kappa, theta_e, sigma_e, rho_e)
-        expo = (C + v0 * D - 1j * k * q)[None, :] \
-            + (1.0 + 1j * k)[None, :] * log_ks[:, None]
-        worst = expo.real.max()
+        x_k = C + v0 * D - 1j * k * q
+        # the largest real exponent, at the smallest strike
+        worst = x_k.real.max() - 0.5 * log_ks.min()
         if worst > _EXP_CAP:
             raise CharFnOverflowError(
                 f"transform exponent {worst:.1f} out of range on the contour")
-        base = np.exp(expo) / (1j * k - k * k)
+        a = x_k - np.log(1j * k - k * k)
         if not with_corr:
-            return base
+            return [a]
         f0, f1 = _correction_factors(tau, d, g, E)
-        corr = _b_coeff(k, corr_scale) * (0.5 * kappa * theta_e * f0 + v0 * f1)
-        return np.concatenate([base, base * corr[None, :]], axis=0)
+        return [a, a + np.log(_b_coeff(k, corr_scale)
+                              * (0.5 * kappa * theta_e * f0 + v0 * f1))]
 
-    # f(-u) = conj(f(u)), so the contour over the real line is twice the
-    # real part of the half line's: half the nodes, and half the tolerance
+    def integrand(u):
+        # Re[exp(a + (1 + ik) ln K)] with 1 + ik = -0.5 + iu:
+        # K^-1/2 e^{Re a} cos(Im a + u ln K), strike by strike
+        exps = exponents(u)
+        rows = np.empty((len(exps) * n, len(u)))
+        for a, out in zip(exps, np.split(rows, len(exps))):
+            np.multiply.outer(log_ks, u, out=out)
+            out += a.imag
+            np.cos(out, out=out)
+            out *= np.multiply.outer(k_roots, np.exp(a.real))
+        return rows
+
+    def whole(u):
+        # the transform itself, whose size the tails' stop rule reads
+        return np.concatenate([np.exp(a + np.multiply.outer(log_ks,
+                                                            -0.5 + 1j * u))
+                               for a in exponents(u)])
+
+    # the transform is conjugate symmetric, f(-u) = conj(f(u)), so the
+    # price's real part is even in u: the contour over the real line is
+    # twice the half line's, at half the nodes and half the tolerance.
+    # The absolute tolerance scales with the largest strike, at most the
+    # spot (a call is worth less), so a far strike does not loosen it
     vals, _, _ = integrate_with_tail_doubling(
         integrand, 0.0, TRUNCATION,
-        abs_tol=quad.abs_tol * max(strikes) * (math.pi * math.exp(r * tau)),
-        rel_tol=quad.rel_tol, initial_panels=4,
+        abs_tol=quad.abs_tol * min(max(strikes), x)
+        * (math.pi * math.exp(r * tau)),
+        rel_tol=quad.rel_tol, initial_panels=4, tail=whole,
     )
     vals = vals.real * math.exp(-r * tau) / math.pi
-    n = len(strikes)
     return (vals[:n].tolist(),
             vals[n:].tolist() if with_corr else [0.0] * n)
 

@@ -12,7 +12,9 @@ calls.  The small definitions at the end (the weighted SSE, the Feller
 condition, parameters from an (eta, nu) pair, the standard-error test of
 an estimate, the terminal samples of the package's simulation, the
 one-option VIX pricer and a synthetic quote grid of the test's own) are
-ones only the tests use.
+ones only the tests use, as is the per-strike VIX pass: the payoff rows,
+one per strike and gated node by node, that the pricer's strike-free
+rows replaced, run through the package's own density and quadrature.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from scipy.stats import ncx2
 
 import mssv.data
 import mssv.mc
+import mssv.vix
 from mssv import (DomainError, HiddenState, McEstimate, McModelParams,
                   ModelParams, MssvError, QuadratureConfig, Quote,
                   price_quotes, price_vix_strike_batch)
@@ -405,3 +408,62 @@ def dense_pattern_jacobian(terms, slices, n_params, state_columns):
         np.zeros(n * pattern.indptr[1]) if isinstance(t, MssvError)
         else t[:, 1:].ravel() for t, n in zip(terms, sizes)]),
         pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def payoff_rows(v, ks, kinks, slope, intercept, coeffs=None):
+    """(rows, root, off) of a strike grid at slow-factor values v, with
+    root = sqrt(slope v + intercept) and off = v < kinks: the strike
+    column ks pays (100 root - K)+ from its kinks on, and given coeffs =
+    (c1, c2, theta) its correction rows, 100 (c1 + c2 (v - theta)) /
+    (4 root) from the kinks on, follow the leading rows."""
+    n, off = len(ks), v < kinks[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(slope * v + intercept)
+        rows = np.empty((n if coeffs is None else 2 * n, len(v)))
+        lead = np.subtract(100.0 * root, ks, out=rows[:n])
+        np.copyto(np.maximum(lead, 0.0, out=lead), 0.0, where=off)
+        if coeffs is not None:
+            c1, c2, theta = coeffs
+            rows[n:] = (c1 + c2 * (v - theta)) * (25.0 / root)
+            np.copyto(rows[n:], 0.0, where=off)
+    return rows, root, off
+
+
+_VIX_CALL_PASS = mssv.vix.vix_call_pass
+
+
+def per_strike_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope,
+                         intercept, quad, c1=0.0, c2=0.0, jets=False):
+    """`vix.vix_call_pass` on the per-strike integrand: each output row is
+    a strike's payoff row times the density (or, with jets, its
+    derivatives' rows), gated node by node, integrated by the same
+    `vix._integrate_payoff` without a combination."""
+    ks = np.array([float(k) for k in strikes])[:, None]
+    n = len(ks)
+    payoff = (c1, c2, theta) if jets or c1 != 0.0 or c2 != 0.0 else None
+    integrate_payoff = mssv.vix._integrate_payoff
+
+    def per_strike(_, ncx2, quad, kinks, coeffs=None):
+        def integrand(zeta):
+            v = ncx2.delta * zeta
+            if not jets:
+                rows = payoff_rows(v, ks, kinks, slope, intercept, payoff)[0]
+                rows *= mssv.vix.ncx2_pdf(zeta, ncx2)
+                return rows
+            p, p_dof, p_lam = mssv.vix._ncx2_pdf_grad(zeta, ncx2)
+            rows, root, off = payoff_rows(v, ks, kinks, slope, intercept,
+                                          payoff)
+            lead, corr = rows[:n], rows[n:]
+            with np.errstate(divide="ignore"):
+                d_c1 = np.where(off, 0.0, 25.0 / root)
+            d_int = 2.0 * d_c1 - 0.5 * corr / root**2
+            return np.concatenate([lead * p, corr * p, (lead + corr) * p_dof,
+                                   (lead + corr) * p_lam, d_int * p,
+                                   d_c1 * p, d_int * (v * p),
+                                   d_c1 * (v * p)])
+        return integrate_payoff(integrand, ncx2, quad, kinks=kinks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mssv.vix, "_integrate_payoff", per_strike)
+        return _VIX_CALL_PASS(strikes, tau, z, kappa, theta, sigma, r, slope,
+                              intercept, quad, c1, c2, jets)

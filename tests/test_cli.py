@@ -127,15 +127,49 @@ def test_config_x_and_eta_are_used_and_flags_override_them(tmp_path,
         assert f" x={x} " in header and f"(eta={eta}," in header
 
 
-def test_every_config_key_is_a_value_flag():
-    parser = mssv.cli.build_parser()
+def _subparsers(parser):
+    """{name: subparser} of an mssv parser."""
     commands, = [a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
-    value_flags = {a.dest for sub in commands.choices.values()
-                   for a in sub._actions
+    return commands.choices
+
+
+def test_every_config_key_is_a_value_flag():
+    # a run builds its own subcommand's flags: the union over them all
+    value_flags = {a.dest for name in _subparsers(mssv.cli.build_parser(""))
+                   for a in _subparsers(mssv.cli.build_parser(name))[name]
+                   ._actions
                    if isinstance(a, argparse._StoreAction)
                    and a.option_strings == [f"--{a.dest.replace('_', '-')}"]}
     assert mssv.cli._CONFIG_KEYS <= value_flags
+
+
+def test_a_run_builds_only_its_subcommand_flags(monkeypatch, capsys):
+    names = list(_subparsers(mssv.cli.build_parser("")))
+    assert names == ["price-spx", "price-vix", "calibrate", "imvol-surface",
+                     "validate", "error-report", "make-synthetic"]
+    for name in names:
+        subs = _subparsers(mssv.cli.build_parser(name))
+        assert list(subs) == names
+        # the others keep only -h
+        assert all(len(sp._actions) == 1 for other, sp in subs.items()
+                   if other != name)
+        assert len(subs[name]._actions) > 10
+    built, build = [], mssv.cli.build_parser
+
+    def spy(command):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(mssv.cli, "build_parser", spy)
+    assert main(["price-vix", *PARAM_FLAGS, *STATE_FLAGS, "--strikes", "20",
+                 "--tau", "0.08219178"]) == 0
+    for argv in (["--version"], ["--help"], ["price-spx", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert built == ["price-vix", "", "", "price-spx"]
+    assert "{price-spx,price-vix,calibrate" in capsys.readouterr().out
 
 
 def test_usage_error_exit_code():
@@ -463,6 +497,17 @@ def test_validate_rejects_a_non_finite_time_or_spot(monkeypatch, capsys, flag,
     assert message in err and "Traceback" not in err
     if flag == "--x":
         assert runs == []  # rejected before any simulation
+
+
+def test_validate_checks_every_maturity_before_simulating(monkeypatch,
+                                                          capsys):
+    rc, runs, _ = _traced_validate(monkeypatch, [
+        *VALIDATE, "--spx-strikes", "2000", "--vix-strikes", "20",
+        "--vix-tau", "nan"])
+    assert (rc, runs) == (3, [])
+    out, err = capsys.readouterr()
+    assert "SPX" not in out and "2000" not in out
+    assert "horizon must be positive and finite, got nan" in err
 
 
 @pytest.mark.parametrize("w3_eps", ["-0.015", "0"])

@@ -174,6 +174,52 @@ def test_row_sums_do_not_depend_on_the_other_rows():
         assert np.array_equal(a[0], b[0])
 
 
+def _gated_rows(x):
+    # two strike-free rows, e^-x and x e^-x
+    return np.stack([np.exp(-x), x * np.exp(-x)])
+
+
+def test_gated_components_combine_rows_from_their_kinks():
+    # component i is coeffs[i] . rows from kinks[i] on; the kinks are
+    # breakpoints, one inside, one below and one past [0, 5]
+    coeffs = np.array([[1.0, -0.5], [0.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+    kinks = np.array([0.7, 2.3, -1.0, 6.0])
+    vals, err, _ = integrate(_gated_rows, 0.0, 5.0, abs_tol=1e-12,
+                             rel_tol=1e-12, max_nodes=100_000,
+                             initial_panels=4, breakpoints=kinks,
+                             gated=(coeffs, kinks))
+
+    def exact(a, c0, c1):  # int_a^5 (c0 + c1 x) e^-x dx
+        if a >= 5.0:
+            return 0.0
+        a = max(a, 0.0)
+        return (c0 * (math.exp(-a) - math.exp(-5.0))
+                + c1 * ((a + 1.0) * math.exp(-a) - 6.0 * math.exp(-5.0)))
+
+    ref = [exact(k, *c) for k, c in zip(kinks, coeffs)]
+    np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-14)
+    assert vals[3] == 0.0 and err[3] == 0.0
+
+
+def test_gated_sums_do_not_depend_on_the_other_components():
+    # a component's panel sums and errors are its own, as a row's are
+    lo = np.linspace(0.0, 4.0, 31)[:-1]
+    hi = lo + 4.0 / 30
+    coeffs = np.array([[1.0, -3.0], [0.5, 2.0], [0.0, 1.0], [4.0, -1.0]])
+    kinks = np.array([1.2, 0.0, 2.0, 3.6])
+    alone = quadrature._eval_panels(_gated_rows, lo, hi,
+                                    (coeffs[:1], kinks[:1]))
+    beside = quadrature._eval_panels(_gated_rows, lo, hi, (coeffs, kinks))
+    for a, b in zip(alone, beside):
+        assert np.array_equal(a[0], b[0])
+    # the gate: nothing left of the kink, the combined rows right of it
+    plain = quadrature._eval_panels(_gated_rows, lo, hi)
+    right = lo >= kinks[0]
+    assert not beside[0][0, ~right].any() and not beside[1][0, ~right].any()
+    np.testing.assert_allclose(beside[0][0, right],
+                               (coeffs[0] @ plain[0])[right], rtol=1e-13)
+
+
 def test_panel_sums_add_under_half_a_block_of_memory():
     # 602 rows (a 301-strike corrected VIX pass) on 300 panels: the
     # integrand's own output block is the one large allocation, and the

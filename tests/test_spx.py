@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mssv.quadrature
 import mssv.spx
 from mssv import (CharFnOverflowError, DomainError, HiddenState, ModelParams,
                   QuadratureConfig, price_heston_call_batch,
@@ -197,9 +198,10 @@ def _contour_integrand(monkeypatch, price):
                                         (-1.0, 1.2), (0.0, 2.5)))
 def test_contour_integrand_is_conjugate_symmetric(monkeypatch, state_high_y,
                                                   rho, sigma, tau):
-    # f(-u) = conj(f(u)) exactly, for the leading and correction rows
-    # alike: the pass integrates 2 Re f over [0, inf) in place of f over
-    # the real line
+    # the transform is conjugate symmetric, so the real rows the pass
+    # integrates are even, f(-u) = f(u) exactly, for the leading and
+    # correction rows alike: the pass integrates 2 f over [0, inf) in
+    # place of f over the real line
     params = ModelParams(**{**FITTED, "rho": rho, "sigma": sigma})
     strikes = [1500.0, 2000.0, 2500.0]
     u = np.concatenate([np.linspace(0.0, 200.0, 401),
@@ -212,7 +214,35 @@ def test_contour_integrand_is_conjugate_symmetric(monkeypatch, state_high_y,
         f = _contour_integrand(monkeypatch, price)
         right, left = f(u), f(-u)
         assert right.shape == (rows, len(u))
-        assert np.array_equal(left, np.conj(right))
+        assert right.dtype == np.float64
+        assert np.array_equal(left, right)
+
+
+def test_wide_contour_passes_use_no_more_nodes_than_before(monkeypatch,
+                                                          params,
+                                                          state_high_y):
+    # the benchmark's 301-strike SPX grids: the complex contour's node
+    # counts (two-factor and benchmark at 0.25 and 0.5 years) bound the
+    # real one's
+    strikes = list(np.linspace(1700.0, 2200.0, 301))
+    nodes, integrate = [], mssv.quadrature.integrate
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        nodes[-1] += out[2]
+        return out
+
+    monkeypatch.setattr(mssv.quadrature, "integrate", counted)
+    before = {(0.25, "msv"): 360, (0.5, "msv"): 360,
+              (0.25, "heston"): 480, (0.5, "heston"): 420}
+    for (tau, model), bound in before.items():
+        nodes.append(0)
+        if model == "msv":
+            price_spx_strike_batch(2000.0, strikes, tau, state_high_y, params)
+        else:
+            price_heston_call_batch(2000.0, strikes, tau, 0.02, 3.43, 0.04,
+                                    0.424, -1.0, 0.04)
+        assert 0 < nodes[-1] <= bound, (tau, model)
 
 
 @pytest.mark.parametrize("strikes", ([math.nan, 2000.0], [2000.0, math.nan],

@@ -2,6 +2,7 @@
 re-derivation, price-level properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from mssv import (DomainError, HiddenState, ModelParams, Ncx2Params,
                   price_vix_heston_strike_batch, price_vix_strike_batch,
                   vix_weights)
 from mssv.model import TAU0
-from mssv.vix import _correction_coeffs, _payoff_rows
+from mssv.vix import _correction_coeffs
 
 from .conftest import FITTED
-from .oracles import (VixOptionSpec, mc_params_from_eta_nu, price_vix,
-                      vix_call_quad, vix_call_z_only)
+from .oracles import (VixOptionSpec, mc_params_from_eta_nu, payoff_rows,
+                      per_strike_call_pass, price_vix, vix_call_quad,
+                      vix_call_z_only)
 
 DOF_GRID = (0.5, 2.0, 10.0, 50.0)
 LAM_GRID = (0.0, 1.0, 10.0, 100.0)
@@ -111,16 +113,16 @@ def test_ncx2_pdf_matches_scipy_on_a_wide_grid(dof, lam):
 
 
 def _strike_row(v, params, strike, state=None, tau=None):
-    """One strike's last row of the two-factor pass's payoff rows at v:
-    the leading payoff, or with a state the correction payoff."""
+    """One strike's last row of the two-factor per-strike payoff rows at
+    v: the leading payoff, or with a state the correction payoff."""
     w = vix_weights(params.kappa, params.epsilon)
     slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
     coeffs = None if state is None else (
         *_correction_coeffs(state, tau, params, w), params.theta)
     ks = np.array([[float(strike)]])
     kinks = ((ks[:, 0] / 100.0) ** 2 - intercept) / slope
-    row = _payoff_rows(np.ravel(np.asarray(v, dtype=float)), ks, kinks,
-                       slope, intercept, coeffs)[0][-1]
+    row = payoff_rows(np.ravel(np.asarray(v, dtype=float)), ks, kinks,
+                      slope, intercept, coeffs)[0][-1]
     return row.reshape(np.shape(v)) if np.ndim(v) else float(row[0])
 
 
@@ -199,17 +201,36 @@ def test_payoff_h1star_against_expansion_rederivation(params, state_high_y):
 
 
 def _pass_rows(monkeypatch, price, strikes):
-    """The payoff rows, as a function of v, that a strike-batch density
-    pass builds."""
-    seen, rows = [], mssv.vix._payoff_rows
+    """The per-strike rows, as a function of v, that a strike-batch density
+    pass makes of its strike-free rows: with the density set to 1 the
+    rows are payoffs, and output row i is coeffs[i] times them, here gated
+    at kink i node by node (the quadrature gates by panel).  Returns them
+    with the pass's own slow-factor values, delta (v / delta)."""
+    seen, integrate_payoff = [], mssv.vix._integrate_payoff
 
-    def capture(v, *args):
-        seen.append(args)
-        return rows(v, *args)
+    def capture(integrand, ncx2, quad, kinks, coeffs=None):
+        seen.append((integrand, ncx2.delta, kinks, coeffs))
+        return integrate_payoff(integrand, ncx2, quad, kinks=kinks,
+                                coeffs=coeffs)
 
-    monkeypatch.setattr(mssv.vix, "_payoff_rows", capture)
+    monkeypatch.setattr(mssv.vix, "_integrate_payoff", capture)
     price(strikes)
-    return lambda v: rows(v, *seen[0])[0]
+    integrand, delta, kinks, coeffs = seen[0]
+
+    def rows(v):
+        zeta = v / delta
+        with monkeypatch.context() as patch:
+            patch.setattr(mssv.vix, "ncx2_pdf",
+                          lambda zeta, ncx2: np.ones_like(zeta))
+            basis = integrand(zeta)
+        # rows with a 0 coefficient add nothing, even where they are
+        # infinite (K = 0's N at its kink, where the root is 0)
+        block = np.array([sum(c * row for c, row in zip(cs, basis) if c)
+                          for cs in coeffs])
+        v = delta * zeta
+        block[np.tile(v < kinks[:, None], (len(coeffs) // len(kinks), 1))] = 0
+        return block, v
+    return rows
 
 
 def _per_strike_rows(v, slope, intercept, strike, numer=None):
@@ -237,13 +258,14 @@ def test_pass_payoff_block_equals_per_strike_payoffs(monkeypatch, epsilon,
     kinks = [((k / 100.0) ** 2 - intercept) / slope for k in strikes]
     v = np.concatenate([np.linspace(0.0, 0.3, 301)]
                        + [np.nextafter(k, [-np.inf, k, np.inf]) for k in kinks])
-    block = rows(v)
+    block, v = rows(v)
     n = len(strikes)
     assert block.shape == (2 * n, len(v))
     for i, k in enumerate(strikes):
         h0 = payoff_h0(v, params, k)
         h1 = payoff_h1star(v, state_high_y, TAU0, params, k)
-        assert np.array_equal(block[i], h0)
+        # h - K, which the pass does not clip at 0, and N bit for bit
+        assert np.array_equal(np.maximum(block[i], 0.0), h0)
         assert np.array_equal(block[n + i], h1)
         transient = math.exp(-TAU0 / epsilon) if TAU0 / epsilon < 745 else 0.0
         numer = (2.0 * transient * w.a1 * (state_high_y.y - state_high_y.z)
@@ -254,12 +276,13 @@ def test_pass_payoff_block_equals_per_strike_payoffs(monkeypatch, epsilon,
             assert payoff_h0(float(v[j]), params, k) == h0[j]
             assert payoff_h1star(float(v[j]), state_high_y, TAU0, params,
                                  k) == h1[j]
-    heston = _pass_rows(monkeypatch, lambda ks: price_vix_heston_strike_batch(
-        ks, TAU0, 0.04, 3.43, 0.04, 0.424, 0.02), strikes)(v)
+    heston, v = _pass_rows(
+        monkeypatch, lambda ks: price_vix_heston_strike_batch(
+            ks, TAU0, 0.04, 3.43, 0.04, 0.424, 0.02), strikes)(v)
     b2, b4 = heston_star_weights(3.43)
     assert heston.shape == (n, len(v))
     for i, k in enumerate(strikes):
-        assert np.array_equal(heston[i],
+        assert np.array_equal(np.maximum(heston[i], 0.0),
                               _per_strike_rows(v, b2, b4 * 0.04, k)[0])
 
 
@@ -339,14 +362,14 @@ def test_a_pass_integrates_only_the_rows_it_uses(monkeypatch, params,
         return integrate(rows, *args, **kwargs)
 
     monkeypatch.setattr(mssv.vix, "_integrate_payoff", spy)
-    strikes = [0.0, 15.0, 20.0, 25.0, 35.0]
-    n = len(strikes)
-    per_strike = {"corrected": 2, "uncorrected": 1, "benchmark": 1,
-                  "jets": 8}
-    for mode, price in _vix_modes(params, state_high_y).items():
-        passes.clear()
-        price(strikes)
-        assert passes == [{per_strike[mode] * n}], mode
+    # strike-free rows: h p and p, N p with the correction, and with jets
+    # those against p, p_dof and p_lam plus D p, R p, D v p and R v p
+    rows = {"corrected": 3, "uncorrected": 2, "benchmark": 2, "jets": 13}
+    for strikes in ([0.0, 15.0, 20.0, 25.0, 35.0], [20.0]):
+        for mode, price in _vix_modes(params, state_high_y).items():
+            passes.clear()
+            price(strikes)
+            assert passes == [{rows[mode]}], mode
 
 
 @pytest.mark.parametrize("sigma", [FITTED["sigma"], 0.8])  # dof 2.5, 0.47
@@ -366,6 +389,100 @@ def test_jets_price_column_is_the_plain_pass_total(sigma):
                 *_correction_coeffs(state, tau, params, w), jets=True)
             assert np.abs(jets[:, 0] - [d.total for d in plain]).max() \
                 <= 5e-11, (state, tau)
+
+
+def _values(out):
+    """A pass's prices as an array: (leading, correction) pairs, the
+    benchmark's calls or the jets' rows."""
+    if len(out) and hasattr(out[0], "leading"):
+        return np.array([(d.leading, d.correction) for d in out])
+    return np.asarray(out, dtype=float)
+
+
+@pytest.mark.parametrize("sigma", [FITTED["sigma"], 0.8])  # dof 2.5, 0.47
+def test_passes_match_the_per_strike_reference(monkeypatch, sigma):
+    # parameters with dof 2.5 and 0.47, four states (z = 0 and y = 0 among
+    # them), 7 to 91 days, K = 0 to 30: the per-strike rows, gated node by
+    # node, through the same quadrature give every value to rounding
+    params = ModelParams(**{**FITTED, "sigma": sigma})
+    strikes = [0.0, 5.0, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0, 30.0]
+    for state in (HiddenState(y=0.0234, z=0.0194),
+                  HiddenState(y=0.0110, z=0.0203), HiddenState(y=0.0, z=0.02),
+                  HiddenState(y=0.03, z=0.0)):
+        for tau in (7 / 365, TAU0, 60 / 365, 91 / 365):
+            for mode, price in _vix_modes(params, state).items():
+                got = _values(price(strikes, tau))
+                with monkeypatch.context() as patch:
+                    patch.setattr(mssv.vix, "vix_call_pass",
+                                  per_strike_call_pass)
+                    ref = _values(price(strikes, tau))
+                tol = (1e-12 * np.maximum(np.abs(ref), 1.0) if mode == "jets"
+                       else 1e-15 + 1e-13 * np.abs(ref))
+                assert np.all(np.abs(got - ref) <= tol), (mode, state, tau)
+
+
+def test_a_kink_past_the_core_is_a_tail_panel_edge(monkeypatch):
+    # dof 0.47, z = 0, 91 days: the core ends at zeta 39.2 and its first
+    # tail [39.2, 78.5] is worth ~1e-8; a strike with its kink at zeta 45
+    # is gated from a tail panel's edge, not from the panel around it
+    params = ModelParams(**{**FITTED, "sigma": 0.8})
+    state, tau = HiddenState(y=0.03, z=0.0), 91 / 365
+    w = vix_weights(params.kappa, params.epsilon)
+    slope, intercept = w.a2_star, (1.0 + w.a4_star) * params.theta
+    ncx2 = Ncx2Params.from_cir(params.kappa, params.theta, params.sigma,
+                               state.z, tau)
+    deep = 100.0 * math.sqrt(slope * ncx2.delta * 45.0 + intercept)
+    cores, tail_doubling = [], mssv.vix.integrate_with_tail_doubling
+
+    def spy(f, a, b, *args, **kwargs):
+        cores.append(b)
+        return tail_doubling(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(mssv.vix, "integrate_with_tail_doubling", spy)
+    strikes = [20.0, deep]
+    for include_correction in (True, False):
+        got = _values(price_vix_strike_batch(strikes, tau, state, params,
+                                             include_correction=
+                                             include_correction))
+        with monkeypatch.context() as patch:
+            patch.setattr(mssv.vix, "vix_call_pass", per_strike_call_pass)
+            ref = _values(price_vix_strike_batch(strikes, tau, state, params,
+                                                 include_correction=
+                                                 include_correction))
+        assert 39.0 < cores[0] < 45.0
+        assert got[1, 0] > 1e-12
+        assert np.all(np.abs(got - ref) <= 1e-15 + 1e-13 * np.abs(ref))
+
+
+def test_a_wide_pass_costs_its_nodes_not_strikes_times_nodes(monkeypatch,
+                                                            params,
+                                                            state_high_y):
+    # the benchmark's 301-strike grid at 30 days: the nodes of the
+    # per-strike passes, and no strikes x nodes array (11.3 MB) in memory
+    strikes = list(np.linspace(17.0, 35.0, 301))
+    nodes, integrate_payoff = [], mssv.vix._integrate_payoff
+
+    def counted(integrand, *args, **kwargs):
+        def rows(zeta):
+            nodes[-1] += len(zeta)
+            return integrand(zeta)
+        nodes.append(0)
+        return integrate_payoff(rows, *args, **kwargs)
+
+    monkeypatch.setattr(mssv.vix, "_integrate_payoff", counted)
+    modes = _vix_modes(params, state_high_y)
+    for mode in ("corrected", "uncorrected", "benchmark"):
+        modes[mode](strikes)
+        block = len(strikes) * nodes[-1] * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            modes[mode](strikes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodes[-2:] == [4680, 4680], mode
+        assert peak < block, (mode, peak, block)
 
 
 def test_price_monotone_in_strike(params, state_high_y):
