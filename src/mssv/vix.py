@@ -259,12 +259,13 @@ def vix_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
     g_delta = (slope * g_slope + c2 * b1) / delta
     decay = math.exp(-kappa * tau)
     delta_kappa = tau * decay * sigma**2 / (4.0 * kappa) - delta / kappa
-    return disc * np.column_stack([lead + corr, g_dof * dof
-        / kappa - g_lam * lam * (tau + delta_kappa / delta) + g_delta
-        * delta_kappa,
+    # the price as a plain pass's total adds it: disc lead + disc corr
+    return np.column_stack([disc * lead + disc * corr, disc * np.column_stack([
+        g_dof * dof / kappa - g_lam * lam * (tau + delta_kappa / delta)
+        + g_delta * delta_kappa,
         g_dof * dof / theta - c2 * b0,
         2.0 * (g_delta * delta - g_dof * dof - g_lam * lam) / sigma,
-        g_lam * decay / delta, g_slope, g_int, b0, b1 - theta * b0])
+        g_lam * decay / delta, g_slope, g_int, b0, b1 - theta * b0])])
 
 
 def price_vix_strike_batch(strikes, tau: float, state: HiddenState,

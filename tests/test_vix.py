@@ -391,6 +391,43 @@ def test_jets_price_column_is_the_plain_pass_total(sigma):
                 <= 5e-11, (state, tau)
 
 
+@pytest.mark.parametrize("sigma", [FITTED["sigma"], 0.8])  # dof 2.5, 0.47
+def test_jets_price_column_adds_as_the_plain_total(monkeypatch, sigma):
+    # the two passes may split panels differently (the jets' derivative
+    # rows have errors of their own), so the jets pass here takes the
+    # plain pass's leading and correction sums; from the same sums its
+    # price column is disc lead + disc corr, PriceDecomposition.total,
+    # bit for bit, on four states (s = 0 and s = 1 among them)
+    params = ModelParams(**{**FITTED, "sigma": sigma})
+    w = vix_weights(params.kappa, params.epsilon)
+    strikes = [0.0, 5.0, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0, 30.0]
+    integrate, plain_sums = mssv.vix._integrate_payoff, []
+
+    def shared(*args, **kwargs):
+        vals = integrate(*args, **kwargs)
+        if plain_sums:
+            sums = plain_sums.pop()
+            vals[:len(sums)] = sums
+        else:
+            plain_sums.append(vals.copy())
+        return vals
+
+    monkeypatch.setattr(mssv.vix, "_integrate_payoff", shared)
+    for state in (HiddenState(y=0.0234, z=0.0194),
+                  HiddenState(y=0.0110, z=0.0203), HiddenState(y=0.0, z=0.02),
+                  HiddenState(y=0.03, z=0.0)):
+        for tau in (7 / 365, TAU0, 60 / 365, 91 / 365):
+            plain = price_vix_strike_batch(strikes, tau, state, params)
+            jets = mssv.vix.vix_call_pass(
+                strikes, tau, state.z, params.kappa, params.theta,
+                params.sigma, params.r, w.a2_star,
+                (1.0 + w.a4_star) * params.theta, QuadratureConfig(),
+                *_correction_coeffs(state, tau, params, w), jets=True)
+            assert not plain_sums
+            assert np.array_equal(jets[:, 0], [d.total for d in plain]), (
+                state, tau)
+
+
 def _values(out):
     """A pass's prices as an array: (leading, correction) pairs, the
     benchmark's calls or the jets' rows."""
