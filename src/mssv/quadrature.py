@@ -97,8 +97,8 @@ def integrate(f, a: float, b: float, abs_tol: float, rel_tol: float,
     components are gated combinations of f's rows (`_eval_panels`);
     every kink inside (a, b) must be among the breakpoints.
 
-    Raises QuadratureError if the node budget is exhausted before the
-    tolerance is met; the exception carries the best estimate.
+    Raises QuadratureError unless a round meets the tolerance within
+    max_nodes nodes; the exception carries the best estimate.
     """
     edges = np.linspace(a, b, initial_panels + 1)
     if breakpoints is not None:
@@ -114,7 +114,7 @@ def integrate(f, a: float, b: float, abs_tol: float, rel_tol: float,
         total = vals.sum(axis=1)
         total_err = errs.sum(axis=1)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(total_err <= tol):
+        if nodes <= max_nodes and np.all(total_err <= tol):
             return total, total_err, nodes
         if nodes >= max_nodes:
             raise QuadratureError(
@@ -142,31 +142,26 @@ def integrate(f, a: float, b: float, abs_tol: float, rel_tol: float,
 
 
 def integrate_with_tail_doubling(f, a: float, b: float, abs_tol: float,
-                                 rel_tol: float, initial_panels: int = 8,
-                                 breakpoints=None, gated=None, tail=None):
-    """Integrate f over [a, inf): the core [a, b] as `integrate` does,
-    then 4-panel tails [b, 2b], [2b, 4b], ... on what is left of the
-    MAX_NODES budget, until every component of a tail is below abs_tol.
-    The breakpoints and gate serve the tails too, so a kink past b is a
-    tail panel's edge.  tail, when given, is the integrand of the tails
-    in place of f (the SPX contour's complex transform, whose real part
-    f is).
+                                 rel_tol: float, tail):
+    """Integrate f over [a, inf): the core [a, b] as `integrate` does from
+    4 panels, then 4-panel tails [b, 2b], [2b, 4b], ... of the integrand
+    tail on what is left of the MAX_NODES budget, until every component
+    of a tail is below abs_tol.  The SPX contour's core integrates the
+    real part f of its complex transform, and its tails the transform.
 
     Used where the integrand decays fast but the safe truncation is not
     known in advance.  Raises QuadratureError when the budget is spent
     or after 6 tails.
     """
-    total, err, nodes = integrate(f, a, b, abs_tol, rel_tol, MAX_NODES,
-                                  initial_panels, breakpoints, gated)
+    total, err, nodes = integrate(f, a, b, abs_tol, rel_tol, MAX_NODES, 4)
     lo = b
     for _ in range(6):
         if nodes >= MAX_NODES:
             raise QuadratureError(
                 f"node budget {MAX_NODES} spent before the tail",
                 estimate=total, error_estimate=err)
-        part, terr, tn = integrate(f if tail is None else tail, lo,
-                                   2.0 * lo, abs_tol, rel_tol,
-                                   MAX_NODES - nodes, 4, breakpoints, gated)
+        part, terr, tn = integrate(tail, lo, 2.0 * lo, abs_tol, rel_tol,
+                                   MAX_NODES - nodes, 4)
         nodes += tn
         total = total + part
         err = err + terr

@@ -181,7 +181,7 @@ def _fourier_call_batch(x, strikes, tau, r, kappa, theta_e, sigma_e, rho_e,
         integrand, 0.0, TRUNCATION,
         abs_tol=quad.abs_tol * min(max(strikes), x)
         * (math.pi * math.exp(r * tau)),
-        rel_tol=quad.rel_tol, initial_panels=4, tail=whole,
+        rel_tol=quad.rel_tol, tail=whole,
     )
     vals = vals.real * math.exp(-r * tau) / math.pi
     return (vals[:n].tolist(),

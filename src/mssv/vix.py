@@ -20,8 +20,8 @@ from .exceptions import DomainError, QuadratureError
 from .model import (HiddenState, ModelParams, PriceDecomposition,
                     QuadratureConfig, _check_finite, heston_star_weights,
                     vix_weights)
-from .quadrature import integrate_with_tail_doubling
-from .quadrature import integrate  # noqa: F401  perfbench's tracer patches it
+from . import quadrature
+from .quadrature import integrate
 
 #: the ncx2 series' term budget, which lam up to about 1.9e5 fits
 _MAX_TERMS = 100_000
@@ -133,28 +133,35 @@ def _correction_coeffs(state, tau, params, w):
 
 
 def _integrate_payoff(integrand, ncx2: Ncx2Params, quad: QuadratureConfig,
-                      kinks, coeffs=None):
-    """Integrate payoff rows against the ncx2 density over [zeta*, inf).
+                      kinks, bound, coeffs=None):
+    """Integrate payoff rows against the ncx2 density over [zeta*, zmax].
 
     integrand maps an array of zeta to rows times the density: with
     coeffs, strike-free rows that output row i combines as coeffs[i] from
     kink i mod n on (n strikes, `quadrature.integrate`'s gate); without,
     one row per output, already gated.  The lowest payoff kink, v*, is
     the lower endpoint zeta* = v*/delta and the others (batched strikes)
-    become panel edges, in the core and the tails alike, so each panel
-    sees a smooth integrand.  The upper limit starts at the mean plus 40
-    mixed-moment standard deviations (at least 1.5 zeta* + 10) and doubles
-    until the tail adds less than abs_tol.  A density singular at zeta* = 0
-    (dof < 2) gets breakpoints halving the first core panel [0, zmax/8]
-    toward 0, since the K15 - G7 estimate understates the error of the
-    panels next to the singularity: mass within d of 0 grows like
+    become panel edges, so each panel sees a smooth integrand.
+
+    bound is an S with every output row at most S zeta^3 (p + p') past
+    zeta = 2 and past 1.5 zeta*, p' the ncx2(dof + 2, lam) density, whose
+    law dominates p's in tail and moments.  Birge (2001, Lemma 8.1) gives
+    P'(zeta >= k + lam + 2 sqrt((k + 2 lam) x) + 2x) <= e^-x at k = dof +
+    2, and Minkowski over the Poisson mixture gives E' zeta^6 <= (k + lam
+    + 22)^6, so by Cauchy-Schwarz a row's mass past that point is at most
+    2 S (k + lam + 22)^3 e^(-x/2).  zmax is the point (at least 1.5 zeta* +
+    10) at the x that makes this abs_tol/1000.  A density singular at
+    zeta* = 0 (dof < 2) gets breakpoints halving the first panel [0,
+    zmax/8] toward 0, since the K15 - G7 estimate understates the error of
+    the panels next to the singularity: mass within d of 0 grows like
     d^(dof/2), so 80/dof halvings leave ~2^-40 of it inside (at most 1000:
     normal floats).  Returns the outputs' integrals.
     """
     edges = kinks / ncx2.delta
     zstar = max(edges.min(), 0.0)
-    zmax = max(ncx2.dof + ncx2.lam
-               + 40.0 * math.sqrt(2.0 * (ncx2.dof + 2.0 * ncx2.lam)),
+    k, lam = ncx2.dof + 2.0, ncx2.lam
+    x = 2.0 * math.log(2000.0 * bound * (k + lam + 22.0) ** 3 / quad.abs_tol)
+    zmax = max(k + lam + 2.0 * math.sqrt((k + 2.0 * lam) * x) + 2.0 * x,
                zstar * 1.5 + 10.0)
     gated = None if coeffs is None else (
         coeffs, np.tile(edges, len(coeffs) // len(edges)))
@@ -162,9 +169,8 @@ def _integrate_payoff(integrand, ncx2: Ncx2Params, quad: QuadratureConfig,
         halvings = min(math.ceil(80.0 / ncx2.dof), 1000)
         edges = np.concatenate(
             [edges, zmax / 8 * 0.5**np.arange(1, halvings + 1)])
-    return integrate_with_tail_doubling(integrand, zstar, zmax, quad.abs_tol,
-                                        quad.rel_tol, breakpoints=edges,
-                                        gated=gated)[0]
+    return integrate(integrand, zstar, zmax, quad.abs_tol, quad.rel_tol,
+                     quadrature.MAX_NODES, 8, edges, gated)[0]
 
 
 def _checked_ncx2(strikes, tau, z, kappa, theta, sigma, r):
@@ -246,7 +252,15 @@ def vix_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope, intercept,
                                             (lead + corr, 6)]):
             coeffs[block * n:(block + 1) * n, col:col + 3] = row
         coeffs[4 * n:, 9:] = np.repeat(np.eye(4), n, axis=0)
-    vals = _integrate_payoff(integrand, ncx2, quad, kinks=kinks,
+    # S of `_integrate_payoff`: past 1.5 zeta*, slope v + intercept >=
+    # slope v / 3, so |h - K| + |N| <= grow zeta and D, R are bounded;
+    # |p_dof| <= (1 + max|psi|) zeta p / 2 and |p_lam| <= (p + p') / 2
+    r_inv = math.sqrt(3.0 / (slope * delta))
+    grow = (100.0 * math.sqrt(slope * delta + abs(intercept)) + max(strikes)
+            + 25.0 * r_inv * (abs(c1) + abs(c2) * (delta + theta)))
+    bound = ((1.0 + np.abs(ncx2._series[3][0]).max()) * grow
+             + (50.0 + grow * r_inv) * r_inv * (1.0 + delta))
+    vals = _integrate_payoff(integrand, ncx2, quad, kinks=kinks, bound=bound,
                              coeffs=coeffs)
     if not jets:
         return disc * np.pad(vals, (0, 2 * n - len(vals))).reshape(2, n).T

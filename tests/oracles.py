@@ -443,7 +443,7 @@ def per_strike_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope,
     payoff = (c1, c2, theta) if jets or c1 != 0.0 or c2 != 0.0 else None
     integrate_payoff = mssv.vix._integrate_payoff
 
-    def per_strike(_, ncx2, quad, kinks, coeffs=None):
+    def per_strike(_, ncx2, quad, kinks, bound, coeffs=None):
         def integrand(zeta):
             v = ncx2.delta * zeta
             if not jets:
@@ -461,7 +461,8 @@ def per_strike_call_pass(strikes, tau, z, kappa, theta, sigma, r, slope,
                                    (lead + corr) * p_lam, d_int * p,
                                    d_c1 * p, d_int * (v * p),
                                    d_c1 * (v * p)])
-        return integrate_payoff(integrand, ncx2, quad, kinks=kinks)
+        return integrate_payoff(integrand, ncx2, quad, kinks=kinks,
+                                bound=bound)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mssv.vix, "_integrate_payoff", per_strike)

@@ -75,7 +75,7 @@ def test_only_the_tracer_keeps_an_unused_import():
                     "noqa: F401" in line
                     for line in lines[node.lineno - 1:node.end_lineno]):
                 kept |= {(path.stem, a.asname or a.name) for a in node.names}
-    assert kept == {("calibration", "minimize"), ("vix", "integrate"),
+    assert kept == {("calibration", "minimize"),
                     ("cli", "mc_price_spx_strikes"),
                     ("cli", "mc_price_vix_strikes")}
 

@@ -76,7 +76,7 @@ def test_budget_exhaustion_carries_estimate():
 def test_tail_doubling_gaussian():
     val, _, _ = integrate_with_tail_doubling(
         lambda x: np.exp(-0.5 * x * x), 0.0, 2.0, abs_tol=1e-10,
-        rel_tol=1e-10)
+        rel_tol=1e-10, tail=lambda x: np.exp(-0.5 * x * x))
     assert val[0] == pytest.approx(math.sqrt(2 * math.pi) / 2, rel=1e-9)
 
 
@@ -85,7 +85,8 @@ def test_tail_doubling_gives_up_on_fat_tails():
     # [0, 1] leave the last above abs_tol with budget to spare
     with pytest.raises(QuadratureError, match="after 6 doublings"):
         integrate_with_tail_doubling(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0,
-                                     abs_tol=1e-12, rel_tol=1e-10)
+                                     abs_tol=1e-12, rel_tol=1e-10,
+                                     tail=lambda x: 1.0 / (1.0 + x * x))
 
 
 def test_node_count_includes_breakpoint_panels():
@@ -100,6 +101,17 @@ def test_node_count_includes_breakpoint_panels():
                             **BUDGET)
     assert nodes == seen["n"]
     assert nodes >= (8 + 50) * 15
+
+
+def test_a_converged_round_past_the_budget_raises():
+    # 56 panels (two breakpoints fall on initial edges) meet the tolerance
+    # in their first round, on 840 nodes: more than the budget of 500
+    with pytest.raises(QuadratureError, match="node budget 500"):
+        integrate(np.cos, 0.0, 1.0, 1e-10, 1e-10, 500, 8,
+                  breakpoints=np.linspace(0.01, 0.99, 50))
+    _, _, nodes = integrate(np.cos, 0.0, 1.0, 1e-10, 1e-10, 840, 8,
+                            breakpoints=np.linspace(0.01, 0.99, 50))
+    assert nodes == 840
 
 
 def test_weight_columns_are_k15_and_embedded_g7():

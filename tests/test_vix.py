@@ -208,10 +208,10 @@ def _pass_rows(monkeypatch, price, strikes):
     with the pass's own slow-factor values, delta (v / delta)."""
     seen, integrate_payoff = [], mssv.vix._integrate_payoff
 
-    def capture(integrand, ncx2, quad, kinks, coeffs=None):
+    def capture(integrand, ncx2, quad, kinks, bound, coeffs=None):
         seen.append((integrand, ncx2.delta, kinks, coeffs))
         return integrate_payoff(integrand, ncx2, quad, kinks=kinks,
-                                coeffs=coeffs)
+                                bound=bound, coeffs=coeffs)
 
     monkeypatch.setattr(mssv.vix, "_integrate_payoff", capture)
     price(strikes)
@@ -294,6 +294,7 @@ def test_non_finite_inputs_fail_before_quadrature(monkeypatch, params,
         raise AssertionError("quadrature ran on a non-finite input")
 
     monkeypatch.setattr(mssv.quadrature, "integrate", no_quadrature)
+    monkeypatch.setattr(mssv.vix, "integrate", no_quadrature)
     two_factor = [lambda ks, tau, st: price_vix_strike_batch(
         ks, tau, st, params, include_correction=c) for c in (True, False)]
     benchmark = lambda ks, tau, st: price_vix_heston_strike_batch(
@@ -458,10 +459,11 @@ def test_passes_match_the_per_strike_reference(monkeypatch, sigma):
                 assert np.all(np.abs(got - ref) <= tol), (mode, state, tau)
 
 
-def test_a_kink_past_the_core_is_a_tail_panel_edge(monkeypatch):
-    # dof 0.47, z = 0, 91 days: the core ends at zeta 39.2 and its first
-    # tail [39.2, 78.5] is worth ~1e-8; a strike with its kink at zeta 45
-    # is gated from a tail panel's edge, not from the panel around it
+def test_a_kink_far_past_the_mean_is_a_panel_edge(monkeypatch):
+    # dof 0.47, z = 0, 91 days: a strike with its kink at zeta 45, far in
+    # the density's tail (the mean plus 40 sd is 39.2) and worth ~1e-8,
+    # is gated from a panel edge inside [zeta*, zmax], not from the panel
+    # around it
     params = ModelParams(**{**FITTED, "sigma": 0.8})
     state, tau = HiddenState(y=0.03, z=0.0), 91 / 365
     w = vix_weights(params.kappa, params.epsilon)
@@ -469,26 +471,123 @@ def test_a_kink_past_the_core_is_a_tail_panel_edge(monkeypatch):
     ncx2 = Ncx2Params.from_cir(params.kappa, params.theta, params.sigma,
                                state.z, tau)
     deep = 100.0 * math.sqrt(slope * ncx2.delta * 45.0 + intercept)
-    cores, tail_doubling = [], mssv.vix.integrate_with_tail_doubling
+    calls, integrate = [], mssv.vix.integrate
 
-    def spy(f, a, b, *args, **kwargs):
-        cores.append(b)
-        return tail_doubling(f, a, b, *args, **kwargs)
+    def spy(f, a, b, *args):
+        calls.append((a, b, args[-2]))
+        return integrate(f, a, b, *args)
 
-    monkeypatch.setattr(mssv.vix, "integrate_with_tail_doubling", spy)
+    monkeypatch.setattr(mssv.vix, "integrate", spy)
     strikes = [20.0, deep]
     for include_correction in (True, False):
+        calls.clear()
         got = _values(price_vix_strike_batch(strikes, tau, state, params,
                                              include_correction=
                                              include_correction))
+        a, b, edges = calls[0]
+        assert a < 45.0 < b
+        assert np.any(np.isclose(edges, 45.0, rtol=1e-12, atol=0.0))
         with monkeypatch.context() as patch:
             patch.setattr(mssv.vix, "vix_call_pass", per_strike_call_pass)
             ref = _values(price_vix_strike_batch(strikes, tau, state, params,
                                                  include_correction=
                                                  include_correction))
-        assert 39.0 < cores[0] < 45.0
         assert got[1, 0] > 1e-12
         assert np.all(np.abs(got - ref) <= 1e-15 + 1e-13 * np.abs(ref))
+
+
+def test_a_pass_is_one_integral(monkeypatch, params, state_high_y):
+    # plain, uncorrected, benchmark and jets passes each make exactly one
+    # `integrate` call; a corrected pass and its jets share c1, c2 and so
+    # one upper limit and one panel set
+    calls, integrate = [], mssv.vix.integrate
+
+    def spy(f, a, b, *args):
+        calls.append((a, b, tuple(args[-2])))
+        return integrate(f, a, b, *args)
+
+    monkeypatch.setattr(mssv.vix, "integrate", spy)
+    for strikes in ([0.0, 15.0, 20.0, 25.0, 35.0], [20.0]):
+        seen = {}
+        for mode, price in _vix_modes(params, state_high_y).items():
+            calls.clear()
+            price(strikes)
+            assert len(calls) == 1, mode
+            seen[mode] = calls[0]
+        assert seen["jets"] == seen["corrected"]
+
+
+_BIRGE_X = (0.5, 2.0, 10.0, 40.0, 90.0)
+
+
+@pytest.mark.parametrize("dof", (0.08, 0.47, 2.5, 10.0, 1e3, 8e7))
+@pytest.mark.parametrize("lam", (0.0, 0.5, 10.0, 300.0, 5e3))
+def test_the_upper_limit_bounds_hold(dof, lam):
+    # Birge's deviation point for ncx2(dof + 2, lam) leaves at most e^-x
+    # of it, and of ncx2(dof, lam), beyond; and the sixth moment of
+    # ncx2(dof + 2, lam) is at most (dof + lam + 24)^6
+    k = dof + 2.0
+    for x in _BIRGE_X:
+        point = k + lam + 2.0 * math.sqrt((k + 2.0 * lam) * x) + 2.0 * x
+        assert scipy_ncx2.sf(point, dof, lam) <= math.exp(-x), x
+        assert scipy_ncx2.sf(point, k, lam) <= math.exp(-x), x
+    assert scipy_ncx2.moment(6, k, lam) <= (dof + lam + 24.0) ** 6
+
+
+def _upper_limit(monkeypatch, price):
+    """A pass priced on the per-strike rows: its upper limit, its S and
+    the per-strike integrand of `vix.integrate` (one row per output)."""
+    seen, integrate, integrate_payoff = {}, mssv.vix.integrate, \
+        mssv.vix._integrate_payoff
+
+    def spy(f, a, b, *args):
+        seen.update(f=f, zstar=a, zmax=b)
+        return integrate(f, a, b, *args)
+
+    def bound(*args, **kwargs):
+        seen.update(bound=kwargs["bound"], ncx2=args[1])
+        return integrate_payoff(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mssv.vix, "integrate", spy)
+        patch.setattr(mssv.vix, "_integrate_payoff", bound)
+        patch.setattr(mssv.vix, "vix_call_pass", per_strike_call_pass)
+        price()
+    return seen
+
+
+@pytest.mark.parametrize("sigma, state, tau", [
+    (0.8, HiddenState(y=0.03, z=0.0), 91 / 365),  # dof 0.47, z = 0
+    (FITTED["sigma"], HiddenState(y=0.0234, z=0.0194), TAU0),
+    (FITTED["sigma"], HiddenState(y=0.0, z=0.02), 7 / 365)])
+@pytest.mark.parametrize("abs_tol", (1e-8, 1e-11))
+def test_each_output_leaves_under_a_thousandth_of_abs_tol_past_zmax(
+        monkeypatch, sigma, state, tau, abs_tol):
+    # the per-strike rows, plain and jets, by QUADPACK past the pass's
+    # zmax; and S zeta^3 (p + p(dof + 2)) bounds them between
+    # max(2, 1.5 zeta*) and zmax
+    params = ModelParams(**{**FITTED, "sigma": sigma})
+    quad_cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=1e-8)
+    w = vix_weights(params.kappa, params.epsilon)
+    strikes = [0.0, 15.0, 20.0, 25.0, 35.0]
+    for jets in (False, True):
+        seen = _upper_limit(monkeypatch, lambda: mssv.vix.vix_call_pass(
+            strikes, tau, state.z, params.kappa, params.theta,
+            params.sigma, params.r, w.a2_star,
+            (1.0 + w.a4_star) * params.theta, quad_cfg,
+            *_correction_coeffs(state, tau, params, w), jets=jets))
+        f, zmax, ncx2 = seen["f"], seen["zmax"], seen["ncx2"]
+        rows = len(f(np.array([zmax])))
+        assert rows == (8 if jets else 2) * len(strikes)
+        for i in range(rows):
+            mass = quad(lambda zeta: abs(f(np.array([zeta]))[i, 0]), zmax,
+                        math.inf, epsabs=1e-30, epsrel=1e-6, limit=200)[0]
+            assert mass <= abs_tol / 1000, (jets, i, mass)
+        zeta = np.geomspace(max(2.0, 1.5 * seen["zstar"]), zmax, 400)
+        dominating = ncx2_pdf(zeta, ncx2) + ncx2_pdf(
+            zeta, Ncx2Params(ncx2.dof + 2.0, ncx2.lam, ncx2.delta))
+        assert np.all(np.abs(f(zeta)) <= seen["bound"] * zeta**3
+                      * dominating), jets
 
 
 def test_a_wide_pass_costs_its_nodes_not_strikes_times_nodes(monkeypatch,
@@ -518,7 +617,7 @@ def test_a_wide_pass_costs_its_nodes_not_strikes_times_nodes(monkeypatch,
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert nodes[-2:] == [4680, 4680], mode
+        assert nodes[-2:] == [4620, 4620], mode
         assert peak < block, (mode, peak, block)
 
 
